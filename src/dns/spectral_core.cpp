@@ -49,6 +49,10 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
     PSDNS_REQUIRE(sc.schmidt > 0.0, "Schmidt number must be positive");
   }
   system_ = make_equation_system(config_);
+  dealias_ = config_.phase_shift_dealias
+                 ? DealiasRule::sphere(std::sqrt(2.0) *
+                                       static_cast<double>(config_.n) / 3.0)
+                 : DealiasRule::cube(config_.n);
 
   fft_.set_batching(config_.pencils, config_.pencils_per_a2a);
   view_ = fft_.mode_view();
@@ -110,12 +114,7 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
 }
 
 void SpectralEngine::apply_dealias(Complex* field) {
-  if (config_.phase_shift_dealias) {
-    dealias_spherical(view_, field,
-                      std::sqrt(2.0) * static_cast<double>(config_.n) / 3.0);
-  } else {
-    dealias_truncate(view_, field);
-  }
+  scale_and_truncate(view_, field, 1.0, dealias_);
 }
 
 void SpectralEngine::finalize_vector_ic(std::size_t base) {
@@ -425,11 +424,11 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   // 4. Products to spectral space (one multi-variable transform).
   fft_.forward(std::span<const Real* const>(prod_in_.data(), nprod_),
                std::span<Complex* const>(prod_spec_.data(), nprod_));
+  //    Undo the shift, then normalize and dealias in one pass.
   for (std::size_t t = 0; t < nprod_; ++t) {
     Complex* p = block(prod_hat_, t);
-    for (std::size_t i = 0; i < spec_; ++i) p[i] *= inv_n3;
     if (shift) phase_shift(view_, p, delta, -1);
-    apply_dealias(p);
+    scale_and_truncate(view_, p, inv_n3, dealias_);
   }
 
   // 5. The system's spectral RHS from the dealiased product spectra.

@@ -190,8 +190,7 @@ class SpectralEngine {
   void compute_rhs(const Complex* const* in, Complex* const* rhs,
                    bool with_forcing = true);
 
-  /// Dealiasing mask: cubic 2/3 truncation, or the larger spherical
-  /// sqrt(2)/3 N radius when phase shifting is active (Rogallo's scheme).
+  /// Applies the dealiasing rule dealias_ to one field.
   void apply_dealias(Complex* field);
 
   /// The system's exact linear propagator over dt, applied in place to a
@@ -229,6 +228,9 @@ class SpectralEngine {
   std::size_t spec_ = 0;        // local spectral elements per field
   std::size_t phys_elems_ = 0;  // local physical elements per field
   std::size_t nprod_ = 0;       // system_->product_count()
+  // Cubic 2/3 truncation, or the larger spherical sqrt(2)/3 N radius when
+  // phase shifting is active (Rogallo's scheme).
+  DealiasRule dealias_;
 
   std::vector<Field> state_;  // [u, v, w, <system extra fields>]
   double time_ = 0.0;

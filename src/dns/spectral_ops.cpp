@@ -1,6 +1,9 @@
 #include "dns/spectral_ops.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdlib>
 
 namespace psdns::dns {
 
@@ -23,36 +26,135 @@ void project(const ModeView& view, Complex* u, Complex* v, Complex* w) {
   });
 }
 
-void dealias_truncate(const ModeView& view, Complex* field) {
-  // Strict 2/3 rule: 3*kmax < N, so that a product component of 2*kmax
-  // aliases to -(N - 2*kmax) < -kmax and is removed. (kmax = N/3 exactly
-  // would let boundary modes alias back onto the boundary.)
-  const int kmax = (static_cast<int>(view.n) - 1) / 3;
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    if (std::abs(kx) > kmax || std::abs(ky) > kmax || std::abs(kz) > kmax) {
-      field[idx] = Complex{0.0, 0.0};
+namespace {
+
+/// Calls row(base, c1, c2) for every row of the view: the modes
+/// base + stride[0] * c0, c0 < extent[0], at loop-dimension-1/2 indices
+/// (c1, c2).
+template <class F>
+void for_each_row(const ModeView& v, F&& row) {
+  for (std::size_t c2 = 0; c2 < v.extent[2]; ++c2) {
+    for (std::size_t c1 = 0; c1 < v.extent[1]; ++c1) {
+      row(v.stride[2] * c2 + v.stride[1] * c1, c1, c2);
+    }
+  }
+}
+
+int loop_wavenumber(const ModeView& v, int d, std::size_t c) {
+  return wrap_wavenumber(v.offset[d] + c, v.n);
+}
+
+/// Thread-local storage behind axis_tables, one set per element type.
+template <class T>
+std::array<std::vector<T>, 3>& axis_storage() {
+  thread_local std::array<std::vector<T>, 3> tables;
+  return tables;
+}
+
+/// One table per loop dimension d, entry c = factor(d, k) for the
+/// dimension's wavenumber k at local index c. The storage only grows, so
+/// calls after the first on a view do not allocate.
+template <class T, class F>
+std::array<const T*, 3> axis_tables(const ModeView& v, F&& factor) {
+  auto& tables = axis_storage<T>();
+  std::array<const T*, 3> out{};
+  for (int d = 0; d < 3; ++d) {
+    auto& t = tables[static_cast<std::size_t>(d)];
+    t.resize(v.extent[d]);
+    for (std::size_t c = 0; c < t.size(); ++c) {
+      t[c] = factor(d, loop_wavenumber(v, d, c));
+    }
+    out[static_cast<std::size_t>(d)] = t.data();
+  }
+  return out;
+}
+
+/// field *= t[0][c0] * t[1][c1] * t[2][c2] for every mode: a factor that
+/// is the product of one factor per loop dimension, with t[1][c1] *
+/// t[2][c2] formed once per row.
+template <class T>
+void apply_separable(const ModeView& v, Complex* field,
+                     const std::array<const T*, 3>& t) {
+  const std::size_t s0 = v.stride[0];
+  for_each_row(v, [&](std::size_t base, std::size_t c1, std::size_t c2) {
+    const T f12 = t[1][c1] * t[2][c2];
+    Complex* row = field + base;
+    for (std::size_t c0 = 0; c0 < v.extent[0]; ++c0) {
+      row[c0 * s0] *= f12 * t[0][c0];
     }
   });
 }
 
-void dealias_spherical(const ModeView& view, Complex* field, double kmax) {
-  const double k2max = kmax * kmax;
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double k2 = static_cast<double>(kx) * kx +
-                      static_cast<double>(ky) * ky +
-                      static_cast<double>(kz) * kz;
-    if (k2 > k2max) field[idx] = Complex{0.0, 0.0};
+/// Largest m with every mode |k0| <= m of the row (k1, k2) kept by `rule`,
+/// or -1 when the rule drops the whole row. The sphere test compares the
+/// exact integer |k|^2 with k2max, mode for mode the same decision as
+/// `k2 > k2max`.
+long kept_half_width(const DealiasRule& rule, int k1, int k2) {
+  if (!rule.spherical) {
+    return std::abs(k1) <= rule.kmax && std::abs(k2) <= rule.kmax
+               ? rule.kmax
+               : -1;
+  }
+  const double rest = static_cast<double>(k1) * k1 +
+                      static_cast<double>(k2) * k2;
+  if (rest > rule.k2max) return -1;
+  auto kept = [&](long m) {
+    return static_cast<double>(m) * static_cast<double>(m) + rest <=
+           rule.k2max;
+  };
+  auto m = static_cast<long>(std::sqrt(rule.k2max - rest));
+  while (kept(m + 1)) ++m;
+  while (m > 0 && !kept(m)) --m;
+  return m;
+}
+
+}  // namespace
+
+void scale_and_truncate(const ModeView& view, Complex* field, double scale,
+                        const DealiasRule& rule) {
+  const auto n = static_cast<long>(view.n);
+  const auto off = static_cast<long>(view.offset[0]);
+  const auto ext = static_cast<long>(view.extent[0]);
+  const std::size_t s0 = view.stride[0];
+  for_each_row(view, [&](std::size_t base, std::size_t c1, std::size_t c2) {
+    const long m = kept_half_width(rule, loop_wavenumber(view, 1, c1),
+                                   loop_wavenumber(view, 2, c2));
+    // Kept inner indices are [0, lo) and [hi, ext): |k0| <= m means a
+    // global index g <= m or g >= n - m. Clamping hi to lo keeps the two
+    // ranges disjoint once they meet (m >= (n-1)/2 keeps the whole row).
+    long lo = 0, hi = ext;
+    if (m >= 0) {
+      lo = std::clamp(m + 1 - off, 0L, ext);
+      hi = std::clamp(n - m - off, lo, ext);
+    }
+    Complex* row = field + base;
+    for (long c0 = lo; c0 < hi; ++c0) {
+      row[static_cast<std::size_t>(c0) * s0] = Complex{0.0, 0.0};
+    }
+    if (scale != 1.0) {
+      for (long c0 = 0; c0 < lo; ++c0) {
+        row[static_cast<std::size_t>(c0) * s0] *= scale;
+      }
+      for (long c0 = hi; c0 < ext; ++c0) {
+        row[static_cast<std::size_t>(c0) * s0] *= scale;
+      }
+    }
   });
+}
+
+void dealias_truncate(const ModeView& view, Complex* field) {
+  scale_and_truncate(view, field, 1.0, DealiasRule::cube(view.n));
+}
+
+void dealias_spherical(const ModeView& view, Complex* field, double kmax) {
+  scale_and_truncate(view, field, 1.0, DealiasRule::sphere(kmax));
 }
 
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt) {
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double k2 = static_cast<double>(kx) * kx +
-                      static_cast<double>(ky) * ky +
-                      static_cast<double>(kz) * kz;
-    field[idx] *= std::exp(-nu * k2 * dt);
-  });
+  apply_separable(view, field, axis_tables<double>(view, [&](int, int k) {
+                    return std::exp(-nu * dt * static_cast<double>(k) * k);
+                  }));
 }
 
 void nonlinear_rhs(const ModeView& view, const ProductSet& t, Complex* out_u,
@@ -92,11 +194,10 @@ void scalar_rhs(const ModeView& view, const Complex* fx, const Complex* fy,
 void phase_shift(const ModeView& view, Complex* field, const double delta[3],
                  int sign) {
   const double s = sign >= 0 ? 1.0 : -1.0;
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double phase =
-        s * (kx * delta[0] + ky * delta[1] + kz * delta[2]);
-    field[idx] *= Complex{std::cos(phase), std::sin(phase)};
-  });
+  apply_separable(view, field, axis_tables<Complex>(view, [&](int d, int k) {
+                    const double phase = s * k * delta[view.axis[d]];
+                    return Complex{std::cos(phase), std::sin(phase)};
+                  }));
 }
 
 namespace {

@@ -21,6 +21,33 @@ using fft::Real;
 /// vector field (u, v, w); enforces a zero mean mode.
 void project(const ModeView& view, Complex* u, Complex* v, Complex* w);
 
+/// The set of modes a dealiasing pass keeps: the strict 2/3 cube
+/// max(|kx|,|ky|,|kz|) <= kmax, or the sphere |k|^2 <= k2max.
+struct DealiasRule {
+  bool spherical = false;
+  int kmax = 0;        // cube half-width
+  double k2max = 0.0;  // sphere radius squared
+
+  /// Strict 2/3 rule on an N-point grid: kmax = (N-1)/3, so that 3*kmax < N
+  /// and a product component of 2*kmax aliases to -(N - 2*kmax) < -kmax
+  /// and is removed. (kmax = N/3 exactly would let boundary modes alias
+  /// back onto the boundary.)
+  static DealiasRule cube(std::size_t n) {
+    return {false, (static_cast<int>(n) - 1) / 3, 0.0};
+  }
+  /// Sphere of radius kmax.
+  static DealiasRule sphere(double kmax) { return {true, 0, kmax * kmax}; }
+};
+
+/// field = scale * field on every mode `rule` keeps, and exactly zero on
+/// every other mode: truncated modes are assigned zero, never multiplied,
+/// so a NaN or Inf there vanishes while one in a kept mode survives. One
+/// pass, row by row: a row outside the band is zero-filled, a kept row
+/// scales its kept inner range(s) and zeroes the rest. scale = 1 leaves
+/// kept modes untouched.
+void scale_and_truncate(const ModeView& view, Complex* field, double scale,
+                        const DealiasRule& rule);
+
 /// Zeroes every mode with max(|kx|,|ky|,|kz|) > (N-1)/3 (strict 2/3-rule
 /// truncation, Sec. 2 / Rogallo 1981). Removes quadratic aliasing
 /// completely on its own.
@@ -32,7 +59,10 @@ void dealias_truncate(const ModeView& view, Complex* field);
 /// the leading aliasing contributions across RK substages.
 void dealias_spherical(const ModeView& view, Complex* field, double kmax);
 
-/// Multiplies by exp(-nu k^2 dt) (exact viscous integration).
+/// Multiplies by exp(-nu k^2 dt) (exact viscous integration). The factor
+/// is separable, exp(-nu dt kx^2) exp(-nu dt ky^2) exp(-nu dt kz^2), so it
+/// is built from one table per loop dimension (about 3N exponentials per
+/// call, not one per mode).
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt);
 
@@ -75,7 +105,8 @@ double cospectrum_total(const ModeView& view, comm::Communicator& comm,
                         const Complex* a, const Complex* b);
 
 /// Multiplies by the phase factor exp(+- i k . delta) (Rogallo phase-shift
-/// dealiasing); sign = +1 or -1, delta in radians per axis.
+/// dealiasing); sign = +1 or -1, delta in radians per axis. Separable like
+/// the integrating factor: one complex phase table per loop dimension.
 void phase_shift(const ModeView& view, Complex* field, const double delta[3],
                  int sign);
 

@@ -114,7 +114,7 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
   const std::size_t h = nxh();
   if (work_.size() < 2 * nv) work_.resize(2 * nv);
 
-  // y-inverse into scratch Z-slabs (the input stays const).
+  // y-inverse out of place, from the const input into scratch Z-slabs.
   if (zslab_ptrs_.size() < nv) zslab_ptrs_.resize(nv);
   if (yslab_ptrs_.size() < nv) yslab_ptrs_.resize(nv);
   {
@@ -124,11 +124,11 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
       auto& wz = work_[v];
       wz.ensure(h * n_ * mz());
       zslab_ptrs_[v] = wz.data();
-      std::copy(spec[v], spec[v] + spectral_elems(), wz.data());
       util::ThreadPool::global().parallel_for(
           "fft.slab.y", 0, mz(), [&](std::size_t kk) {
-            Complex* base = wz.data() + h * n_ * kk;
-            plan_yz_->transform_batch(fft::Direction::Inverse, base, base,
+            plan_yz_->transform_batch(fft::Direction::Inverse,
+                                      spec[v] + h * n_ * kk,
+                                      wz.data() + h * n_ * kk,
                                       BatchLayout{.count = h, .stride = h,
                                                   .dist = 1});
           });
@@ -269,12 +269,11 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   py_.ensure(n_ * w * zl);
   pz_.ensure(spectral_elems());
 
-  // z-inverse on a reusable scratch copy of the Z-pencil.
-  std::copy(spec.data(), spec.data() + spectral_elems(), pz_.data());
+  // z-inverse out of place, from the const input into the scratch Z-pencil.
   {
     obs::ScopedTimer timer("pencil_fft.inverse.z");
     obs::TraceSpan span("pencil_fft.inverse.z", obs::SpanKind::Compute);
-    plan_yz_->transform_batch(fft::Direction::Inverse, pz_.data(), pz_.data(),
+    plan_yz_->transform_batch(fft::Direction::Inverse, spec.data(), pz_.data(),
                               BatchLayout{.count = w * g.yl2(), .stride = 1,
                                           .dist = n_});
   }

@@ -182,6 +182,48 @@ TEST(AllocFree, PencilRk4ForcedFourRanks) {
   });
 }
 
+// The two systems below reach the per-axis propagator tables through
+// overrides: RotatingNS through its base call ahead of the Coriolis
+// rotation (here on a pencil view, whose loop dimensions are permuted), and
+// Boussinesq with a buoyancy scalar whose diffusivity differs from the
+// velocity's. The tables may grow during warm-up, never in a warmed step.
+TEST(AllocFree, PencilRotatingRk2TwoRanks) {
+  comm::run_ranks(2, [](comm::Communicator& comm) {
+    PencilSolverConfig config;
+    config.n = 16;
+    config.viscosity = 0.02;
+    config.pr = 1;
+    config.pc = 2;
+    config.system = SystemType::RotatingNS;
+    config.rotation_omega = 2.0;
+    PencilSolver solver(comm, config);
+    solver.init_isotropic(7, 3.0, 0.5);
+    const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
+    EXPECT_EQ(d.news, 0);
+    EXPECT_EQ(d.deletes, 0);
+    EXPECT_EQ(d.arena_misses, 0);
+  });
+}
+
+TEST(AllocFree, SlabBoussinesqRk2SingleRank) {
+  comm::run_ranks(1, [](comm::Communicator& comm) {
+    SolverConfig config;
+    config.n = 16;
+    config.viscosity = 0.02;
+    config.system = SystemType::Boussinesq;
+    config.brunt_vaisala = 1.5;
+    config.scalars.push_back(ScalarConfig{.schmidt = 0.7,
+                                          .mean_gradient = 0.0});
+    SlabSolver solver(comm, config);
+    solver.init_isotropic(7, 3.0, 0.5);
+    solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
+    const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
+    EXPECT_EQ(d.news, 0);
+    EXPECT_EQ(d.deletes, 0);
+    EXPECT_EQ(d.arena_misses, 0);
+  });
+}
+
 TEST(AllocFree, SlabRk2PooledFourThreads) {
   // The worker pool's static striping warms each pool thread's arena
   // scratch during the untracked steps; the tracked steps then opt every

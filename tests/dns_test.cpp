@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 
 #include "comm/communicator.hpp"
@@ -154,6 +156,155 @@ TEST_F(OpsFixture, PhaseShiftRoundTripIsIdentity) {
   phase_shift(view, f.data(), delta, -1);
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_LT(std::abs(f[i] - u[i]), 1e-12);
+  }
+}
+
+// --- separable propagators and the fused scale-and-truncate pass ---------
+//
+// The row-structured passes against per-mode references, on slab views of
+// the first and second of two ranks (nonzero kz offset), an odd grid, and
+// pencil views whose fastest loop dimension is kz (permuted axes), one of
+// them with nonzero kx and ky offsets.
+
+std::vector<ModeView> row_pass_views() {
+  return {ModeView::zslab(16, 16, 0), ModeView::zslab(16, 8, 8),
+          ModeView::zslab(15, 5, 10), ModeView::zpencil(16, 9, 0, 16, 0),
+          ModeView::zpencil(18, 4, 5, 6, 12)};
+}
+
+std::vector<Complex> random_modes(const ModeView& view, std::uint64_t seed) {
+  std::vector<Complex> f(view.local_modes());
+  util::Rng rng(seed);
+  for (auto& c : f) c = Complex{rng.gaussian(), rng.gaussian()};
+  return f;
+}
+
+double k_squared(int kx, int ky, int kz) {
+  return static_cast<double>(kx) * kx + static_cast<double>(ky) * ky +
+         static_cast<double>(kz) * kz;
+}
+
+TEST(SeparablePropagator, IntegratingFactorMatchesPerModeExponential) {
+  const double nu = 0.03, dt = 0.7;
+  for (const auto& view : row_pass_views()) {
+    const auto u = random_modes(view, 5);
+    auto f = u;
+    apply_integrating_factor(view, f.data(), nu, dt);
+    for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+      const Complex want = u[idx] * std::exp(-nu * k_squared(kx, ky, kz) * dt);
+      EXPECT_LE(std::abs(f[idx] - want), 1e-14 * std::abs(want))
+          << "n=" << view.n << " k=(" << kx << "," << ky << "," << kz << ")";
+    });
+  }
+}
+
+TEST(SeparablePropagator, PhaseShiftMatchesPerModePhaseAndRoundTrips) {
+  const double delta[3] = {0.3, -0.1, 0.7};
+  for (const auto& view : row_pass_views()) {
+    const auto u = random_modes(view, 6);
+    for (const int sign : {+1, -1}) {
+      auto f = u;
+      phase_shift(view, f.data(), delta, sign);
+      for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+        const double phase =
+            sign * (kx * delta[0] + ky * delta[1] + kz * delta[2]);
+        const Complex want =
+            u[idx] * Complex{std::cos(phase), std::sin(phase)};
+        EXPECT_LE(std::abs(f[idx] - want), 1e-14 * std::abs(want))
+            << "n=" << view.n << " sign=" << sign;
+      });
+      phase_shift(view, f.data(), delta, -sign);
+      for (std::size_t i = 0; i < u.size(); ++i) {
+        EXPECT_LE(std::abs(f[i] - u[i]), 1e-14 * std::abs(u[i]));
+      }
+    }
+  }
+}
+
+bool bitwise_equal(const std::vector<Complex>& a,
+                   const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(FusedTruncation, EqualsScaleThenTruncateBitwise) {
+  const double scale = 1.0 / 4096.0 / 3.0;  // not a power of two
+  for (const auto& view : row_pass_views()) {
+    const int kmax = (static_cast<int>(view.n) - 1) / 3;
+    const double radius = std::sqrt(2.0) * static_cast<double>(view.n) / 3.0;
+    const auto u = random_modes(view, 8);
+    auto scaled = u;
+    for (auto& c : scaled) c *= scale;
+
+    // Strict 2/3 cube: the library routine and a per-mode mask.
+    auto cube_ref = scaled;
+    dealias_truncate(view, cube_ref.data());
+    auto cube_mask = scaled;
+    for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+      if (std::abs(kx) > kmax || std::abs(ky) > kmax || std::abs(kz) > kmax) {
+        cube_mask[idx] = Complex{0.0, 0.0};
+      }
+    });
+    auto cube = u;
+    scale_and_truncate(view, cube.data(), scale, DealiasRule::cube(view.n));
+    EXPECT_TRUE(bitwise_equal(cube, cube_ref)) << "cube n=" << view.n;
+    EXPECT_TRUE(bitwise_equal(cube, cube_mask)) << "cube n=" << view.n;
+
+    // Phase-shift sphere of radius sqrt(2)/3 N.
+    auto sphere_ref = scaled;
+    dealias_spherical(view, sphere_ref.data(), radius);
+    auto sphere_mask = scaled;
+    for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+      if (k_squared(kx, ky, kz) > radius * radius) {
+        sphere_mask[idx] = Complex{0.0, 0.0};
+      }
+    });
+    auto sphere = u;
+    scale_and_truncate(view, sphere.data(), scale,
+                       DealiasRule::sphere(radius));
+    EXPECT_TRUE(bitwise_equal(sphere, sphere_ref)) << "sphere n=" << view.n;
+    EXPECT_TRUE(bitwise_equal(sphere, sphere_mask)) << "sphere n=" << view.n;
+  }
+}
+
+TEST(FusedTruncation, NonFiniteTruncatedModesVanishKeptNaNSurvives) {
+  // The health monitor's contract: a NaN or Inf the dealiasing removes is
+  // gone exactly, a NaN in a resolved mode reaches the NaN check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& view : row_pass_views()) {
+    for (const auto& rule :
+         {DealiasRule::cube(view.n),
+          DealiasRule::sphere(std::sqrt(2.0) * static_cast<double>(view.n) /
+                              3.0)}) {
+      auto keeps = [&](int kx, int ky, int kz) {
+        return rule.spherical
+                   ? k_squared(kx, ky, kz) <= rule.k2max
+                   : std::max({std::abs(kx), std::abs(ky), std::abs(kz)}) <=
+                         rule.kmax;
+      };
+      auto f = random_modes(view, 9);
+      std::vector<std::size_t> kept, dropped;
+      std::size_t i = 0;
+      for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+        // Poison every seventh mode: NaN and Inf alternately.
+        if (i++ % 7 != 0) return;
+        f[idx] = (i % 2 == 0) ? Complex{nan, 0.0} : Complex{1.0, inf};
+        (keeps(kx, ky, kz) ? kept : dropped).push_back(idx);
+      });
+      ASSERT_FALSE(kept.empty());
+      ASSERT_FALSE(dropped.empty());
+      scale_and_truncate(view, f.data(), 0.125, rule);
+      for (const std::size_t idx : dropped) {
+        EXPECT_EQ(f[idx].real(), 0.0);
+        EXPECT_EQ(f[idx].imag(), 0.0);
+        EXPECT_FALSE(std::signbit(f[idx].real()));
+        EXPECT_FALSE(std::signbit(f[idx].imag()));
+      }
+      for (const std::size_t idx : kept) {
+        EXPECT_TRUE(std::isnan(f[idx].real()) || std::isinf(f[idx].imag()));
+      }
+    }
   }
 }
 
