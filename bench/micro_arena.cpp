@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "gbench_main.hpp"
 #include "model/memory.hpp"
 #include "obs/arena_metrics.hpp"
@@ -40,7 +40,7 @@ void write_footprint_report() {
     cfg.forcing.power = 0.05;
     cfg.scalars.push_back(psdns::dns::ScalarConfig{.schmidt = 0.7,
                                                    .mean_gradient = 1.0});
-    psdns::dns::SlabSolver solver(comm, cfg);
+    psdns::dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
     for (int s = 0; s < kSteps; ++s) solver.step(1e-3);

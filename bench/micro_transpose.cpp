@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "gbench_main.hpp"
 #include "gpu/copy.hpp"
 #include "transpose/dist_fft.hpp"
@@ -94,7 +94,7 @@ void BM_DnsStep(benchmark::State& state) {
     psdns::dns::SolverConfig cfg;
     cfg.n = n;
     cfg.viscosity = 0.02;
-    psdns::dns::SlabSolver solver(comm, cfg);
+    psdns::dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(1, 3.0, 0.5);
     for (int i = 0; i < 2; ++i) solver.step(1e-3);
     for (;;) {

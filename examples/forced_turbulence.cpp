@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     cfg.forcing.klo = 1;
     cfg.forcing.khi = 2;
     cfg.forcing.power = power;
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(/*seed=*/7, /*k_peak=*/2.5, /*energy=*/0.6);
 
     for (int s = 0; s <= steps; ++s) {

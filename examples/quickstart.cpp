@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     cfg.n = n;
     cfg.viscosity = nu;
     cfg.scheme = dns::TimeScheme::RK2;
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(/*seed=*/2024, /*k_peak=*/3.0, /*energy=*/0.5);
 
     for (int s = 0; s <= steps; ++s) {

@@ -11,7 +11,7 @@
 
 #include "comm/communicator.hpp"
 #include "dns/regrid.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "dns/statistics.hpp"
 #include "util/cli.hpp"
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     ccfg.viscosity = 0.01;
     ccfg.forcing.enabled = true;
     ccfg.forcing.power = 0.25;
-    dns::SlabSolver coarse_run(comm, ccfg);
+    dns::SpectralEngine coarse_run(comm, ccfg);
     coarse_run.init_isotropic(17, 2.5, 0.5);
 
     for (int s = 0; s < spinup; ++s) {
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     dns::SolverConfig fcfg = ccfg;
     fcfg.n = fine;
     fcfg.viscosity = 0.005;
-    dns::SlabSolver fine_run(comm, fcfg);
+    dns::SpectralEngine fine_run(comm, fcfg);
     dns::spectral_regrid(coarse_run, fine_run);
 
     const auto d0 = fine_run.diagnostics();

@@ -24,7 +24,7 @@
 #include <string>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "driver/campaign.hpp"
 #include "io/checkpoint.hpp"
 #include "io/series.hpp"
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
 
   std::printf("Segment 1: %d steps on 4 ranks, then checkpoint\n", segment);
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(42, 3.0, 0.5);
     std::unique_ptr<io::SeriesWriter> log;
     if (comm.rank() == 0) log = std::make_unique<io::SeriesWriter>(series);
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
               " steps\n", segment);
   double restarted_energy = 0.0;
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     io::load_checkpoint(ckp, solver);
     for (int s = 0; s < segment; ++s) solver.step(dt);
     auto spec = solver.spectrum();
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   std::printf("\nReference: %d uninterrupted steps on 4 ranks\n", 2 * segment);
   double reference_energy = 0.0;
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(42, 3.0, 0.5);
     for (int s = 0; s < 2 * segment; ++s) solver.step(dt);
     const auto d = solver.diagnostics();

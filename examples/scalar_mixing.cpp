@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     cfg.forcing.power = 0.25;
     cfg.scalars = {{.schmidt = 0.5, .mean_gradient = 1.0},
                    {.schmidt = 4.0, .mean_gradient = 1.0}};
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(11, 2.5, 0.6);
 
     for (int s = 0; s <= steps; ++s) {

@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "comm/communicator.hpp"
-#include "dns/pencil_solver.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
     dns::SolverConfig cfg;
     cfg.n = n;
     cfg.viscosity = nu;
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_taylor_green();
     for (int s = 0; s <= steps; ++s) {
       const double e = solver.diagnostics().energy;
@@ -45,15 +44,14 @@ int main(int argc, char** argv) {
   // Pencil (2-D decomposition) baseline on a 2x2 grid.
   std::vector<double> pencil_energy;
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::PencilSolverConfig cfg;
+    dns::SolverConfig cfg;
     cfg.n = n;
+    cfg.decomposition = transpose::Decomposition::Pencil;  // 2x2 grid
     cfg.viscosity = nu;
-    cfg.pr = 2;
-    cfg.pc = 2;
-    dns::PencilSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_taylor_green();
     for (int s = 0; s <= steps; ++s) {
-      const double e = solver.kinetic_energy();
+      const double e = solver.diagnostics().energy;
       if (comm.rank() == 0) pencil_energy.push_back(e);
       if (s < steps) solver.step(dt);
     }

@@ -1,16 +1,17 @@
 #pragma once
 // Solver configuration shared by the spectral engine, the equation systems
-// and every adapter above them (slab/pencil solvers, driver, service).
-// Split out of spectral_core.hpp when the physics moved behind the
-// EquationSystem interface: the config names *which* system integrates the
-// fields plus the per-system physical parameters, while the engine-level
-// knobs (grid, scheme, dealiasing, batching) stay system-agnostic.
+// and every layer above them (driver, service, checkpoint IO). Split out of
+// spectral_core.hpp when the physics moved behind the EquationSystem
+// interface: the config names *which* system integrates the fields plus the
+// per-system physical parameters, while the engine-level knobs (grid,
+// decomposition, scheme, dealiasing, batching) stay system-agnostic.
 
 #include <cstddef>
 #include <source_location>
 #include <string>
 #include <vector>
 
+#include "transpose/dist_fft.hpp"
 #include "util/check.hpp"
 
 namespace psdns::dns {
@@ -63,6 +64,9 @@ struct ScalarConfig {
 
 struct SolverConfig {
   std::size_t n = 32;
+  // Backend the engine builds for itself (SpectralEngine(comm, config));
+  // pencil grids are transpose::square_grid(comm.size()).
+  transpose::Decomposition decomposition = transpose::Decomposition::Slab;
   double viscosity = 0.01;
   TimeScheme scheme = TimeScheme::RK2;
   bool phase_shift_dealias = false;  // Rogallo shifts on top of truncation

@@ -30,6 +30,19 @@ double noise(std::uint64_t seed, std::size_t i, std::size_t j, std::size_t k,
 }
 }  // namespace
 
+SpectralEngine::SpectralEngine(comm::Communicator& comm, SolverConfig config)
+    : SpectralEngine(comm,
+                     transpose::make_dist_fft(comm, config.n,
+                                              config.decomposition),
+                     config) {}
+
+SpectralEngine::SpectralEngine(comm::Communicator& comm,
+                               std::unique_ptr<transpose::DistFft3d> fft,
+                               SolverConfig config)
+    : SpectralEngine(comm, *fft, std::move(config)) {
+  owned_fft_ = std::move(fft);
+}
+
 SpectralEngine::SpectralEngine(comm::Communicator& comm,
                                transpose::DistFft3d& fft, SolverConfig config)
     : comm_(comm), config_(std::move(config)), fft_(fft) {
@@ -674,6 +687,72 @@ DerivativeMoments SpectralEngine::derivative_moments() {
 
 double SpectralEngine::derivative_skewness() {
   return derivative_moments().skewness;
+}
+
+namespace {
+/// Storage index of mode (kx, ky, kz) in the global nxh x N x N array.
+std::size_t global_mode_index(std::size_t n, int kx, int ky, int kz) {
+  const auto unwrap = [n](int k) {
+    return static_cast<std::size_t>(k < 0 ? k + static_cast<int>(n) : k);
+  };
+  return static_cast<std::size_t>(kx) +
+         (n / 2 + 1) * (unwrap(ky) + n * unwrap(kz));
+}
+
+/// Every rank's ModeView on rank 0, and the largest local block: blocks
+/// travel padded to that size (pencil rows split nxh unevenly).
+std::size_t gather_views(comm::Communicator& comm, const ModeView& mine,
+                         std::vector<ModeView>& views) {
+  if (comm.rank() == 0) views.resize(static_cast<std::size_t>(comm.size()));
+  comm.gather(&mine, views.data(), 1, 0);
+  return comm.allreduce_max(mine.local_modes());
+}
+}  // namespace
+
+void gather_global_field(SpectralEngine& engine, std::size_t f,
+                         Complex* global) {
+  auto& comm = engine.communicator();
+  const ModeView& mine = engine.modes();
+  std::vector<ModeView> views;
+  const std::size_t pad = gather_views(comm, mine, views);
+  std::vector<Complex> padded;
+  const Complex* send = engine.field(f);
+  if (mine.local_modes() < pad) {
+    padded.assign(pad, Complex{0.0, 0.0});
+    std::copy_n(send, mine.local_modes(), padded.begin());
+    send = padded.data();
+  }
+  std::vector<Complex> blocks;
+  if (comm.rank() == 0) blocks.resize(views.size() * pad);
+  comm.gather(send, blocks.data(), pad, 0);
+  if (comm.rank() != 0) return;
+  for (std::size_t r = 0; r < views.size(); ++r) {
+    const Complex* block = blocks.data() + r * pad;
+    for_each_mode(views[r], [&](std::size_t idx, int kx, int ky, int kz) {
+      global[global_mode_index(mine.n, kx, ky, kz)] = block[idx];
+    });
+  }
+}
+
+void scatter_global_field(SpectralEngine& engine, const Complex* global,
+                          Complex* local) {
+  auto& comm = engine.communicator();
+  const ModeView& mine = engine.modes();
+  std::vector<ModeView> views;
+  const std::size_t pad = gather_views(comm, mine, views);
+  std::vector<Complex> blocks;
+  if (comm.rank() == 0) {
+    blocks.assign(views.size() * pad, Complex{0.0, 0.0});
+    for (std::size_t r = 0; r < views.size(); ++r) {
+      Complex* block = blocks.data() + r * pad;
+      for_each_mode(views[r], [&](std::size_t idx, int kx, int ky, int kz) {
+        block[idx] = global[global_mode_index(mine.n, kx, ky, kz)];
+      });
+    }
+  }
+  std::vector<Complex> received(pad);
+  comm.scatter(blocks.data(), received.data(), pad, 0);
+  std::copy_n(received.begin(), mine.local_modes(), local);
 }
 
 }  // namespace psdns::dns

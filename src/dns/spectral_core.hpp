@@ -1,9 +1,10 @@
 #pragma once
-// The physics-agnostic pseudo-spectral engine: one implementation of the
+// The physics-agnostic pseudo-spectral engine - the one solver class: the
 // paper's time-stepping machinery (Sec. 2) written against the
-// transpose::DistFft3d backend interface, shared by the slab solver (the
-// "new code") and the pencil baseline (the synchronous CPU code of Yeung
-// et al. 2015 the paper benchmarks against).
+// transpose::DistFft3d backend interface. SolverConfig::decomposition picks
+// the backend: the slab layout of the paper's "new code", or the pencil
+// layout of the synchronous CPU code of Yeung et al. (2015) the paper
+// benchmarks against (Table 3).
 //
 // The engine owns everything that is the same for every equation set:
 // state and arena scratch, the batched multi-variable DistFft3d round
@@ -48,11 +49,16 @@ namespace psdns::dns {
 
 class SpectralEngine {
  public:
-  /// The backend must outlive the engine. The engine configures the
-  /// backend's transpose batching from config (pencils / pencils_per_a2a),
-  /// validates the forcing band, normalizes the config for the selected
-  /// system (Boussinesq materializes its buoyancy scalar), and builds the
-  /// EquationSystem.
+  /// Builds and owns the backend config.decomposition names
+  /// (transpose::make_dist_fft).
+  SpectralEngine(comm::Communicator& comm, SolverConfig config);
+
+  /// Runs on a caller-owned backend (e.g. an instrumenting decorator),
+  /// which must outlive the engine; config.decomposition is not consulted.
+  /// Both constructors configure the backend's transpose batching from
+  /// config (pencils / pencils_per_a2a), validate the forcing band,
+  /// normalize the config for the selected system (Boussinesq materializes
+  /// its buoyancy scalar), and build the EquationSystem.
   SpectralEngine(comm::Communicator& comm, transpose::DistFft3d& fft,
                  SolverConfig config);
 
@@ -182,6 +188,10 @@ class SpectralEngine {
  private:
   using Field = std::vector<Complex>;
 
+  SpectralEngine(comm::Communicator& comm,
+                 std::unique_ptr<transpose::DistFft3d> fft,
+                 SolverConfig config);
+
   double diffusivity(std::size_t f) const { return system_->diffusivity(f); }
 
   /// rhs[f] = nonlinear terms of the fields in[f] (+ forcing unless
@@ -222,6 +232,7 @@ class SpectralEngine {
   comm::Communicator& comm_;
   SolverConfig config_;
   transpose::DistFft3d& fft_;
+  std::unique_ptr<transpose::DistFft3d> owned_fft_;  // null if caller-owned
   std::unique_ptr<EquationSystem> system_;
   ModeView view_;
   PhysView pview_;
@@ -259,9 +270,16 @@ class SpectralEngine {
   std::vector<const Complex*> prod_spec_const_;
 };
 
-/// The engine's historical name: the physics used to be hard-coded to
-/// incompressible Navier-Stokes. Adapters (SlabSolver, PencilSolver) and
-/// older call sites still use it.
-using SpectralNSCore = SpectralEngine;
+/// Collective: rank 0 receives field f of every rank at its global slot
+/// i + nxh*(j + N*k) of `global` (nxh*N*N elements; ignored on other
+/// ranks). Works for any decomposition: each rank's block travels with its
+/// ModeView, and blocks may differ in size.
+void gather_global_field(SpectralEngine& engine, std::size_t f,
+                         Complex* global);
+
+/// Inverse of gather_global_field: every rank receives its block of rank
+/// 0's `global` array into `local` (modes().local_modes() elements).
+void scatter_global_field(SpectralEngine& engine, const Complex* global,
+                          Complex* local);
 
 }  // namespace psdns::dns

@@ -1,7 +1,7 @@
 #pragma once
 // Incompressible Navier-Stokes with passive scalars: the seed physics of
-// the repo, moved verbatim out of the old SpectralNSCore so the engine
-// refactor stays bit-compatible (pinned by the systems_test digests).
+// the repo, moved verbatim out of the once Navier-Stokes-only engine so the
+// engine refactor stays bit-compatible (pinned by the systems_test digests).
 
 #include "dns/systems/equation_system.hpp"
 

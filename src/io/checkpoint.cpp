@@ -281,7 +281,7 @@ std::vector<std::string> checkpoint_chain(const std::string& path) {
   return chain;
 }
 
-void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
+void save_checkpoint(const std::string& path, dns::SpectralEngine& solver,
                      const CheckpointOptions& opts) {
   PSDNS_REQUIRE(opts.keep >= 1 && opts.keep <= kMaxChain,
                 "checkpoint keep out of range");
@@ -290,7 +290,6 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
   const util::Stopwatch watch;
   const std::size_t n = solver.n();
   const std::size_t nxh = n / 2 + 1;
-  const std::size_t slab = solver.modes().local_modes();
   const std::size_t nfields = solver.field_count();
 
   CheckpointInfo info;
@@ -300,17 +299,16 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
   info.viscosity = solver.config().viscosity;
   info.scalars = static_cast<std::uint32_t>(solver.extra_field_count());
 
-  // Z-slabs concatenate to the global (i, j, k) order, so a rank-ordered
-  // gather is exactly the file layout. Every field is gathered up front so
-  // the rank-0 write transaction can be retried without re-entering any
-  // collective (the other ranks are already past their part).
+  // Every field is gathered to its global layout up front so the rank-0
+  // write transaction can be retried without re-entering any collective
+  // (the other ranks are already past their part).
   std::vector<std::vector<Complex>> fields;
   if (comm.rank() == 0) {
     fields.assign(nfields, std::vector<Complex>(nxh * n * n));
   }
   for (std::size_t c = 0; c < nfields; ++c) {
     Complex* dst = comm.rank() == 0 ? fields[c].data() : nullptr;
-    comm.gather(solver.field(c), dst, slab, 0);
+    dns::gather_global_field(solver, c, dst);
   }
 
   Captured cap;
@@ -336,13 +334,13 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
 }
 
 CheckpointInfo load_checkpoint(const std::string& path,
-                               dns::SlabSolver& solver) {
+                               dns::SpectralEngine& solver) {
   auto& comm = solver.communicator();
   obs::TraceSpan span("io.checkpoint.load", obs::SpanKind::Io);
   const util::Stopwatch watch;
   const std::size_t n = solver.n();
   const std::size_t nxh = n / 2 + 1;
-  const std::size_t slab = solver.modes().local_modes();
+  const std::size_t local_modes = solver.modes().local_modes();
 
   CheckpointInfo info;
   std::vector<Complex> global;
@@ -385,7 +383,7 @@ CheckpointInfo load_checkpoint(const std::string& path,
   std::vector<const Complex*> ptrs(nfields);
   for (std::size_t c = 0; c < nfields; ++c) {
     auto& mine = local[c];
-    mine.resize(slab);
+    mine.resize(local_modes);
     if (comm.rank() == 0) {
       capture(cap, [&] {
         read_field(f.get(), global.data(), global.size() * sizeof(Complex),
@@ -393,7 +391,7 @@ CheckpointInfo load_checkpoint(const std::string& path,
       });
     }
     agree_or_throw(comm, cap, path);
-    comm.scatter(global.data(), mine.data(), slab, 0);
+    dns::scatter_global_field(solver, global.data(), mine.data());
     ptrs[c] = mine.data();
   }
 

@@ -5,10 +5,11 @@
 // across scheduler allocations; a DNS code without restart capability is
 // not usable in production, and a restart layer that cannot survive a node
 // failure mid-write (or silent corruption at rest) is not much better.
-// Checkpoints store the *global* spectral field (gathered in Z-slab order,
-// which concatenates contiguously across ranks), so a run can be restarted
-// on a different rank count - exactly what happens when a job moves between
-// node allocations.
+// Checkpoints store the *global* spectral field: every rank's block goes to
+// rank 0 with its ModeView, which places each mode at its global slot. The
+// file is the same whatever wrote it, so a run can be restarted on a
+// different rank count or decomposition (slab <-> pencil) - exactly what
+// happens when a job moves between node allocations.
 //
 // Hardening (format v3):
 //   - every section (header, each field) carries a CRC32C; truncation and
@@ -38,7 +39,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "resilience/retry.hpp"
 #include "util/check.hpp"
 
@@ -99,15 +100,15 @@ struct CheckpointOptions {
 /// Writes the solver state. Collective; rank 0 writes the file (atomically,
 /// with rotation and retry per `opts`). Throws CheckpointError on every
 /// rank if the write ultimately fails.
-void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
+void save_checkpoint(const std::string& path, dns::SpectralEngine& solver,
                      const CheckpointOptions& opts = {});
 
-/// Restores the solver state (grid size must match; the rank count need
-/// not match the writing run's). Collective; returns the header. Throws
-/// CheckpointError on every rank when the file is missing, truncated,
-/// corrupt, or does not match the solver.
+/// Restores the solver state (grid size must match; neither the rank count
+/// nor the decomposition need match the writing run's). Collective; returns
+/// the header. Throws CheckpointError on every rank when the file is
+/// missing, truncated, corrupt, or does not match the solver.
 CheckpointInfo load_checkpoint(const std::string& path,
-                               dns::SlabSolver& solver);
+                               dns::SpectralEngine& solver);
 
 /// Reads only the header, verifying its CRC (any single process; not
 /// collective).

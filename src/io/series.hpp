@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "dns/solver.hpp"
+#include "dns/solver_config.hpp"
 
 namespace psdns::io {
 

@@ -8,18 +8,8 @@
 
 namespace psdns::svc {
 
-const char* to_string(Decomposition d) {
-  return d == Decomposition::Slab ? "slab" : "pencil";
-}
-
 const char* to_string(DealiasMode m) {
   return m == DealiasMode::Truncation ? "truncation" : "phase_shift";
-}
-
-Decomposition parse_decomposition(const std::string& name) {
-  if (name == "slab") return Decomposition::Slab;
-  if (name == "pencil") return Decomposition::Pencil;
-  util::raise("unknown decomposition \"" + name + "\" (slab|pencil)");
 }
 
 DealiasMode parse_dealias_mode(const std::string& name) {
@@ -89,17 +79,13 @@ void JobRequest::validate() const {
                     "mhd job resistivity must be >= 0 (0 means eta = nu)");
       break;
   }
-  if (decomposition == Decomposition::Slab) {
+  if (decomposition == transpose::Decomposition::Slab) {
     PSDNS_REQUIRE(n % static_cast<std::size_t>(ranks) == 0,
                   "slab job needs ranks dividing n");
   } else {
-    // The pencil runner factors ranks into the most square pr x pc grid;
-    // both factors must divide the grid.
-    int pr = 1;
-    for (int r = 1; r * r <= ranks; ++r) {
-      if (ranks % r == 0) pr = r;
-    }
-    const int pc = ranks / pr;
+    // The pencil engine runs on the most square pr x pc grid; both factors
+    // must divide the grid.
+    const auto [pr, pc] = transpose::square_grid(ranks);
     PSDNS_REQUIRE(n % static_cast<std::size_t>(pr) == 0 &&
                       n % static_cast<std::size_t>(pc) == 0,
                   "pencil job needs the process-grid factors dividing n");
@@ -196,7 +182,8 @@ JobRequest JobRequest::from_json(const std::string& text) {
     } else if (key == "n") {
       req.n = static_cast<std::size_t>(number_field(value, key));
     } else if (key == "decomposition") {
-      req.decomposition = parse_decomposition(string_field(value, key));
+      req.decomposition =
+          transpose::parse_decomposition(string_field(value, key));
     } else if (key == "ranks") {
       req.ranks = static_cast<int>(number_field(value, key));
     } else if (key == "scheme") {
@@ -240,8 +227,8 @@ JobRequest JobRequest::from_config(const util::Config& file) {
   req.tenant = file.get("tenant", req.tenant);
   req.n = static_cast<std::size_t>(
       file.get_int("n", static_cast<std::int64_t>(req.n)));
-  req.decomposition =
-      parse_decomposition(file.get("decomposition", to_string(req.decomposition)));
+  req.decomposition = transpose::parse_decomposition(
+      file.get("decomposition", to_string(req.decomposition)));
   req.ranks = static_cast<int>(file.get_int("ranks", req.ranks));
   req.scheme = file.get("scheme", req.scheme);
   req.viscosity = file.get_double("viscosity", req.viscosity);

@@ -17,22 +17,20 @@
 #include <string>
 
 #include "obs/span.hpp"
+#include "transpose/dist_fft.hpp"
 #include "util/config.hpp"
 
 namespace psdns::svc {
 
-enum class Decomposition { Slab, Pencil };
 enum class DealiasMode { Truncation, PhaseShift };
 
-const char* to_string(Decomposition d);
 const char* to_string(DealiasMode m);
-Decomposition parse_decomposition(const std::string& name);
 DealiasMode parse_dealias_mode(const std::string& name);
 
 struct JobRequest {
   std::string tenant = "default";  // accounting identity (not hashed)
   std::size_t n = 32;              // grid size per dimension
-  Decomposition decomposition = Decomposition::Slab;
+  transpose::Decomposition decomposition = transpose::Decomposition::Slab;
   int ranks = 1;                   // SPMD width the job runs at
   std::string scheme = "rk2";      // rk2 | rk4
   double viscosity = 0.01;

@@ -1,12 +1,10 @@
 #include "svc/runner.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/pencil_solver.hpp"
 #include "driver/campaign.hpp"
 #include "io/checkpoint.hpp"
 #include "obs/json.hpp"
@@ -61,6 +59,7 @@ std::string result_json(const JobRequest& request, std::int64_t steps_run,
 dns::SolverConfig solver_config(const JobRequest& request) {
   dns::SolverConfig sc;
   sc.n = request.n;
+  sc.decomposition = request.decomposition;
   sc.viscosity = request.viscosity;
   sc.scheme = request.scheme == "rk4" ? dns::TimeScheme::RK4
                                       : dns::TimeScheme::RK2;
@@ -76,9 +75,24 @@ dns::SolverConfig solver_config(const JobRequest& request) {
   return sc;
 }
 
-JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
-                        const std::string& checkpoint_path,
-                        obs::FlowId flow) {
+}  // namespace
+
+JobOutcome run_job(const JobRequest& request, const std::string& workdir,
+                   obs::FlowId flow) {
+  request.validate();
+  std::error_code ec;
+  fs::create_directories(workdir, ec);
+  PSDNS_REQUIRE(!ec, "cannot create service workdir " + workdir);
+
+  const std::string checkpoint_path =
+      (fs::path(workdir) / (request.hash() + ".ckpt")).string();
+  // A finished run of this hash leaves its chain behind; run_campaign
+  // treats an existing checkpoint as a restart and would overshoot the
+  // absolute step budget, so a cold run always starts from a clean slate.
+  for (const std::string& link : io::checkpoint_chain(checkpoint_path)) {
+    fs::remove(link, ec);
+  }
+
   driver::CampaignConfig cfg;
   cfg.solver = solver_config(request);
   cfg.seed = request.seed;
@@ -90,7 +104,6 @@ JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
   cfg.checkpoint_path = checkpoint_path;
   cfg.metrics_port = -1;       // jobs share the service's endpoint
   cfg.write_trace_at_end = false;  // the service owns the trace lifetime
-  (void)workdir;
 
   JobOutcome outcome;
   comm::run_ranks(request.ranks, [&](comm::Communicator& comm) {
@@ -108,82 +121,6 @@ JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
     }
   });
   return outcome;
-}
-
-JobOutcome run_pencil_job(const JobRequest& request, obs::FlowId flow) {
-  // Most square process grid with pr <= pc.
-  int pr = 1;
-  for (int r = 1; r * r <= request.ranks; ++r) {
-    if (request.ranks % r == 0) pr = r;
-  }
-  const int pc = request.ranks / pr;
-
-  dns::PencilSolverConfig pcfg;
-  const dns::SolverConfig sc = solver_config(request);
-  pcfg.n = sc.n;
-  pcfg.viscosity = sc.viscosity;
-  pcfg.scheme = sc.scheme;
-  pcfg.phase_shift_dealias = sc.phase_shift_dealias;
-  pcfg.forcing = sc.forcing;
-  pcfg.scalars = sc.scalars;
-  pcfg.system = sc.system;
-  pcfg.rotation_omega = sc.rotation_omega;
-  pcfg.brunt_vaisala = sc.brunt_vaisala;
-  pcfg.resistivity = sc.resistivity;
-  pcfg.pr = pr;
-  pcfg.pc = pc;
-
-  JobOutcome outcome;
-  comm::run_ranks(request.ranks, [&](comm::Communicator& comm) {
-    obs::TraceSpan rank_span("svc.run", obs::SpanKind::Compute);
-    obs::flow_consume(flow);
-    dns::PencilSolver solver(comm, pcfg);
-    solver.init_isotropic(request.seed, 3.0, 0.5);
-    for (int s = 0; s < solver.scalar_count(); ++s) {
-      solver.init_scalar_isotropic(s, request.seed + 1000 +
-                                          static_cast<std::uint64_t>(s),
-                                   3.0, 0.25);
-    }
-    if (solver.magnetic_base() >= 0) {
-      solver.init_magnetic_isotropic(request.seed + 2000, 3.0, 0.25);
-    }
-    for (std::int64_t step = 0; step < request.steps; ++step) {
-      const double dt =
-          std::min(solver.cfl_dt(request.cfl), request.max_dt);
-      solver.step(dt);
-    }
-    const dns::Diagnostics d = solver.diagnostics();
-    const std::vector<double> spectrum = solver.spectrum();
-    if (comm.rank() == 0) {
-      outcome.result_json = result_json(request, request.steps,
-                                        solver.time(), d, spectrum, "");
-    }
-  });
-  return outcome;
-}
-
-}  // namespace
-
-JobOutcome run_job(const JobRequest& request, const std::string& workdir,
-                   obs::FlowId flow) {
-  request.validate();
-  std::error_code ec;
-  fs::create_directories(workdir, ec);
-  PSDNS_REQUIRE(!ec, "cannot create service workdir " + workdir);
-
-  if (request.decomposition == Decomposition::Pencil) {
-    return run_pencil_job(request, flow);
-  }
-
-  const std::string checkpoint_path =
-      (fs::path(workdir) / (request.hash() + ".ckpt")).string();
-  // A finished run of this hash leaves its chain behind; run_campaign
-  // treats an existing checkpoint as a restart and would overshoot the
-  // absolute step budget, so a cold run always starts from a clean slate.
-  for (const std::string& link : io::checkpoint_chain(checkpoint_path)) {
-    fs::remove(link, ec);
-  }
-  return run_slab_job(request, workdir, checkpoint_path, flow);
 }
 
 }  // namespace psdns::svc

@@ -31,6 +31,35 @@ void DistFft3d::inverse(std::span<const Complex> spec, std::span<Real> phys) {
           std::span<Real* const>(&p, 1));
 }
 
+const char* to_string(Decomposition d) {
+  return d == Decomposition::Slab ? "slab" : "pencil";
+}
+
+Decomposition parse_decomposition(const std::string& name) {
+  if (name == "slab") return Decomposition::Slab;
+  if (name == "pencil") return Decomposition::Pencil;
+  util::raise("unknown decomposition \"" + name + "\" (slab|pencil)");
+}
+
+std::pair<int, int> square_grid(int ranks) {
+  PSDNS_REQUIRE(ranks >= 1, "need at least one rank");
+  int pr = 1;
+  for (int r = 1; r * r <= ranks; ++r) {
+    if (ranks % r == 0) pr = r;
+  }
+  return {pr, ranks / pr};
+}
+
+std::unique_ptr<DistFft3d> make_dist_fft(comm::Communicator& comm,
+                                         std::size_t n,
+                                         Decomposition decomposition) {
+  if (decomposition == Decomposition::Slab) {
+    return std::make_unique<SlabFft3d>(comm, n);
+  }
+  const auto [pr, pc] = square_grid(comm.size());
+  return std::make_unique<PencilFft3d>(comm, n, pr, pc);
+}
+
 // ---------------------------------------------------------------- SlabFft3d
 
 SlabFft3d::SlabFft3d(comm::Communicator& comm, std::size_t n)

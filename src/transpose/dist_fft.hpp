@@ -7,18 +7,23 @@
 // backend, x, y, z for the pencil baseline.
 //
 // DistFft3d is the decomposition-agnostic face of both backends: a solver
-// written against it (dns::SpectralNSCore) sees only
+// written against it (dns::SpectralEngine) sees only
 //   - batched multi-variable forward/inverse transforms,
 //   - the local physical and spectral extents,
 //   - a ModeView/PhysView describing how local storage maps to global
 //     (kx,ky,kz) / (x,y,z) indices,
 //   - the pencil/aggregation batching knobs of Sec. 4.1 (set_batching),
-// and runs unchanged on either decomposition.
+// and runs unchanged on either decomposition. make_dist_fft() builds the
+// backend a Decomposition value names, so callers pick slab or pencil with
+// one config value instead of a class.
 //
 // Both backends are unnormalized: inverse(forward(u)) == N^3 * u.
 
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -200,5 +205,24 @@ class PencilFft3d final : public DistFft3d {
   // scratch, all checked out of the workspace arena.
   util::WorkspaceArena::Handle<Complex> px_, py_, pz_;
 };
+
+/// Which backend a solver runs on: the paper's slab layout, or the 2-D
+/// pencil layout of the synchronous CPU baseline.
+enum class Decomposition { Slab, Pencil };
+
+/// "slab" / "pencil" (the spelling of config files, job requests and job
+/// hashes).
+const char* to_string(Decomposition d);
+Decomposition parse_decomposition(const std::string& name);
+
+/// The pencil process grid for `ranks` ranks: the most square pr x pc
+/// factorization with pr <= pc (4 -> 2x2, 2 -> 1x2, 6 -> 2x3).
+std::pair<int, int> square_grid(int ranks);
+
+/// The backend for `decomposition` on comm's ranks; pencil grids come
+/// from square_grid(comm.size()).
+std::unique_ptr<DistFft3d> make_dist_fft(comm::Communicator& comm,
+                                         std::size_t n,
+                                         Decomposition decomposition);
 
 }  // namespace psdns::transpose

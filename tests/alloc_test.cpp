@@ -1,6 +1,6 @@
 // Heap-allocation regression tests for the zero-allocation steady state:
 // after a warm-up step has grown every workspace-arena handle, registry
-// key and thread-local scratch buffer, SpectralNSCore::step() must not
+// key and thread-local scratch buffer, SpectralEngine::step() must not
 // touch the heap at all - no operator new/delete on any rank thread, and
 // no workspace-arena misses (the arena allocates through aligned_alloc,
 // which the new/delete overrides below cannot see, so the miss counter is
@@ -18,8 +18,7 @@
 #include <new>
 
 #include "comm/communicator.hpp"
-#include "dns/pencil_solver.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "obs/arena_metrics.hpp"
 #include "obs/registry.hpp"
 #include "util/arena.hpp"
@@ -112,7 +111,7 @@ TEST(AllocFree, SlabRk2SingleRank) {
     SolverConfig config;
     config.n = 16;
     config.viscosity = 0.02;
-    SlabSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_taylor_green();
     const StepDeltas d = tracked_steps(solver, comm, 4, 1e-3);
     EXPECT_EQ(d.news, 0);
@@ -132,7 +131,7 @@ TEST(AllocFree, SlabRk4ForcedScalarPhaseShiftTwoRanks) {
     config.forcing.power = 0.05;
     config.scalars.push_back(ScalarConfig{.schmidt = 0.7,
                                           .mean_gradient = 1.0});
-    SlabSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
     const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
@@ -152,7 +151,7 @@ TEST(AllocFree, SlabMhdRk4TwoRanks) {
     config.viscosity = 0.02;
     config.scheme = TimeScheme::RK4;
     config.system = SystemType::Mhd;
-    SlabSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_magnetic_isotropic(9, 3.0, 0.25);
     solver.set_uniform_magnetic_field({0.0, 0.0, 0.5});
@@ -165,15 +164,14 @@ TEST(AllocFree, SlabMhdRk4TwoRanks) {
 
 TEST(AllocFree, PencilRk4ForcedFourRanks) {
   comm::run_ranks(4, [](comm::Communicator& comm) {
-    PencilSolverConfig config;
+    SolverConfig config;
     config.n = 16;
+    config.decomposition = transpose::Decomposition::Pencil;  // 2x2
     config.viscosity = 0.02;
-    config.pr = 2;
-    config.pc = 2;
     config.scheme = TimeScheme::RK4;
     config.forcing.enabled = true;
     config.forcing.power = 0.05;
-    PencilSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_isotropic(7, 3.0, 0.5);
     const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
     EXPECT_EQ(d.news, 0);
@@ -189,14 +187,13 @@ TEST(AllocFree, PencilRk4ForcedFourRanks) {
 // velocity's. The tables may grow during warm-up, never in a warmed step.
 TEST(AllocFree, PencilRotatingRk2TwoRanks) {
   comm::run_ranks(2, [](comm::Communicator& comm) {
-    PencilSolverConfig config;
+    SolverConfig config;
     config.n = 16;
+    config.decomposition = transpose::Decomposition::Pencil;  // 1x2
     config.viscosity = 0.02;
-    config.pr = 1;
-    config.pc = 2;
     config.system = SystemType::RotatingNS;
     config.rotation_omega = 2.0;
-    PencilSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_isotropic(7, 3.0, 0.5);
     const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
     EXPECT_EQ(d.news, 0);
@@ -214,7 +211,7 @@ TEST(AllocFree, SlabBoussinesqRk2SingleRank) {
     config.brunt_vaisala = 1.5;
     config.scalars.push_back(ScalarConfig{.schmidt = 0.7,
                                           .mean_gradient = 0.0});
-    SlabSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
     const StepDeltas d = tracked_steps(solver, comm, 3, 1e-3);
@@ -237,7 +234,7 @@ TEST(AllocFree, SlabRk2PooledFourThreads) {
     SolverConfig config;
     config.n = 32;  // big enough for several blocks per batched loop
     config.viscosity = 0.02;
-    SlabSolver solver(comm, config);
+    SpectralEngine solver(comm, config);
     solver.init_taylor_green();
     solver.step(1e-3);
     solver.step(1e-3);
@@ -265,7 +262,7 @@ TEST(ArenaMetrics, PublishesGaugesNextToUsage) {
     comm::run_ranks(1, [](comm::Communicator& comm) {
       SolverConfig config;
       config.n = 16;
-      SlabSolver solver(comm, config);
+      SpectralEngine solver(comm, config);
       solver.init_taylor_green();
       solver.step(1e-3);
     });

@@ -7,8 +7,7 @@
 
 #include "comm/communicator.hpp"
 #include "dns/modes.hpp"
-#include "dns/pencil_solver.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "dns/spectral_ops.hpp"
 #include "dns/regrid.hpp"
 #include "dns/two_point.hpp"
@@ -331,7 +330,7 @@ TEST_P(TaylorGreenP, EnergyDecaysAtExactViscousRate) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.05;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_taylor_green();
     const double e0 = solver.diagnostics().energy;
     EXPECT_NEAR(e0, 0.25, 1e-10);  // <(sin x cos y)^2> * 2 / 2
@@ -349,7 +348,7 @@ TEST_P(TaylorGreenP, VelocityStaysDivergenceFree) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_taylor_green();
     for (int s = 0; s < 5; ++s) solver.step(0.02);
     EXPECT_LT(solver.diagnostics().max_divergence, 1e-10);
@@ -367,7 +366,7 @@ TEST(TaylorGreen, RK4MatchesAnalyticDecayTighter) {
     cfg.n = 16;
     cfg.viscosity = 0.05;
     cfg.scheme = TimeScheme::RK4;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_taylor_green();
     for (int s = 0; s < 10; ++s) solver.step(0.02);
     const double want = 0.25 * std::exp(-4.0 * cfg.viscosity * solver.time());
@@ -383,7 +382,7 @@ std::vector<Complex> final_field(comm::Communicator& comm, TimeScheme scheme,
   cfg.n = 16;
   cfg.viscosity = 0.02;
   cfg.scheme = scheme;
-  SlabSolver solver(comm, cfg);
+  SpectralEngine solver(comm, cfg);
   solver.init_isotropic(/*seed=*/11, /*k_peak=*/3.0, /*energy=*/0.5);
   for (int s = 0; s < steps; ++s) solver.step(dt);
   std::vector<Complex> out;
@@ -442,7 +441,7 @@ TEST(Invariance, RankCountDoesNotChangePhysics) {
       SolverConfig cfg;
       cfg.n = 16;
       cfg.viscosity = 0.02;
-      SlabSolver solver(comm, cfg);
+      SpectralEngine solver(comm, cfg);
       solver.init_isotropic(7, 3.0, 0.5);
       for (int s = 0; s < 3; ++s) solver.step(0.02);
       if (comm.rank() == 0) {
@@ -474,7 +473,7 @@ TEST(Invariance, PencilBatchingDoesNotChangePhysics) {
       cfg.viscosity = 0.02;
       cfg.pencils = np;
       cfg.pencils_per_a2a = q;
-      SlabSolver solver(comm, cfg);
+      SpectralEngine solver(comm, cfg);
       solver.init_isotropic(7, 3.0, 0.5);
       for (int s = 0; s < 2; ++s) solver.step(0.02);
       if (comm.rank() == 0) energy = solver.diagnostics().energy;
@@ -488,7 +487,7 @@ TEST(Invariance, PencilBatchingDoesNotChangePhysics) {
   EXPECT_DOUBLE_EQ(run(4, 4), base);
 }
 
-TEST(Invariance, PencilSolverMatchesSlabSolver) {
+TEST(Invariance, PencilEngineMatchesSlabEngine) {
   // The 2-D-decomposed baseline and the slab code must advance the same
   // flow identically (they share the physics, differ in decomposition).
   double slab_e = 0.0, slab_eps = 0.0;
@@ -497,7 +496,7 @@ TEST(Invariance, PencilSolverMatchesSlabSolver) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.03;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function(abc_flow);
     for (int s = 0; s < 3; ++s) solver.step(0.01);
     const auto d = solver.diagnostics();
@@ -512,20 +511,18 @@ TEST(Invariance, PencilSolverMatchesSlabSolver) {
   double pen_e = 0.0, pen_eps = 0.0;
   std::vector<double> pen_spec;
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    PencilSolverConfig cfg;
+    SolverConfig cfg;
     cfg.n = 16;
+    cfg.decomposition = transpose::Decomposition::Pencil;  // 2x2
     cfg.viscosity = 0.03;
-    cfg.pr = 2;
-    cfg.pc = 2;
-    PencilSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function(abc_flow);
     for (int s = 0; s < 3; ++s) solver.step(0.01);
-    const double e = solver.kinetic_energy();
-    const double eps = solver.dissipation_rate();
+    const auto d = solver.diagnostics();
     auto spec = solver.spectrum();
     if (comm.rank() == 0) {
-      pen_e = e;
-      pen_eps = eps;
+      pen_e = d.energy;
+      pen_eps = d.dissipation;
       pen_spec = spec;
     }
   });
@@ -539,14 +536,14 @@ TEST(Invariance, PencilSolverMatchesSlabSolver) {
 }
 
 TEST(Invariance, PencilMatchesSlabRk4ForcedScalar) {
-  // Full-featured equivalence through the shared SpectralNSCore: RK4 with
+  // Full-featured equivalence through the shared SpectralEngine: RK4 with
   // integrating factor, band forcing, and a mean-gradient passive scalar,
   // from the decomposition-invariant random initial conditions. The two
   // backends transform in different axis orders (x,z,y vs x,y,z), so
   // agreement is to rounding accumulation, not bitwise.
   constexpr int kSteps = 4;
   constexpr double kDt = 2e-3;
-  const auto configure = [](auto& cfg) {
+  const auto configure = [](SolverConfig& cfg) {
     cfg.n = 16;
     cfg.viscosity = 0.02;
     cfg.scheme = TimeScheme::RK4;
@@ -561,7 +558,7 @@ TEST(Invariance, PencilMatchesSlabRk4ForcedScalar) {
   comm::run_ranks(4, [&](comm::Communicator& comm) {
     SolverConfig cfg;
     configure(cfg);
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
     for (int s = 0; s < kSteps; ++s) solver.step(kDt);
@@ -581,11 +578,10 @@ TEST(Invariance, PencilMatchesSlabRk4ForcedScalar) {
   ScalarDiagnostics pen_sd;
   std::vector<double> pen_spec, pen_sspec;
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    PencilSolverConfig cfg;
+    SolverConfig cfg;
     configure(cfg);
-    cfg.pr = 2;
-    cfg.pc = 2;
-    PencilSolver solver(comm, cfg);
+    cfg.decomposition = transpose::Decomposition::Pencil;  // 2x2
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(7, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.25);
     for (int s = 0; s < kSteps; ++s) solver.step(kDt);
@@ -624,7 +620,7 @@ TEST(Physics, EnergyBalancedByDissipation) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.03;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(3, 3.0, 0.5);
     const double e0 = solver.diagnostics().energy;
     const double eps0 = solver.diagnostics().dissipation;
@@ -649,12 +645,12 @@ TEST(Physics, ForcingSustainsEnergy) {
     cfg.forcing.klo = 1;
     cfg.forcing.khi = 2;
     cfg.forcing.power = 0.2;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(5, 2.0, 0.3);
 
     SolverConfig unforced = cfg;
     unforced.forcing.enabled = false;
-    SlabSolver free_decay(comm, unforced);
+    SpectralEngine free_decay(comm, unforced);
     free_decay.init_isotropic(5, 2.0, 0.3);
 
     for (int s = 0; s < 20; ++s) {
@@ -675,7 +671,7 @@ TEST(Physics, ForcingInjectsConfiguredPower) {
     cfg.viscosity = 0.03;
     cfg.forcing.enabled = true;
     cfg.forcing.power = 0.4;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(12, 2.5, 0.5);
     const double e0 = solver.diagnostics().energy;
     const double eps0 = solver.diagnostics().dissipation;
@@ -694,7 +690,7 @@ TEST(Physics, SkewnessTurnsNegativeAsCascadeDevelops) {
     SolverConfig cfg;
     cfg.n = 32;
     cfg.viscosity = 0.01;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(13, 4.0, 1.0);
     // A gaussian field has ~zero derivative skewness.
     const double s0 = solver.derivative_skewness();
@@ -715,7 +711,7 @@ TEST(Physics, PhaseShiftDealiasStaysCloseToTruncation) {
       cfg.n = 16;
       cfg.viscosity = 0.02;
       cfg.phase_shift_dealias = shift;
-      SlabSolver solver(comm, cfg);
+      SpectralEngine solver(comm, cfg);
       solver.init_isotropic(9, 3.0, 0.5);
       for (int s = 0; s < 5; ++s) solver.step(0.01);
       const double energy = solver.diagnostics().energy;
@@ -734,7 +730,7 @@ TEST(Diagnostics, DerivedScalesAreConsistent) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(21, 3.0, 0.5);
     const auto d = solver.diagnostics();
     EXPECT_GT(d.energy, 0.0);
@@ -755,9 +751,9 @@ TEST(Diagnostics, CflDtScalesInverselyWithVelocity) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.02;
-    SlabSolver a(comm, cfg);
+    SpectralEngine a(comm, cfg);
     a.init_isotropic(2, 3.0, 0.5);
-    SlabSolver b(comm, cfg);
+    SpectralEngine b(comm, cfg);
     b.init_isotropic(2, 3.0, 2.0);  // 4x the energy -> 2x the velocity
     const double dta = a.cfl_dt();
     const double dtb = b.cfl_dt();
@@ -770,7 +766,7 @@ TEST(Spectrum, PeaksNearInjectedWavenumber) {
     SolverConfig cfg;
     cfg.n = 32;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(4, 4.0, 0.5);
     const auto spec = solver.spectrum();
     std::size_t peak = 0;
@@ -791,7 +787,7 @@ TEST(Statistics, SpectrumEnergyAndEnstrophyIdentities) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(6, 3.0, 0.5);
     const auto spec = solver.spectrum();
     const auto d = solver.diagnostics();
@@ -808,7 +804,7 @@ TEST(Statistics, IntegralScaleIsPositiveAndBelowBox) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(2, 3.0, 0.5);
     const double L = integral_length_scale(solver.spectrum());
     EXPECT_GT(L, 0.0);
@@ -830,7 +826,7 @@ TEST(TransferSpectrum, NonlinearTermConservesEnergy) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.01;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(4, 3.0, 0.6);
     for (int s = 0; s < 3; ++s) solver.step(0.01);
 
@@ -852,7 +848,7 @@ TEST(TransferSpectrum, CascadeMovesEnergyDownscale) {
     SolverConfig cfg;
     cfg.n = 32;
     cfg.viscosity = 0.01;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(10, 3.0, 1.0);
     for (int s = 0; s < 8; ++s) solver.step(0.01);
 
@@ -879,7 +875,7 @@ TEST(TransferSpectrum, ExcludesForcing) {
       cfg.viscosity = 0.02;
       cfg.forcing.enabled = forced;
       cfg.forcing.power = 1.0;
-      SlabSolver solver(comm, cfg);
+      SpectralEngine solver(comm, cfg);
       solver.init_isotropic(5, 3.0, 0.5);
       auto transfer = solver.transfer_spectrum();
       if (comm.rank() == 0) t = transfer;
@@ -903,7 +899,7 @@ TEST(Vorticity, CurlOfAbcFlowIsProportional) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.01;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function([](double x, double y, double z) {
       return std::array<double, 3>{std::sin(z) + std::cos(y),
                                    std::sin(x) + std::cos(z),
@@ -931,7 +927,7 @@ TEST(Vorticity, EnstrophyTiesToDissipation) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.03;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(4, 3.0, 0.5);
     const double omega = enstrophy_exact(solver.modes(), comm,
                                          solver.uhat(0), solver.uhat(1),
@@ -946,7 +942,7 @@ TEST(Vorticity, RandomFieldHelicityIsSmallAndSpectrumSums) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(8, 3.0, 0.5);
     const double h = helicity(solver.modes(), comm, solver.uhat(0),
                               solver.uhat(1), solver.uhat(2));
@@ -965,7 +961,7 @@ TEST(TwoPoint, CorrelationIsOneAtZeroAndDecays) {
     SolverConfig cfg;
     cfg.n = 32;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(5, 4.0, 0.5);
     const auto spec = solver.spectrum();
     const std::vector<double> r{0.0, 0.2, 0.5, 1.0, 2.0};
@@ -982,7 +978,7 @@ TEST(TwoPoint, StructureFunctionComplementsCorrelation) {
     SolverConfig cfg;
     cfg.n = 24;
     cfg.viscosity = 0.02;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(6, 3.0, 0.6);
     const auto spec = solver.spectrum();
     const std::vector<double> r{0.0, 0.3, 1.0};
@@ -1008,11 +1004,11 @@ TEST(Regrid, UpsamplingPreservesEverySharedMode) {
     SolverConfig big = small;
     big.n = 32;
 
-    SlabSolver a(comm, small);
+    SpectralEngine a(comm, small);
     a.init_isotropic(3, 3.0, 0.5);
     for (int s = 0; s < 2; ++s) a.step(0.01);
 
-    SlabSolver b(comm, big);
+    SpectralEngine b(comm, big);
     spectral_regrid(a, b);
 
     EXPECT_DOUBLE_EQ(b.time(), a.time());
@@ -1050,11 +1046,11 @@ TEST(Regrid, TaylorGreenStaysExactOnTheFinerGrid) {
     SolverConfig big = small;
     big.n = 32;
 
-    SlabSolver a(comm, small);
+    SpectralEngine a(comm, small);
     a.init_taylor_green();
     for (int s = 0; s < 5; ++s) a.step(0.02);
 
-    SlabSolver b(comm, big);
+    SpectralEngine b(comm, big);
     spectral_regrid(a, b);
     for (int s = 0; s < 5; ++s) b.step(0.02);
 
@@ -1071,10 +1067,10 @@ TEST(Regrid, DownsamplingTruncatesHighShells) {
     SolverConfig small = big;
     small.n = 16;
 
-    SlabSolver a(comm, big);
+    SpectralEngine a(comm, big);
     a.init_isotropic(9, 5.0, 0.5);  // energy up to shell 10
 
-    SlabSolver b(comm, small);
+    SpectralEngine b(comm, small);
     spectral_regrid(a, b);
 
     const auto sa = a.spectrum();
@@ -1099,14 +1095,44 @@ TEST(Regrid, CarriesScalars) {
     SolverConfig big = small;
     big.n = 24;
 
-    SlabSolver a(comm, small);
+    SpectralEngine a(comm, small);
     a.init_isotropic(1, 3.0, 0.5);
     a.init_scalar_isotropic(0, 2, 3.0, 0.3);
 
-    SlabSolver b(comm, big);
+    SpectralEngine b(comm, big);
     spectral_regrid(a, b);
     EXPECT_NEAR(b.scalar_diagnostics(0).variance,
                 a.scalar_diagnostics(0).variance, 1e-12);
+  });
+
+  // MHD carries three extra fields and no scalars: the magnetic field
+  // crosses too, here onto a pencil destination.
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    SolverConfig small;
+    small.n = 16;
+    small.viscosity = 0.02;
+    small.system = SystemType::Mhd;
+    SolverConfig big = small;
+    big.n = 24;
+    big.decomposition = transpose::Decomposition::Pencil;
+
+    SpectralEngine a(comm, small);
+    a.init_isotropic(1, 3.0, 0.5);
+    a.init_magnetic_isotropic(2, 3.0, 0.3);
+
+    SpectralEngine b(comm, big);
+    spectral_regrid(a, b);
+    const auto magnetic_energy = [](SpectralEngine& e) {
+      for (const auto& nv : e.system_diagnostics()) {
+        if (nv.name == "magnetic_energy") return nv.value;
+      }
+      return -1.0;
+    };
+    const double ea = magnetic_energy(a);
+    const double eb = magnetic_energy(b);
+    EXPECT_GT(ea, 0.0);
+    EXPECT_NEAR(eb, ea, 1e-12);
+    EXPECT_NEAR(b.diagnostics().energy, a.diagnostics().energy, 1e-12);
   });
 }
 
@@ -1117,9 +1143,20 @@ TEST(Regrid, RejectsMismatchedScalars) {
     SolverConfig sb;
     sb.n = 32;
     sb.scalars = {{.schmidt = 1.0}};
-    SlabSolver a(comm, sa);
-    SlabSolver b(comm, sb);
+    SpectralEngine a(comm, sa);
+    SpectralEngine b(comm, sb);
     EXPECT_THROW(spectral_regrid(a, b), util::Error);
+
+    // Same field count (3 + 3), different systems.
+    SolverConfig mhd = sa;
+    mhd.system = SystemType::Mhd;
+    SolverConfig scalars = sa;
+    scalars.scalars.assign(3, ScalarConfig{});
+    SpectralEngine c(comm, mhd);
+    SpectralEngine d(comm, scalars);
+    ASSERT_EQ(c.field_count(), d.field_count());
+    EXPECT_THROW(spectral_regrid(c, d), util::Error);
+    EXPECT_THROW(spectral_regrid(d, c), util::Error);
   });
 }
 

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "comm/communicator.hpp"
 #include "driver/campaign.hpp"
@@ -339,36 +342,55 @@ TEST(Supervised, MatchesPlainCampaignWithoutFaults) {
   remove_chain(ckp_b);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(Supervised, RecoversFromInjectedCommFault) {
-  const auto faulted_ckp = tmp("psdns_sup_comm_faulted.ckp");
-  const auto clean_ckp = tmp("psdns_sup_comm_clean.ckp");
-  remove_chain(faulted_ckp);
-  remove_chain(clean_ckp);
+  // Slab and pencil (1x2) campaigns share the supervisor, checkpoints and
+  // deterministic replay.
+  for (const auto decomposition :
+       {transpose::Decomposition::Slab, transpose::Decomposition::Pencil}) {
+    const std::string name = transpose::to_string(decomposition);
+    SCOPED_TRACE(name);
+    const auto faulted_ckp = tmp("psdns_sup_comm_faulted_" + name + ".ckp");
+    const auto clean_ckp = tmp("psdns_sup_comm_clean_" + name + ".ckp");
+    remove_chain(faulted_ckp);
+    remove_chain(clean_ckp);
+    auto faulted_cfg = supervised_config(faulted_ckp);
+    faulted_cfg.solver.decomposition = decomposition;
+    auto clean_cfg = supervised_config(clean_ckp);
+    clean_cfg.solver.decomposition = decomposition;
 
-  CampaignResult faulted;
-  {
-    resilience::ScopedPlan plan("comm.alltoall@5=throw");
+    CampaignResult faulted;
+    {
+      resilience::ScopedPlan plan("comm.alltoall@5=throw");
+      comm::run_ranks(2, [&](comm::Communicator& comm) {
+        const auto r = run_campaign_supervised(comm, faulted_cfg);
+        if (comm.rank() == 0) faulted = r;
+      });
+    }
+    EXPECT_EQ(faulted.recoveries, 1);
+
+    CampaignResult clean;
     comm::run_ranks(2, [&](comm::Communicator& comm) {
-      const auto r =
-          run_campaign_supervised(comm, supervised_config(faulted_ckp));
-      if (comm.rank() == 0) faulted = r;
+      const auto r = run_campaign_supervised(comm, clean_cfg);
+      if (comm.rank() == 0) clean = r;
     });
+    // Deterministic replay: the recovered run lands on the identical state.
+    EXPECT_DOUBLE_EQ(faulted.final_time, clean.final_time);
+    EXPECT_DOUBLE_EQ(faulted.final_diagnostics.energy,
+                     clean.final_diagnostics.energy);
+    EXPECT_EQ(io::peek_checkpoint(faulted_ckp).step,
+              io::peek_checkpoint(clean_ckp).step);
+    const std::string faulted_bytes = file_bytes(faulted_ckp);
+    EXPECT_FALSE(faulted_bytes.empty());
+    EXPECT_TRUE(faulted_bytes == file_bytes(clean_ckp))
+        << "final checkpoints differ";
+    remove_chain(faulted_ckp);
+    remove_chain(clean_ckp);
   }
-  EXPECT_EQ(faulted.recoveries, 1);
-
-  CampaignResult clean;
-  comm::run_ranks(2, [&](comm::Communicator& comm) {
-    const auto r = run_campaign_supervised(comm, supervised_config(clean_ckp));
-    if (comm.rank() == 0) clean = r;
-  });
-  // Deterministic replay: the recovered run lands on the identical state.
-  EXPECT_DOUBLE_EQ(faulted.final_time, clean.final_time);
-  EXPECT_DOUBLE_EQ(faulted.final_diagnostics.energy,
-                   clean.final_diagnostics.energy);
-  EXPECT_EQ(io::peek_checkpoint(faulted_ckp).step,
-            io::peek_checkpoint(clean_ckp).step);
-  remove_chain(faulted_ckp);
-  remove_chain(clean_ckp);
 }
 
 TEST(Supervised, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {

@@ -11,7 +11,7 @@
 
 #include "comm/communicator.hpp"
 #include "dns/regrid.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "dns/statistics.hpp"
 #include "io/checkpoint.hpp"
 #include "pipeline/dns_step_model.hpp"
@@ -34,7 +34,7 @@ TEST(Integration, FullCampaignWorkflow) {
 
   double phase1_energy = 0.0;
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(100, 2.5, 0.5);
     for (int s = 0; s < 10; ++s) {
       solver.step(std::min(solver.cfl_dt(0.4), 0.02));
@@ -49,7 +49,7 @@ TEST(Integration, FullCampaignWorkflow) {
 
   // Phase 2: restart on 2 ranks, regrid to 48^3, continue.
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver resumed(comm, cfg);
+    dns::SpectralEngine resumed(comm, cfg);
     const auto info = io::load_checkpoint(ckp, resumed);
     EXPECT_EQ(info.step, 10);
     EXPECT_NEAR(resumed.diagnostics().energy, phase1_energy, 1e-10);
@@ -57,7 +57,7 @@ TEST(Integration, FullCampaignWorkflow) {
     dns::SolverConfig fine = cfg;
     fine.n = 48;
     fine.viscosity = 0.006;
-    dns::SlabSolver continued(comm, fine);
+    dns::SpectralEngine continued(comm, fine);
     dns::spectral_regrid(resumed, continued);
     EXPECT_NEAR(continued.diagnostics().energy, phase1_energy, 1e-10);
 
@@ -86,7 +86,7 @@ TEST(Integration, DerivativeMomentsGaussianBaseline) {
     dns::SolverConfig cfg;
     cfg.n = 32;
     cfg.viscosity = 0.01;
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(55, 4.0, 1.0);
     const auto m = solver.derivative_moments();
     EXPECT_NEAR(m.skewness, 0.0, 0.15);
@@ -108,7 +108,7 @@ TEST(Integration, FunctionalTransposeCountMatchesCostModel) {
   // substep = (9 + 4*1). The pipeline model's scalar ablation asserts the
   // same ratio; here we assert the functional configuration constructs.
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(1, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 2, 3.0, 0.3);
     EXPECT_NO_THROW(solver.step(0.01));
@@ -135,7 +135,7 @@ TEST(Integration, SoakModerateResolutionStaysStable) {
     cfg.viscosity = 0.004;
     cfg.pencils = 4;
     cfg.pencils_per_a2a = 2;
-    dns::SlabSolver solver(comm, cfg);
+    dns::SpectralEngine solver(comm, cfg);
     solver.init_isotropic(2026, 4.0, 0.8);
     double prev = solver.diagnostics().energy;
     for (int s = 0; s < 5; ++s) {

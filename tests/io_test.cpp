@@ -3,11 +3,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "io/checkpoint.hpp"
 #include "io/series.hpp"
 #include "obs/registry.hpp"
@@ -36,12 +40,12 @@ dns::SolverConfig small_config() {
 TEST(Checkpoint, RoundTripSameRankCount) {
   const FileGuard file(temp_path("psdns_ckp_same.bin"));
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_isotropic(5, 3.0, 0.5);
     for (int s = 0; s < 3; ++s) a.step(0.01);
     save_checkpoint(file.path, a);
 
-    dns::SlabSolver b(comm, small_config());
+    dns::SpectralEngine b(comm, small_config());
     const auto info = load_checkpoint(file.path, b);
     EXPECT_EQ(info.n, 16u);
     EXPECT_DOUBLE_EQ(info.time, a.time());
@@ -58,12 +62,12 @@ TEST(Checkpoint, RoundTripSameRankCount) {
 }
 
 TEST(Checkpoint, RestartOnDifferentRankCount) {
-  // A production restart may land on a different allocation size; the
-  // global-layout file makes that transparent.
+  // A production restart may land on a different allocation size or
+  // decomposition; the global-layout file makes that transparent.
   const FileGuard file(temp_path("psdns_ckp_regrid.bin"));
   double energy2 = 0.0;
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_isotropic(8, 3.0, 0.5);
     for (int s = 0; s < 2; ++s) a.step(0.01);
     save_checkpoint(file.path, a);
@@ -72,36 +76,140 @@ TEST(Checkpoint, RestartOnDifferentRankCount) {
     if (comm.rank() == 0) energy2 = e;
   });
 
-  double energy4 = 0.0;
-  comm::run_ranks(4, [&](comm::Communicator& comm) {
-    dns::SlabSolver b(comm, small_config());
-    load_checkpoint(file.path, b);
-    b.step(0.01);  // the restarted run takes the same step
-    const double e = b.diagnostics().energy;
-    if (comm.rank() == 0) energy4 = e;
+  for (const auto decomposition :
+       {transpose::Decomposition::Slab, transpose::Decomposition::Pencil}) {
+    SCOPED_TRACE(transpose::to_string(decomposition));
+    double energy4 = 0.0;
+    comm::run_ranks(4, [&](comm::Communicator& comm) {
+      dns::SolverConfig cfg = small_config();
+      cfg.decomposition = decomposition;
+      dns::SpectralEngine b(comm, cfg);
+      load_checkpoint(file.path, b);
+      b.step(0.01);  // the restarted run takes the same step
+      const double e = b.diagnostics().energy;
+      if (comm.rank() == 0) energy4 = e;
+    });
+    // Reduction order differs across rank counts, so agreement is to
+    // round-off rather than bitwise.
+    EXPECT_NEAR(energy4, energy2, 1e-12);
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Writes `cfg` from a `from`-rank run on decomposition `src`, loads it into
+/// a `to`-rank engine on `dst`, saves that again, and expects the two files
+/// to be byte-identical. N = 16 on a 2x2 pencil grid splits nxh = 9 into
+/// row blocks of 5 and 4 modes, so the gather and placement handle blocks
+/// of different sizes.
+void expect_checkpoint_crosses(dns::SolverConfig cfg,
+                               transpose::Decomposition src, int from,
+                               transpose::Decomposition dst, int to,
+                               const std::string& tag) {
+  const FileGuard first(temp_path("psdns_ckp_cross_a_" + tag + ".bin"));
+  const FileGuard second(temp_path("psdns_ckp_cross_b_" + tag + ".bin"));
+  cfg.decomposition = src;
+  comm::run_ranks(from, [&](comm::Communicator& comm) {
+    dns::SpectralEngine a(comm, cfg);
+    a.init_isotropic(5, 3.0, 0.5);
+    if (a.magnetic_base() >= 0) a.init_magnetic_isotropic(6, 3.0, 0.25);
+    for (int s = 0; s < 2; ++s) a.step(0.01);
+    save_checkpoint(first.path, a);
   });
-  // Reduction order differs across rank counts, so agreement is to
-  // round-off rather than bitwise.
-  EXPECT_NEAR(energy4, energy2, 1e-12);
+  cfg.decomposition = dst;
+  comm::run_ranks(to, [&](comm::Communicator& comm) {
+    dns::SpectralEngine b(comm, cfg);
+    const auto info = load_checkpoint(first.path, b);
+    EXPECT_EQ(info.step, 2);
+    EXPECT_EQ(b.step_count(), 2);
+    save_checkpoint(second.path, b);
+  });
+  const std::string bytes = file_bytes(first.path);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == file_bytes(second.path))
+      << tag << ": re-saved checkpoint differs";
+}
+
+TEST(Checkpoint, CrossesDecompositionsByteIdentically) {
+  dns::SolverConfig mhd = small_config();
+  mhd.system = dns::SystemType::Mhd;  // three extra fields
+  for (const auto& [cfg, name] :
+       {std::pair{small_config(), "ns"}, std::pair{mhd, "mhd"}}) {
+    expect_checkpoint_crosses(cfg, transpose::Decomposition::Slab, 2,
+                              transpose::Decomposition::Pencil, 4,
+                              std::string(name) + "_s2p");
+    expect_checkpoint_crosses(cfg, transpose::Decomposition::Pencil, 4,
+                              transpose::Decomposition::Slab, 2,
+                              std::string(name) + "_p2s");
+  }
+}
+
+TEST(Checkpoint, FileHoldsFieldsInGlobalModeOrder) {
+  // Whatever wrote it, every field section holds mode (kx, ky, kz) at
+  // kx + nxh*(j + N*k), with j and k the unwrapped ky and kz (format v3).
+  constexpr std::size_t n = 16;
+  constexpr std::size_t nxh = n / 2 + 1;
+  constexpr std::size_t header_bytes = 52;
+  const auto tag = [](int kx, int ky, int kz) {
+    return dns::Complex(kx + 100.0 * ky, kz);
+  };
+  for (const auto decomposition :
+       {transpose::Decomposition::Slab, transpose::Decomposition::Pencil}) {
+    SCOPED_TRACE(transpose::to_string(decomposition));
+    const FileGuard file(temp_path("psdns_ckp_layout.bin"));
+    comm::run_ranks(4, [&](comm::Communicator& comm) {
+      dns::SolverConfig cfg = small_config();
+      cfg.decomposition = decomposition;
+      dns::SpectralEngine e(comm, cfg);
+      transpose::for_each_mode(
+          e.modes(), [&](std::size_t idx, int kx, int ky, int kz) {
+            e.uhat(0)[idx] = tag(kx, ky, kz);
+          });
+      save_checkpoint(file.path, e);
+    });
+    const std::string bytes = file_bytes(file.path);
+    ASSERT_GE(bytes.size(), header_bytes + nxh * n * n * sizeof(dns::Complex));
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < nxh; ++i) {
+          dns::Complex stored;
+          std::memcpy(&stored,
+                      bytes.data() + header_bytes +
+                          (i + nxh * (j + n * k)) * sizeof(dns::Complex),
+                      sizeof stored);
+          const dns::Complex want =
+              tag(static_cast<int>(i), transpose::wrap_wavenumber(j, n),
+                  transpose::wrap_wavenumber(k, n));
+          if (stored != want) ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(Checkpoint, ContinuedRunMatchesUninterruptedRun) {
   const FileGuard file(temp_path("psdns_ckp_continue.bin"));
   double uninterrupted = 0.0, restarted = 0.0;
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_isotropic(3, 3.0, 0.4);
     for (int s = 0; s < 6; ++s) a.step(0.01);
     const double e = a.diagnostics().energy;
     if (comm.rank() == 0) uninterrupted = e;
   });
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_isotropic(3, 3.0, 0.4);
     for (int s = 0; s < 3; ++s) a.step(0.01);
     save_checkpoint(file.path, a);
 
-    dns::SlabSolver b(comm, small_config());
+    dns::SpectralEngine b(comm, small_config());
     load_checkpoint(file.path, b);
     for (int s = 0; s < 3; ++s) b.step(0.01);
     EXPECT_EQ(b.step_count(), 6);
@@ -114,7 +222,7 @@ TEST(Checkpoint, ContinuedRunMatchesUninterruptedRun) {
 TEST(Checkpoint, PeekReadsHeaderOnly) {
   const FileGuard file(temp_path("psdns_ckp_peek.bin"));
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     a.step(0.05);
     save_checkpoint(file.path, a);
@@ -129,13 +237,13 @@ TEST(Checkpoint, PeekReadsHeaderOnly) {
 TEST(Checkpoint, RejectsWrongGridSize) {
   const FileGuard file(temp_path("psdns_ckp_wrongn.bin"));
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     save_checkpoint(file.path, a);
 
     dns::SolverConfig bigger = small_config();
     bigger.n = 32;
-    dns::SlabSolver b(comm, bigger);
+    dns::SpectralEngine b(comm, bigger);
     EXPECT_THROW(load_checkpoint(file.path, b), util::Error);
   });
 }
@@ -207,7 +315,7 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
 void make_checkpoint(const std::string& path, int steps = 1,
                      const CheckpointOptions& opts = {}) {
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     for (int s = 0; s < steps; ++s) a.step(0.01);
     save_checkpoint(path, a, opts);
@@ -228,13 +336,13 @@ CheckpointErrc thrown_code(Fn&& fn) {
 TEST(Checkpoint, TypedErrorNamesFileOnGridMismatch) {
   const FileGuard file(temp_path("psdns_ckp_gridmm.bin"));
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     save_checkpoint(file.path, a);
 
     dns::SolverConfig bigger = small_config();
     bigger.n = 32;
-    dns::SlabSolver b(comm, bigger);
+    dns::SpectralEngine b(comm, bigger);
     try {
       load_checkpoint(file.path, b);
       FAIL() << "expected CheckpointError";
@@ -314,7 +422,7 @@ TEST(Checkpoint, TruncatedLoadThrowsOnEveryRank) {
                                std::filesystem::file_size(file.path) / 2);
   std::atomic<int> caught{0};
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    dns::SlabSolver b(comm, small_config());
+    dns::SpectralEngine b(comm, small_config());
     try {
       load_checkpoint(file.path, b);
     } catch (const CheckpointError& e) {
@@ -332,7 +440,7 @@ TEST(Checkpoint, RotationKeepsPreviousCheckpoints) {
   CheckpointOptions opts;
   opts.keep = 2;
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     for (int s = 0; s < 3; ++s) {
       a.step(0.01);
@@ -384,7 +492,7 @@ TEST(Checkpoint, RecoverFallsBackToPreviousValid) {
   CheckpointOptions opts;
   opts.keep = 2;
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     a.step(0.01);
     save_checkpoint(path, a, opts);  // step 1 -> becomes ".1"
@@ -410,7 +518,7 @@ TEST(Checkpoint, RecoverRemovesEverythingWhenAllCorrupt) {
   CheckpointOptions opts;
   opts.keep = 2;
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    dns::SlabSolver a(comm, small_config());
+    dns::SpectralEngine a(comm, small_config());
     a.init_taylor_green();
     a.step(0.01);
     save_checkpoint(path, a, opts);

@@ -4,7 +4,7 @@
 #include <filesystem>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "io/checkpoint.hpp"
 
 namespace psdns::dns {
@@ -24,7 +24,7 @@ TEST(Scalar, PureDiffusionDecaysExactly) {
   // integrating factor makes this exact regardless of dt.
   comm::run_ranks(2, [&](comm::Communicator& comm) {
     const double nu = 0.1, sc = 2.0;
-    SlabSolver solver(comm, scalar_config(16, nu, {{.schmidt = sc}}));
+    SpectralEngine solver(comm, scalar_config(16, nu, {{.schmidt = sc}}));
     solver.init_scalar_from_function(
         0, [](double, double y, double) { return std::cos(3.0 * y); });
     const double var0 = solver.scalar_diagnostics(0).variance;
@@ -42,7 +42,7 @@ TEST(Scalar, VarianceBalancedByDissipation) {
   // Advection redistributes scalar variance without creating it:
   // d(var)/dt = -chi when unforced (G = 0).
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(comm, scalar_config(24, 0.02, {{.schmidt = 1.0}}));
+    SpectralEngine solver(comm, scalar_config(24, 0.02, {{.schmidt = 1.0}}));
     solver.init_isotropic(3, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 7, 3.0, 0.4);
     const auto d0 = solver.scalar_diagnostics(0);
@@ -57,7 +57,7 @@ TEST(Scalar, VarianceBalancedByDissipation) {
 
 TEST(Scalar, MeanGradientSustainsFluctuations) {
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(
+    SpectralEngine solver(
         comm,
         scalar_config(16, 0.02, {{.schmidt = 1.0, .mean_gradient = 1.0}}));
     solver.init_isotropic(4, 3.0, 0.5);
@@ -72,7 +72,7 @@ TEST(Scalar, FluxIsDownGradient) {
   // With a positive mean gradient in y, turbulence transports scalar down
   // the gradient: <v theta> < 0 once the field develops.
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(
+    SpectralEngine solver(
         comm,
         scalar_config(24, 0.01, {{.schmidt = 1.0, .mean_gradient = 1.0}}));
     solver.init_isotropic(9, 3.0, 0.8);
@@ -85,9 +85,9 @@ TEST(Scalar, HigherSchmidtDiffusesSlower) {
   // Two scalars in the same flow with the same IC: the high-Sc (low
   // diffusivity) one keeps more variance.
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(comm, scalar_config(16, 0.05,
-                                          {{.schmidt = 0.5},
-                                           {.schmidt = 4.0}}));
+    SpectralEngine solver(comm, scalar_config(16, 0.05,
+                                              {{.schmidt = 0.5},
+                                               {.schmidt = 4.0}}));
     solver.init_isotropic(2, 3.0, 0.3);
     solver.init_scalar_isotropic(0, 11, 3.0, 0.5);
     solver.init_scalar_isotropic(1, 11, 3.0, 0.5);
@@ -102,7 +102,7 @@ TEST(Scalar, HigherSchmidtDiffusesSlower) {
 
 TEST(Scalar, SpectrumSumsToVariance) {
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(comm, scalar_config(24, 0.02, {{.schmidt = 1.0}}));
+    SpectralEngine solver(comm, scalar_config(24, 0.02, {{.schmidt = 1.0}}));
     solver.init_isotropic(1, 3.0, 0.5);
     solver.init_scalar_isotropic(0, 2, 4.0, 0.7);
     const auto spec = solver.scalar_spectrum(0);
@@ -117,7 +117,7 @@ TEST(Scalar, RankCountInvariance) {
   auto run = [&](int P) {
     double var = 0.0;
     comm::run_ranks(P, [&](comm::Communicator& comm) {
-      SlabSolver solver(
+      SpectralEngine solver(
           comm,
           scalar_config(16, 0.02, {{.schmidt = 0.7, .mean_gradient = 0.5}}));
       solver.init_isotropic(7, 3.0, 0.5);
@@ -137,7 +137,7 @@ TEST(Scalar, RK4DiffusionAlsoExact) {
   comm::run_ranks(2, [&](comm::Communicator& comm) {
     auto cfg = scalar_config(16, 0.08, {{.schmidt = 1.0}});
     cfg.scheme = TimeScheme::RK4;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_scalar_from_function(
         0, [](double x, double, double) { return std::sin(2.0 * x); });
     for (int s = 0; s < 5; ++s) solver.step(0.05);
@@ -152,13 +152,13 @@ TEST(Scalar, CheckpointRoundTripWithScalars) {
           .string();
   comm::run_ranks(2, [&](comm::Communicator& comm) {
     auto cfg = scalar_config(16, 0.02, {{.schmidt = 1.5}});
-    SlabSolver a(comm, cfg);
+    SpectralEngine a(comm, cfg);
     a.init_isotropic(5, 3.0, 0.5);
     a.init_scalar_isotropic(0, 6, 3.0, 0.3);
     for (int s = 0; s < 2; ++s) a.step(0.01);
     io::save_checkpoint(path, a);
 
-    SlabSolver b(comm, cfg);
+    SpectralEngine b(comm, cfg);
     const auto info = io::load_checkpoint(path, b);
     EXPECT_EQ(info.scalars, 1u);
     for (std::size_t i = 0; i < a.modes().local_modes(); ++i) {
@@ -173,11 +173,11 @@ TEST(Scalar, MismatchedScalarCountRejectedOnLoad) {
       (std::filesystem::temp_directory_path() / "psdns_ckp_nosc.bin")
           .string();
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    SlabSolver a(comm, scalar_config(16, 0.02, {}));
+    SpectralEngine a(comm, scalar_config(16, 0.02, {}));
     a.init_taylor_green();
     io::save_checkpoint(path, a);
 
-    SlabSolver b(comm, scalar_config(16, 0.02, {{.schmidt = 1.0}}));
+    SpectralEngine b(comm, scalar_config(16, 0.02, {{.schmidt = 1.0}}));
     EXPECT_THROW(io::load_checkpoint(path, b), util::Error);
   });
   std::remove(path.c_str());
@@ -185,7 +185,7 @@ TEST(Scalar, MismatchedScalarCountRejectedOnLoad) {
 
 TEST(Scalar, IndexValidation) {
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    SlabSolver solver(comm, scalar_config(16, 0.02, {{.schmidt = 1.0}}));
+    SpectralEngine solver(comm, scalar_config(16, 0.02, {{.schmidt = 1.0}}));
     EXPECT_THROW(solver.scalar_diagnostics(1), util::Error);
     EXPECT_THROW(solver.scalar_spectrum(-1), util::Error);
     EXPECT_THROW(solver.init_scalar_isotropic(2, 1, 3.0, 0.5), util::Error);
@@ -194,8 +194,9 @@ TEST(Scalar, IndexValidation) {
 
 TEST(Scalar, RejectsNonPositiveSchmidt) {
   comm::run_ranks(1, [&](comm::Communicator& comm) {
-    EXPECT_THROW(SlabSolver(comm, scalar_config(16, 0.02, {{.schmidt = 0.0}})),
-                 util::Error);
+    EXPECT_THROW(
+        SpectralEngine(comm, scalar_config(16, 0.02, {{.schmidt = 0.0}})),
+        util::Error);
   });
 }
 

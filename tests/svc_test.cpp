@@ -67,7 +67,7 @@ TEST(JobRequest, HashIsContentAddressedAndExcludesTenant) {
   JobRequest c = small_request(2, "alice");
   EXPECT_NE(a.hash(), c.hash());
   JobRequest d = small_request(1, "alice");
-  d.decomposition = Decomposition::Pencil;
+  d.decomposition = transpose::Decomposition::Pencil;
   EXPECT_NE(a.hash(), d.hash());
   JobRequest e = small_request(1, "alice");
   e.dealias = DealiasMode::PhaseShift;
@@ -77,7 +77,7 @@ TEST(JobRequest, HashIsContentAddressedAndExcludesTenant) {
 TEST(JobRequest, JsonRoundTrip) {
   JobRequest a = small_request(42, "alice");
   a.scheme = "rk4";
-  a.decomposition = Decomposition::Pencil;
+  a.decomposition = transpose::Decomposition::Pencil;
   a.dealias = DealiasMode::PhaseShift;
   a.forcing = true;
   a.forcing_power = 0.25;
@@ -98,7 +98,7 @@ TEST(JobRequest, LegacyNavierStokesHashesAreStable) {
   JobRequest rich;
   rich.tenant = "acme";
   rich.n = 64;
-  rich.decomposition = Decomposition::Pencil;
+  rich.decomposition = transpose::Decomposition::Pencil;
   rich.ranks = 4;
   rich.scheme = "rk4";
   rich.viscosity = 0.008;
@@ -216,7 +216,7 @@ scalars = 1
   const JobRequest req = JobRequest::from_config(file);
   EXPECT_EQ(req.tenant, "alice");
   EXPECT_EQ(req.n, 32u);
-  EXPECT_EQ(req.decomposition, Decomposition::Pencil);
+  EXPECT_EQ(req.decomposition, transpose::Decomposition::Pencil);
   EXPECT_EQ(req.ranks, 4);
   EXPECT_EQ(req.scheme, "rk4");
   EXPECT_EQ(req.seed, 9u);
@@ -692,54 +692,65 @@ TEST(Scheduler, BoundedQueueRejectsOverflow) {
 
 TEST(Scheduler, FaultedJobRecoversAndMatchesCleanResult) {
   // Same shape as the driver's supervised drill: 16^3, 2 ranks, 4 steps,
-  // so the @5 fault lands mid-run with a checkpoint behind it.
-  JobRequest drill = small_request(11, "alice");
-  drill.ranks = 2;
-  drill.steps = 4;
+  // so the @5 fault lands mid-run with a checkpoint behind it. Slab and
+  // pencil (1x2) jobs run the same supervised campaign.
+  for (const auto decomposition :
+       {transpose::Decomposition::Slab, transpose::Decomposition::Pencil}) {
+    SCOPED_TRACE(transpose::to_string(decomposition));
+    JobRequest drill = small_request(11, "alice");
+    drill.decomposition = decomposition;
+    drill.ranks = 2;
+    drill.steps = 4;
 
-  // Clean reference run.
-  ServiceConfig clean_cfg = test_config("drill_clean");
-  ResultStore clean_store({clean_cfg.cache_dir, clean_cfg.cache_keep});
-  Scheduler clean(clean_cfg, clean_store);
-  const auto clean_sub = clean.submit(drill);
-  clean.drain();
-  const auto clean_result = clean.result(clean_sub.id);
-  ASSERT_TRUE(clean_result.has_value());
-  EXPECT_EQ(clean.job(clean_sub.id)->recoveries, 0);
+    // Clean reference run.
+    ServiceConfig clean_cfg = test_config("drill_clean");
+    ResultStore clean_store({clean_cfg.cache_dir, clean_cfg.cache_keep});
+    Scheduler clean(clean_cfg, clean_store);
+    const auto clean_sub = clean.submit(drill);
+    clean.drain();
+    const auto clean_result = clean.result(clean_sub.id);
+    ASSERT_TRUE(clean_result.has_value());
+    EXPECT_EQ(clean.job(clean_sub.id)->recoveries, 0);
 
-  // Same request with a mid-job comm fault: the supervisor rolls back and
-  // replays; the job still completes and stores the identical bytes.
-  ServiceConfig faulted_cfg = test_config("drill_faulted");
-  ResultStore faulted_store({faulted_cfg.cache_dir, faulted_cfg.cache_keep});
-  std::int64_t id = -1;
-  {
-    resilience::ScopedPlan plan("comm.alltoall@5=throw");
-    Scheduler faulted(faulted_cfg, faulted_store);
-    id = faulted.submit(drill).id;
-    faulted.drain();
-    const auto record = faulted.job(id);
-    ASSERT_TRUE(record.has_value());
-    EXPECT_EQ(record->state, JobState::Done);
-    EXPECT_EQ(record->recoveries, 1);  // reported in GET /jobs/<id>
-    const auto faulted_result = faulted.result(id);
-    ASSERT_TRUE(faulted_result.has_value());
-    EXPECT_EQ(*faulted_result, *clean_result);
+    // Same request with a mid-job comm fault: the supervisor rolls back and
+    // replays; the job still completes and stores the identical bytes.
+    ServiceConfig faulted_cfg = test_config("drill_faulted");
+    ResultStore faulted_store(
+        {faulted_cfg.cache_dir, faulted_cfg.cache_keep});
+    std::int64_t id = -1;
+    {
+      resilience::ScopedPlan plan("comm.alltoall@5=throw");
+      Scheduler faulted(faulted_cfg, faulted_store);
+      id = faulted.submit(drill).id;
+      faulted.drain();
+      const auto record = faulted.job(id);
+      ASSERT_TRUE(record.has_value());
+      EXPECT_EQ(record->state, JobState::Done);
+      EXPECT_EQ(record->recoveries, 1);  // reported in GET /jobs/<id>
+      const auto faulted_result = faulted.result(id);
+      ASSERT_TRUE(faulted_result.has_value());
+      EXPECT_EQ(*faulted_result, *clean_result);
+    }
+    fs::remove_all(clean_cfg.cache_dir);
+    fs::remove_all(clean_cfg.workdir);
+    fs::remove_all(faulted_cfg.cache_dir);
+    fs::remove_all(faulted_cfg.workdir);
   }
-  fs::remove_all(clean_cfg.cache_dir);
-  fs::remove_all(clean_cfg.workdir);
-  fs::remove_all(faulted_cfg.cache_dir);
-  fs::remove_all(faulted_cfg.workdir);
 }
 
 TEST(Scheduler, UnrecoverableJobIsReportedFailed) {
-  // Pencil jobs run unsupervised, so a single injected fault fails the job
-  // (and must not take the service down with it).
+  // Every job runs supervised, so failing one takes more faults than the
+  // runner's recovery budget of 5: six one-shot faults on consecutive
+  // all-to-alls fail the first segment and all five replays. The failed
+  // job must not take the service down with it.
   ServiceConfig cfg = test_config("failed");
   ResultStore store({cfg.cache_dir, cfg.cache_keep});
-  resilience::ScopedPlan plan("comm.alltoall@3=throw");
+  resilience::ScopedPlan plan(
+      "comm.alltoall@3=throw;comm.alltoall@4=throw;comm.alltoall@5=throw;"
+      "comm.alltoall@6=throw;comm.alltoall@7=throw;comm.alltoall@8=throw");
   Scheduler sched(cfg, store);
   JobRequest req = small_request(5);
-  req.decomposition = Decomposition::Pencil;
+  req.decomposition = transpose::Decomposition::Pencil;
   req.ranks = 2;
   const auto sub = sched.submit(req);
   sched.drain();
@@ -757,7 +768,7 @@ TEST(Scheduler, UnrecoverableJobIsReportedFailed) {
 TEST(Runner, SlabAndPencilDecompositionsCacheSeparately) {
   JobRequest slab = small_request(3);
   JobRequest pencil = small_request(3);
-  pencil.decomposition = Decomposition::Pencil;
+  pencil.decomposition = transpose::Decomposition::Pencil;
   EXPECT_NE(slab.hash(), pencil.hash());
 
   const std::string workdir = tmp_dir("psdns_runner_pencil");

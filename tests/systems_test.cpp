@@ -4,9 +4,9 @@
 //  - construction/validation: system parsing, make_equation_system's
 //    parameter checks, and the typed forcing-band validation;
 //  - regression: the NavierStokes system must reproduce the pre-refactor
-//    SpectralNSCore diagnostics (values pinned from the last commit before
-//    the engine/system split, same configurations the bitwise digest
-//    harness used);
+//    Navier-Stokes engine diagnostics (values pinned from the last commit
+//    before the engine/system split, same configurations the bitwise
+//    digest harness used);
 //  - physics: each new system is validated against an exact linear-wave
 //    solution (inertial, internal-gravity, Alfven - configurations whose
 //    nonlinear terms vanish identically, so the analytic mode evolution is
@@ -22,8 +22,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/pencil_solver.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "dns/systems/equation_system.hpp"
 
 namespace psdns::dns {
@@ -31,7 +30,7 @@ namespace {
 
 /// Reads one spectral coefficient of field f by global wavenumber,
 /// whichever rank owns it (collective; kx must be in [0, n/2]).
-Complex probe_mode(SpectralNSCore& solver, comm::Communicator& comm,
+Complex probe_mode(SpectralEngine& solver, comm::Communicator& comm,
                    std::size_t f, int kx, int ky, int kz) {
   double re = 0.0, im = 0.0;
   const Complex* a = solver.field(f);
@@ -130,7 +129,7 @@ TEST(Forcing, EngineRejectsBadBandAtConstruction) {
     cfg.n = 16;
     cfg.forcing.enabled = true;
     cfg.forcing.klo = 0;
-    EXPECT_THROW(SlabSolver(comm, cfg), ForcingError);
+    EXPECT_THROW(SpectralEngine(comm, cfg), ForcingError);
   });
 }
 
@@ -148,7 +147,7 @@ TEST(SystemsRegression, NavierStokesRk2MatchesPreRefactorCore) {
     cfg.n = 32;
     cfg.viscosity = 0.02;
     cfg.scheme = TimeScheme::RK2;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(7, 3.0, 0.5);
     for (int s = 0; s < 5; ++s) solver.step(0.005);
     const auto d = solver.diagnostics();
@@ -178,7 +177,7 @@ TEST(SystemsRegression, NavierStokesRk4ForcedScalarMatchesPreRefactorCore) {
     cfg.forcing.khi = 2;
     cfg.forcing.power = 0.2;
     cfg.scalars.push_back(ScalarConfig{0.7, 1.0});
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(11, 3.0, 0.4);
     solver.init_scalar_isotropic(0, 13, 3.0, 0.2);
     for (int s = 0; s < 4; ++s) solver.step(0.004);
@@ -207,7 +206,7 @@ TEST(RotatingValidation, InertialWaveOscillatesAtTwoOmega) {
     cfg.viscosity = nu;
     cfg.system = SystemType::RotatingNS;
     cfg.rotation_omega = omega;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function([eps](double, double, double z) {
       return std::array<double, 3>{eps * std::cos(z), 0.0, 0.0};
     });
@@ -243,7 +242,7 @@ TEST(RotatingValidation, HorizontalModeFeelsNoRotation) {
     cfg.viscosity = nu;
     cfg.system = SystemType::RotatingNS;
     cfg.rotation_omega = 50.0;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function([eps](double x, double, double) {
       return std::array<double, 3>{0.0, 0.0, eps * std::cos(x)};
     });
@@ -271,7 +270,7 @@ TEST(BoussinesqValidation, InternalWaveOscillatesAtBruntVaisala) {
     cfg.scheme = TimeScheme::RK4;
     cfg.system = SystemType::Boussinesq;
     cfg.brunt_vaisala = bv;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     // The engine materializes the buoyancy scalar when none is configured.
     EXPECT_EQ(solver.scalar_count(), 1);
     EXPECT_EQ(solver.extra_field_count(), 1u);
@@ -321,7 +320,7 @@ TEST(MhdValidation, AlfvenWaveOscillatesAtKDotB) {
     cfg.scheme = TimeScheme::RK4;
     cfg.system = SystemType::Mhd;
     cfg.resistivity = 0.0;  // eta = nu
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_from_function([eps](double, double, double z) {
       return std::array<double, 3>{eps * std::cos(z), 0.0, 0.0};
     });
@@ -364,7 +363,7 @@ TEST(MhdValidation, InductionStaysDivergenceFreeInTurbulence) {
     cfg.phase_shift_dealias = true;
     cfg.system = SystemType::Mhd;
     cfg.resistivity = 0.03;
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     solver.init_isotropic(5, 3.0, 0.5);
     solver.init_magnetic_isotropic(9, 3.0, 0.25);
     solver.set_uniform_magnetic_field({0.1, 0.0, 0.4});
@@ -434,24 +433,13 @@ void expect_equivalent(const SystemRun& slab, const SystemRun& pencil) {
 void check_decomposition_equivalence(const SolverConfig& cfg) {
   SystemRun slab, pencil;
   comm::run_ranks(2, [&](comm::Communicator& comm) {
-    SlabSolver solver(comm, cfg);
+    SpectralEngine solver(comm, cfg);
     collect(solver, comm, &slab);
   });
   comm::run_ranks(4, [&](comm::Communicator& comm) {
-    PencilSolverConfig pcfg;
-    pcfg.n = cfg.n;
-    pcfg.viscosity = cfg.viscosity;
-    pcfg.scheme = cfg.scheme;
-    pcfg.phase_shift_dealias = cfg.phase_shift_dealias;
-    pcfg.forcing = cfg.forcing;
-    pcfg.scalars = cfg.scalars;
-    pcfg.system = cfg.system;
-    pcfg.rotation_omega = cfg.rotation_omega;
-    pcfg.brunt_vaisala = cfg.brunt_vaisala;
-    pcfg.resistivity = cfg.resistivity;
-    pcfg.pr = 2;
-    pcfg.pc = 2;
-    PencilSolver solver(comm, pcfg);
+    SolverConfig pcfg = cfg;
+    pcfg.decomposition = transpose::Decomposition::Pencil;  // 2x2
+    SpectralEngine solver(comm, pcfg);
     collect(solver, comm, &pencil);
   });
   expect_equivalent(slab, pencil);
@@ -498,7 +486,7 @@ TEST(Systems, MhdStateSurvivesTheExtraFieldSlots) {
     cfg.n = 16;
     cfg.viscosity = 0.02;
     cfg.system = SystemType::Mhd;
-    SlabSolver a(comm, cfg);
+    SpectralEngine a(comm, cfg);
     a.init_isotropic(3, 3.0, 0.5);
     a.init_magnetic_isotropic(4, 3.0, 0.25);
     a.set_uniform_magnetic_field({0.0, 0.2, 0.3});
@@ -509,7 +497,7 @@ TEST(Systems, MhdStateSurvivesTheExtraFieldSlots) {
     for (std::size_t f = 0; f < a.field_count(); ++f) {
       fields.push_back(a.field(f));
     }
-    SlabSolver b(comm, cfg);
+    SpectralEngine b(comm, cfg);
     b.restore(fields, a.time(), a.step_count());
     for (std::size_t f = 0; f < a.field_count(); ++f) {
       const std::size_t m = a.modes().local_modes();

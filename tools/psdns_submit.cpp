@@ -83,7 +83,7 @@ bool apply_field(JobRequest& request, const std::string& flag,
   } else if (flag == "--scheme") {
     request.scheme = value;
   } else if (flag == "--decomposition") {
-    request.decomposition = psdns::svc::parse_decomposition(value);
+    request.decomposition = psdns::transpose::parse_decomposition(value);
   } else if (flag == "--dealias") {
     request.dealias = psdns::svc::parse_dealias_mode(value);
   } else if (flag == "--viscosity") {
