@@ -15,7 +15,6 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace psdns::driver {
 
@@ -235,12 +234,9 @@ CampaignResult run_campaign(comm::Communicator& comm,
          solver.time() < cfg.max_time) {
     const double cfl_dt = solver.cfl_dt(cfg.cfl);
     const double dt = std::min(cfl_dt, cfg.max_dt);
-    const util::Stopwatch step_watch;
-    {
-      obs::TraceSpan step_span("driver.step", obs::SpanKind::Compute);
-      solver.step(dt);
-    }
-    const double wall = step_watch.seconds();
+    obs::TraceSpan step_span("driver.step", obs::SpanKind::Compute);
+    solver.step(dt);
+    const double wall = step_span.end();
     ++result.steps_run;
     if (comm.rank() == 0) {
       auto& reg = obs::registry();
@@ -248,7 +244,6 @@ CampaignResult run_campaign(comm::Communicator& comm,
       reg.gauge_set("driver.dt", dt);
       reg.gauge_set("driver.cfl_dt", cfl_dt);
       reg.gauge_set("driver.sim_time", solver.time());
-      reg.observe("driver.step.wall_seconds", wall);
       obs::publish_pool_metrics(reg);
     }
 

@@ -4,7 +4,7 @@
 
 #include "fft/plan.hpp"
 #include "fft/real.hpp"
-#include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,8 +27,9 @@ std::vector<Complex>& c2r_work(std::size_t n) {
 // PlanC2C::transform_batch / PlanR2C::*_batch: y lines of one z-plane are
 // adjacent in memory (dist 1, stride nx), z lines of the whole volume are
 // one arithmetic progression (dist 1, stride nx*ny), and the unit-stride x
-// lines batch with dist nx. Each stage carries a scoped timer so span
-// capture shows the x/y/z spans of every 3-D transform.
+// lines batch with dist nx. Each stage runs inside an obs::TraceSpan, so
+// the fft3d.* histograms and the trace show the x/y/z passes of every 3-D
+// transform.
 
 void fft3d_c2c(Direction dir, const Shape3& shape, Complex* data) {
   const auto [nx, ny, nz] = shape;
@@ -38,12 +39,12 @@ void fft3d_c2c(Direction dir, const Shape3& shape, Complex* data) {
   const auto pz = get_plan(nz);
 
   {
-    obs::ScopedTimer timer("fft3d.c2c.x");
+    obs::TraceSpan span("fft3d.c2c.x", obs::SpanKind::Compute);
     px->transform_batch(dir, data, data,
                         BatchLayout{.count = ny * nz, .stride = 1, .dist = nx});
   }
   {
-    obs::ScopedTimer timer("fft3d.c2c.y");
+    obs::TraceSpan span("fft3d.c2c.y", obs::SpanKind::Compute);
     // z-planes are disjoint, so they stripe across the worker pool; the
     // per-plane transform_batch runs inline inside a stripe (nested
     // parallel_for executes on the calling thread).
@@ -56,7 +57,7 @@ void fft3d_c2c(Direction dir, const Shape3& shape, Complex* data) {
         });
   }
   {
-    obs::ScopedTimer timer("fft3d.c2c.z");
+    obs::TraceSpan span("fft3d.c2c.z", obs::SpanKind::Compute);
     pz->transform_batch(
         dir, data, data,
         BatchLayout{.count = nx * ny, .stride = nx * ny, .dist = 1});
@@ -71,11 +72,11 @@ void fft3d_r2c(const Shape3& shape, const Real* in, Complex* out) {
   const auto pz = get_plan(nz);
 
   {
-    obs::ScopedTimer timer("fft3d.r2c.x");
+    obs::TraceSpan span("fft3d.r2c.x", obs::SpanKind::Compute);
     prx->forward_batch(in, nx, out, nxh, ny * nz);
   }
   {
-    obs::ScopedTimer timer("fft3d.r2c.y");
+    obs::TraceSpan span("fft3d.r2c.y", obs::SpanKind::Compute);
     util::ThreadPool::global().parallel_for(
         "fft.3d.y", 0, nz, [&](std::size_t k) {
           Complex* base = out + nxh * ny * k;
@@ -85,7 +86,7 @@ void fft3d_r2c(const Shape3& shape, const Real* in, Complex* out) {
         });
   }
   {
-    obs::ScopedTimer timer("fft3d.r2c.z");
+    obs::TraceSpan span("fft3d.r2c.z", obs::SpanKind::Compute);
     pz->transform_batch(
         Direction::Forward, out, out,
         BatchLayout{.count = nxh * ny, .stride = nxh * ny, .dist = 1});
@@ -104,13 +105,13 @@ void fft3d_c2r(const Shape3& shape, const Complex* in, Real* out) {
 
   // Inverse order: z, then y, then complex-to-real in x.
   {
-    obs::ScopedTimer timer("fft3d.c2r.z");
+    obs::TraceSpan span("fft3d.c2r.z", obs::SpanKind::Compute);
     pz->transform_batch(
         Direction::Inverse, work.data(), work.data(),
         BatchLayout{.count = nxh * ny, .stride = nxh * ny, .dist = 1});
   }
   {
-    obs::ScopedTimer timer("fft3d.c2r.y");
+    obs::TraceSpan span("fft3d.c2r.y", obs::SpanKind::Compute);
     util::ThreadPool::global().parallel_for(
         "fft.3d.y", 0, nz, [&](std::size_t k) {
           Complex* base = work.data() + nxh * ny * k;
@@ -120,7 +121,7 @@ void fft3d_c2r(const Shape3& shape, const Complex* in, Real* out) {
         });
   }
   {
-    obs::ScopedTimer timer("fft3d.c2r.x");
+    obs::TraceSpan span("fft3d.c2r.x", obs::SpanKind::Compute);
     prx->inverse_batch(work.data(), nxh, out, nx, ny * nz);
   }
 }

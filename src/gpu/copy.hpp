@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/span.hpp"
 #include "resilience/fault.hpp"
 #include "util/check.hpp"
 
@@ -26,7 +25,6 @@ void memcpy2d(T* dst, std::size_t dst_pitch, const T* src,
               std::size_t src_pitch, std::size_t width, std::size_t height) {
   PSDNS_REQUIRE(dst_pitch >= width && src_pitch >= width,
                 "pitch must cover the row width");
-  obs::TraceSpan span("gpu.memcpy2d", obs::SpanKind::Transfer);
   // Fault drill hook modeling a failed/partial/corrupt device copy:
   // throw aborts the call, short_write copies only the first half of the
   // rows (a truncated DMA), bit_flip corrupts one bit of the destination.

@@ -13,7 +13,6 @@
 #include "resilience/crc32c.hpp"
 #include "resilience/fault.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace psdns::io {
 
@@ -287,7 +286,6 @@ void save_checkpoint(const std::string& path, dns::SpectralEngine& solver,
                 "checkpoint keep out of range");
   auto& comm = solver.communicator();
   obs::TraceSpan span("io.checkpoint.save", obs::SpanKind::Io);
-  const util::Stopwatch watch;
   const std::size_t n = solver.n();
   const std::size_t nxh = n / 2 + 1;
   const std::size_t nfields = solver.field_count();
@@ -321,10 +319,9 @@ void save_checkpoint(const std::string& path, dns::SpectralEngine& solver,
   }
   agree_or_throw(comm, cap, path);
 
+  const double seconds = span.end();
   if (comm.rank() == 0) {
-    const double seconds = watch.seconds();
     obs::registry().counter_add("io.checkpoint.writes");
-    obs::registry().observe("io.checkpoint.write_seconds", seconds);
     obs::log_event(obs::LogLevel::Info, "io", "checkpoint written",
                    {{"path", path},
                     {"step", solver.step_count()},
@@ -337,7 +334,6 @@ CheckpointInfo load_checkpoint(const std::string& path,
                                dns::SpectralEngine& solver) {
   auto& comm = solver.communicator();
   obs::TraceSpan span("io.checkpoint.load", obs::SpanKind::Io);
-  const util::Stopwatch watch;
   const std::size_t n = solver.n();
   const std::size_t nxh = n / 2 + 1;
   const std::size_t local_modes = solver.modes().local_modes();
@@ -397,10 +393,9 @@ CheckpointInfo load_checkpoint(const std::string& path,
 
   solver.restore(std::span<const Complex* const>(ptrs.data(), nfields),
                  info.time, info.step);
+  const double seconds = span.end();
   if (comm.rank() == 0) {
-    const double seconds = watch.seconds();
     obs::registry().counter_add("io.checkpoint.reads");
-    obs::registry().observe("io.checkpoint.read_seconds", seconds);
     obs::log_event(obs::LogLevel::Info, "io", "checkpoint restored",
                    {{"path", path},
                     {"step", info.step},

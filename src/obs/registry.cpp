@@ -213,69 +213,4 @@ int thread_index() {
   return mine;
 }
 
-// --- span capture ---
-
-namespace {
-
-struct SpanState {
-  std::mutex mutex;
-  bool enabled = false;
-  util::Stopwatch origin;
-  std::vector<Span> spans;
-};
-
-SpanState& span_state() {
-  static SpanState state;
-  return state;
-}
-
-}  // namespace
-
-void enable_span_capture(bool on) {
-  auto& st = span_state();
-  std::lock_guard lock(st.mutex);
-  st.enabled = on;
-  if (on) {
-    st.spans.clear();
-    st.origin.reset();
-  }
-}
-
-bool span_capture_enabled() {
-  auto& st = span_state();
-  std::lock_guard lock(st.mutex);
-  return st.enabled;
-}
-
-std::vector<Span> captured_spans() {
-  auto& st = span_state();
-  std::lock_guard lock(st.mutex);
-  return st.spans;
-}
-
-void clear_spans() {
-  auto& st = span_state();
-  std::lock_guard lock(st.mutex);
-  st.spans.clear();
-}
-
-ScopedTimer::ScopedTimer(std::string_view name, Registry& reg)
-    : name_(name), reg_(reg) {}
-
-ScopedTimer::~ScopedTimer() { stop(); }
-
-double ScopedTimer::stop() {
-  if (stopped_) return 0.0;
-  stopped_ = true;
-  const double seconds = watch_.seconds();
-  reg_.observe(name_, seconds);
-  auto& st = span_state();
-  std::lock_guard lock(st.mutex);
-  if (st.enabled) {
-    st.spans.push_back(Span{std::string(name_), thread_index(),
-                            st.origin.seconds() - seconds, seconds});
-  }
-  return seconds;
-}
-
 }  // namespace psdns::obs

@@ -1,10 +1,10 @@
 #pragma once
 // Process-wide metrics registry: counters, gauges and fixed-bucket
-// histograms with percentile summaries, plus RAII scoped timers. Timers
-// feed the registry and, when span capture is on, the buffer the Chrome
-// trace exporter turns into one track per thread. Thread-safe; the
-// hot-path cost is one mutex acquisition plus a map lookup, which the
-// laptop-scale functional paths that carry instrumentation can afford.
+// histograms with percentile summaries. Intervals are timed by
+// obs::TraceSpan (obs/span.hpp), which observes into the histogram named
+// after the span. Thread-safe; the hot-path cost is one mutex acquisition
+// plus a map lookup, which the laptop-scale functional paths that carry
+// instrumentation can afford.
 
 #include <cstdint>
 #include <map>
@@ -12,8 +12,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/stopwatch.hpp"
 
 namespace psdns::obs {
 
@@ -98,43 +96,5 @@ Registry& registry();
 /// Small dense per-thread index (0, 1, 2, ... in first-use order) used to
 /// tag log lines and trace spans; stable for the thread's lifetime.
 int thread_index();
-
-// --- span capture (tracing of functional runs) ---
-
-struct Span {
-  std::string name;
-  int thread = 0;     // thread_index() of the emitting thread
-  double start_s = 0.0;  // seconds since capture was enabled
-  double dur_s = 0.0;
-};
-
-/// Enabling clears previously captured spans and restarts the time origin.
-void enable_span_capture(bool on);
-bool span_capture_enabled();
-std::vector<Span> captured_spans();
-void clear_spans();
-
-/// Records elapsed wall time into registry histogram `name` on destruction
-/// (or stop()), and appends a Span when span capture is enabled.
-/// The name is held by reference (no copy, no allocation): it must outlive
-/// the timer, which every instrumentation site satisfies by passing a
-/// string literal.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view name, Registry& reg = registry());
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Stops early and returns the elapsed seconds; later calls (and the
-  /// destructor) are no-ops.
-  double stop();
-
- private:
-  std::string_view name_;
-  Registry& reg_;
-  util::Stopwatch watch_;
-  bool stopped_ = false;
-};
 
 }  // namespace psdns::obs

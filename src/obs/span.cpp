@@ -2,20 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_export.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace psdns::obs {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t now_ticks() { return Clock::now().time_since_epoch().count(); }
+
+double ticks_to_seconds(std::int64_t ticks) {
+  return std::chrono::duration<double>(Clock::duration(ticks)).count();
+}
 
 struct ThreadRing {
   std::mutex mutex;  // owner-writes, collector-reads; uncontended in the hot path
@@ -28,9 +37,11 @@ struct ThreadRing {
 struct TraceState {
   std::mutex mutex;
   std::atomic<bool> enabled{false};
-  util::Stopwatch origin;
+  // Written under `mutex`, read lock-free by every span: atomics, so a
+  // set_tracing(true) racing a span on another thread is not a data race.
+  std::atomic<std::int64_t> origin{now_ticks()};  // trace clock zero, ticks
+  std::atomic<std::uint64_t> epoch{0};  // bumped on restart; stale rings reset
   std::size_t capacity = 1 << 16;
-  std::uint64_t epoch = 0;  // bumped by set_tracing(true); stale rings reset
   std::string file;
   std::vector<std::shared_ptr<ThreadRing>> rings;
   // Flow bookkeeping. `pending` keeps its entries after a consume so a
@@ -69,7 +80,7 @@ ThreadLocalTrace& tl_trace() {
 ThreadRing& my_ring() {
   auto& st = trace_state();
   auto& tl = tl_trace();
-  const std::uint64_t epoch = st.epoch;
+  const std::uint64_t epoch = st.epoch.load();
   if (tl.ring == nullptr || tl.epoch != epoch) {
     auto ring = std::make_shared<ThreadRing>();
     {
@@ -138,8 +149,8 @@ void set_tracing(bool on) {
     st.edges.clear();
     st.counters.clear();
     st.counters_dropped = 0;
+    st.origin.store(now_ticks());
     ++st.epoch;
-    st.origin.reset();
   }
   st.enabled.store(on, std::memory_order_release);
 }
@@ -253,13 +264,13 @@ void write_trace_if_configured() {
 SpanId current_span() {
   if (!tracing()) return 0;
   auto& tl = tl_trace();
-  if (tl.epoch != trace_state().epoch || tl.stack.empty()) return 0;
+  if (tl.epoch != trace_state().epoch.load() || tl.stack.empty()) return 0;
   return tl.stack.back().id;
 }
 
 double trace_clock() {
   if (!tracing()) return 0.0;
-  return trace_state().origin.seconds();
+  return ticks_to_seconds(now_ticks() - trace_state().origin.load());
 }
 
 SpanId record_span(std::string_view name, SpanKind kind, double start_s,
@@ -322,7 +333,7 @@ void trace_counter(std::string_view name, double value) {
   CounterSample sample;
   sample.name = std::string(name);
   sample.rank = rank_tag();
-  sample.t_s = st.origin.seconds();
+  sample.t_s = ticks_to_seconds(now_ticks() - st.origin.load());
   sample.value = value;
   std::lock_guard lock(st.mutex);
   if (st.counters.size() >= TraceState::kCounterCap) {
@@ -332,47 +343,51 @@ void trace_counter(std::string_view name, double value) {
   st.counters.push_back(std::move(sample));
 }
 
-TraceSpan::TraceSpan(std::string_view name, SpanKind kind) {
-  if (!tracing()) return;
-  auto& st = trace_state();
-  auto& tl = tl_trace();
-  my_ring();  // registers this thread for the current epoch
-  id_ = st.next_span.fetch_add(1, std::memory_order_relaxed);
-  name_ = std::string(name);
-  kind_ = kind;
-  start_s_ = st.origin.seconds();
-  tl.stack.push_back(OpenSpan{id_});
+TraceSpan::TraceSpan(std::string_view name, SpanKind kind)
+    : name_(name), kind_(kind) {
+  if (tracing()) {
+    my_ring();  // registers this thread for the current epoch
+    id_ = trace_state().next_span.fetch_add(1, std::memory_order_relaxed);
+    tl_trace().stack.push_back(OpenSpan{id_});
+  }
+  start_ticks_ = now_ticks();  // last, so the bookkeeping is not timed
 }
 
 TraceSpan::~TraceSpan() { end(); }
 
-void TraceSpan::end() {
-  if (id_ == 0) return;
+double TraceSpan::end() {
+  if (ended_) return 0.0;
+  ended_ = true;
+  const std::int64_t end_ticks = now_ticks();
+  const double seconds = ticks_to_seconds(end_ticks - start_ticks_);
+  registry().observe(name_, seconds);
+  if (id_ == 0) return seconds;
+
   auto& st = trace_state();
   auto& tl = tl_trace();
   SpanRecord rec;
-  rec.id = id_;
-  id_ = 0;
-  // A set_tracing(true) between construction and end invalidates this
-  // span: its origin and stack belong to the previous epoch.
-  if (tl.epoch != st.epoch) return;
-  const double end_s = st.origin.seconds();
+  rec.id = std::exchange(id_, 0);
+  // A set_tracing(true) or clear_trace() between construction and end
+  // invalidates the record: its stack belongs to the previous epoch.
+  if (tl.epoch != st.epoch.load()) return seconds;
   // Unwind to this span (tolerates spans ended out of declaration order).
   while (!tl.stack.empty() && tl.stack.back().id != rec.id) tl.stack.pop_back();
-  if (tl.stack.empty()) return;
+  if (tl.stack.empty()) return seconds;
   tl.stack.pop_back();
+  const std::int64_t origin = st.origin.load();
   rec.parent = tl.stack.empty() ? 0 : tl.stack.back().id;
-  rec.name = std::move(name_);
+  rec.name = std::string(name_);
   rec.kind = kind_;
   rec.thread = thread_index();
   rec.rank = rank_tag();
-  rec.start_s = start_s_;
-  rec.end_s = end_s;
+  rec.start_s = ticks_to_seconds(start_ticks_ - origin);
+  rec.end_s = ticks_to_seconds(end_ticks - origin);
   auto& ring = my_ring();
   std::lock_guard lock(ring.mutex);
   ring.ring[ring.next] = std::move(rec);
   ring.next = (ring.next + 1) % ring.capacity;
   ++ring.written;
+  return seconds;
 }
 
 }  // namespace psdns::obs

@@ -1,19 +1,24 @@
 #pragma once
-// Causal span tracing: low-overhead hierarchical wall-clock spans with
-// explicit cross-lane / cross-rank causal edges, the substrate for the
-// critical-path and overlap analyses (obs/critical_path.hpp).
+// Timed intervals and causal span tracing. obs::TraceSpan is the one
+// instrumentation primitive: every span times its interval on the steady
+// clock and observes the seconds into the obs::registry() histogram named
+// after it, whether tracing is on or off, so /metrics always carries the
+// per-phase timings. With tracing on, the span is also recorded with its
+// hierarchy and explicit cross-lane / cross-rank causal edges - the
+// substrate for the critical-path and overlap analyses
+// (obs/critical_path.hpp).
 //
 // Each thread records completed spans into its own fixed-capacity ring
-// buffer (oldest spans are overwritten, the drop count is reported), so
-// the hot-path cost with tracing enabled is one uncontended mutex plus a
-// ring store; with tracing disabled it is a single relaxed atomic load.
-// Spans nest: a thread-local stack links each span to its parent, giving
-// the per-thread hierarchy, and flow edges (flow_emit in the producing
-// span, flow_consume in the consuming span) record causality across
-// threads, lanes and SPMD ranks - the instrumented sites are the comm
-// all-to-alls, the async pipeline's post/wait pairs and the GPU copy
-// boundaries. trace_export renders the edges as Chrome flow events
-// (ph "s"/"f") so the overlap structure is visible in Perfetto.
+// buffer (oldest spans are overwritten, the drop count is reported). A
+// span costs two clock reads and one registry observation (a mutex plus a
+// map lookup); with tracing on, add an uncontended ring mutex and a ring
+// store. Spans nest: a thread-local stack links each span to its parent,
+// giving the per-thread hierarchy, and flow edges (flow_emit in the
+// producing span, flow_consume in the consuming span) record causality
+// across threads, lanes and SPMD ranks - the instrumented sites are the
+// comm all-to-alls and the async pipeline's post/wait pairs. trace_export
+// renders the edges as Chrome flow events (ph "s"/"f") so the overlap
+// structure is visible in Perfetto.
 //
 // Environment gating follows the same precedence rules as PSDNS_LOG_*:
 // PSDNS_TRACE=1|true|on enables capture (0|false|off disables),
@@ -146,8 +151,11 @@ void flow_consume(FlowId flow);
 /// (1M) are counted into SpanTrace::dropped.
 void trace_counter(std::string_view name, double value);
 
-/// RAII span. Cheap when tracing is off (no allocation, no lock): the
-/// name is only copied into owned storage after the tracing gate passes.
+/// RAII timed interval. On end it observes the elapsed seconds into the
+/// obs::registry() histogram named `name`; while tracing is on it also
+/// appends a SpanRecord to this thread's ring. The name is held by
+/// reference and must outlive the span (every site passes a literal); it
+/// is copied into owned storage only when the record enters a ring.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name, SpanKind kind = SpanKind::Other);
@@ -155,17 +163,19 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// 0 when tracing was off at construction.
+  /// 0 when tracing was off at construction, and after end().
   SpanId id() const { return id_; }
 
-  /// Ends the span early; later calls (and the destructor) are no-ops.
-  void end();
+  /// Ends the span early and returns its elapsed seconds; later calls
+  /// (and the destructor) are no-ops returning 0.
+  double end();
 
  private:
+  std::string_view name_;
+  std::int64_t start_ticks_ = 0;  // steady-clock ticks
   SpanId id_ = 0;
-  double start_s_ = 0.0;
-  std::string name_;
   SpanKind kind_ = SpanKind::Other;
+  bool ended_ = false;
 };
 
 }  // namespace psdns::obs

@@ -120,34 +120,6 @@ std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
   return os.str();
 }
 
-std::string spans_to_chrome_trace(const std::vector<Span>& spans,
-                                  const ChromeTraceOptions& options) {
-  std::map<int, int> thread_tid;
-  std::vector<int> thread_order;
-  for (const auto& s : spans) {
-    if (thread_tid.emplace(s.thread, static_cast<int>(thread_tid.size()))
-            .second) {
-      thread_order.push_back(s.thread);
-    }
-  }
-
-  std::ostringstream os;
-  os << "[\n";
-  bool first = true;
-  append_metadata(os, options.pid, "process_name", 0, options.process_name,
-                  first);
-  for (const int thread : thread_order) {
-    append_metadata(os, options.pid, "thread_name", thread_tid[thread],
-                    "thread " + std::to_string(thread), first);
-  }
-  for (const auto& s : spans) {
-    append_complete_event(os, options, s.name, "timer", nullptr, options.pid,
-                          thread_tid[s.thread], s.start_s, s.dur_s, first);
-  }
-  os << "\n]\n";
-  return os.str();
-}
-
 const char* chrome_color(SpanKind kind) {
   switch (kind) {
     case SpanKind::Compute:

@@ -1,17 +1,16 @@
 #pragma once
 // Chrome trace-event export: converts simulated sim::OpRecord traces and
-// captured scoped-timer spans into the JSON array form of the Trace Event
-// Format, loadable by Perfetto (ui.perfetto.dev) and chrome://tracing -
-// the paper's Fig.-10 timeline view, but interactive. Every op becomes a
+// recorded obs::TraceSpan traces into the JSON array form of the Trace
+// Event Format, loadable by Perfetto (ui.perfetto.dev) and chrome://tracing
+// - the paper's Fig.-10 timeline view, but interactive. Every op becomes a
 // complete event (ph "X") with microsecond timestamps; each DAG lane (or
-// capture thread) becomes one named track; op categories map to stable
+// span thread) becomes one named track; op categories map to stable
 // Chrome color names so the transfer/compute/network streams render in
 // the paper's blue/green/red scheme.
 
 #include <string>
 #include <vector>
 
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "sim/trace.hpp"
 
@@ -32,10 +31,6 @@ const char* chrome_color(SpanKind kind);
 /// One track per distinct OpRecord::lane, in order of first appearance.
 std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
                             const ChromeTraceOptions& options = {});
-
-/// One track per capturing thread (spans from obs::captured_spans()).
-std::string spans_to_chrome_trace(const std::vector<Span>& spans,
-                                  const ChromeTraceOptions& options = {});
 
 /// Causal span trace -> Chrome trace. Ranks map to processes (pid =
 /// options.pid + rank + 1, untagged spans to options.pid) and threads to

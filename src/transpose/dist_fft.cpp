@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -96,13 +95,11 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
 
     // x: real-to-complex, all my()*n_ unit-stride lines as one batch.
     {
-      obs::ScopedTimer timer("slab_fft.forward.x");
       obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
       plan_x_->forward_batch(phys[v], n_, w.data(), h, n_ * my());
     }
     // z: strided lines (stride nxh) inside the Y-slab, one batch per plane.
     {
-      obs::ScopedTimer timer("slab_fft.forward.z");
       obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
       // Planes are disjoint: stripe them across the worker pool (the
       // per-plane transform_batch then runs inline inside its stripe).
@@ -123,7 +120,6 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
       spec, np, q);
 
   // y: strided lines (stride nxh) inside the Z-slab.
-  obs::ScopedTimer timer("slab_fft.forward.y");
   obs::TraceSpan span("slab_fft.forward.y", obs::SpanKind::Compute);
   util::ThreadPool::global().parallel_for(
       "fft.slab.y", 0, nv * mz(), [&](std::size_t idx) {
@@ -147,7 +143,6 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
   if (zslab_ptrs_.size() < nv) zslab_ptrs_.resize(nv);
   if (yslab_ptrs_.size() < nv) yslab_ptrs_.resize(nv);
   {
-    obs::ScopedTimer timer("slab_fft.inverse.y");
     obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
     for (std::size_t v = 0; v < nv; ++v) {
       auto& wz = work_[v];
@@ -176,7 +171,6 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
     Complex* w = yslab_ptrs_[v];
     // z-inverse.
     {
-      obs::ScopedTimer timer("slab_fft.inverse.z");
       obs::TraceSpan span("slab_fft.inverse.z", obs::SpanKind::Compute);
       util::ThreadPool::global().parallel_for(
           "fft.slab.z", 0, my(), [&](std::size_t jj) {
@@ -188,7 +182,6 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
     }
     // x: complex-to-real, batched over all lines of the Y-slab.
     {
-      obs::ScopedTimer timer("slab_fft.inverse.x");
       obs::TraceSpan span("slab_fft.inverse.x", obs::SpanKind::Compute);
       plan_x_->inverse_batch(w, h, phys[v], n_, n_ * my());
     }
@@ -257,7 +250,6 @@ void PencilFft3d::forward(std::span<const Real> phys,
 
   // x: real-to-complex, all yl*zl unit-stride lines of the X-pencil at once.
   {
-    obs::ScopedTimer timer("pencil_fft.forward.x");
     obs::TraceSpan span("pencil_fft.forward.x", obs::SpanKind::Compute);
     plan_x_->forward_batch(phys.data(), n_, px_.data(), h, yl * zl);
   }
@@ -267,7 +259,6 @@ void PencilFft3d::forward(std::span<const Real> phys,
   transpose_.x_to_y(std::span<const Complex>(px_.data(), h * yl * zl),
                     std::span<Complex>(py_.data(), n_ * w * zl));
   {
-    obs::ScopedTimer timer("pencil_fft.forward.y");
     obs::TraceSpan span("pencil_fft.forward.y", obs::SpanKind::Compute);
     plan_yz_->transform_batch(fft::Direction::Forward, py_.data(), py_.data(),
                               BatchLayout{.count = w * zl, .stride = 1,
@@ -277,7 +268,6 @@ void PencilFft3d::forward(std::span<const Real> phys,
   // Column transpose, then z on contiguous lines of the Z-pencil.
   transpose_.y_to_z(std::span<const Complex>(py_.data(), n_ * w * zl), spec);
   {
-    obs::ScopedTimer timer("pencil_fft.forward.z");
     obs::TraceSpan span("pencil_fft.forward.z", obs::SpanKind::Compute);
     plan_yz_->transform_batch(fft::Direction::Forward, spec.data(),
                               spec.data(),
@@ -300,7 +290,6 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
 
   // z-inverse out of place, from the const input into the scratch Z-pencil.
   {
-    obs::ScopedTimer timer("pencil_fft.inverse.z");
     obs::TraceSpan span("pencil_fft.inverse.z", obs::SpanKind::Compute);
     plan_yz_->transform_batch(fft::Direction::Inverse, spec.data(), pz_.data(),
                               BatchLayout{.count = w * g.yl2(), .stride = 1,
@@ -310,7 +299,6 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   transpose_.z_to_y(std::span<const Complex>(pz_.data(), spectral_elems()),
                     std::span<Complex>(py_.data(), n_ * w * zl));
   {
-    obs::ScopedTimer timer("pencil_fft.inverse.y");
     obs::TraceSpan span("pencil_fft.inverse.y", obs::SpanKind::Compute);
     plan_yz_->transform_batch(fft::Direction::Inverse, py_.data(), py_.data(),
                               BatchLayout{.count = w * zl, .stride = 1,
@@ -320,7 +308,6 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   transpose_.y_to_x(std::span<const Complex>(py_.data(), n_ * w * zl),
                     std::span<Complex>(px_.data(), h * yl * zl));
   {
-    obs::ScopedTimer timer("pencil_fft.inverse.x");
     obs::TraceSpan span("pencil_fft.inverse.x", obs::SpanKind::Compute);
     plan_x_->inverse_batch(px_.data(), h, phys.data(), n_, yl * zl);
   }

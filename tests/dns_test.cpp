@@ -4,6 +4,9 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "dns/modes.hpp"
@@ -13,6 +16,7 @@
 #include "dns/two_point.hpp"
 #include "dns/vorticity.hpp"
 #include "dns/statistics.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace psdns::dns {
@@ -1158,6 +1162,64 @@ TEST(Regrid, RejectsMismatchedScalars) {
     EXPECT_THROW(spectral_regrid(c, d), util::Error);
     EXPECT_THROW(spectral_regrid(d, c), util::Error);
   });
+}
+
+// --- instrumentation volume ---
+
+TEST(Instrumentation, SlabStepSpanCountsAreExact) {
+  // Every obs::TraceSpan feeds the histogram named after it, so the span
+  // volume of a warmed step is a deterministic function of the engine's
+  // call structure. RK2 makes two RHS evaluations; each runs one 3-field
+  // inverse (z_to_y: np/q = 4 chunks of pack_z, all-to-all, unpack_y) and
+  // one 6-product forward (y_to_z: 4 chunks of pack_y, all-to-all,
+  // unpack_z), and a batched slab transform does each y pass once for
+  // all its variables and each x pass once per variable.
+  constexpr int kRanks = 2, kRhs = 2, kChunks = 4;
+  constexpr int kVelocity = 3, kProducts = 6;
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"transpose.pack_z", kRanks * kChunks * kRhs},
+      {"transpose.unpack_y", kRanks * kChunks * kRhs},
+      {"transpose.pack_y", kRanks * kChunks * kRhs},
+      {"transpose.unpack_z", kRanks * kChunks * kRhs},
+      {"comm.alltoall", kRanks * 2 * kChunks * kRhs},
+      {"slab_fft.inverse.y", kRanks * kRhs},
+      {"slab_fft.inverse.x", kRanks * kVelocity * kRhs},
+      {"slab_fft.forward.y", kRanks * kRhs},
+      {"slab_fft.forward.x", kRanks * kProducts * kRhs},
+  };
+  std::vector<std::int64_t> before(expected.size());
+  std::vector<std::int64_t> after(expected.size());
+  comm::run_ranks(kRanks, [&](comm::Communicator& comm) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    cfg.scheme = TimeScheme::RK2;
+    cfg.pencils = kChunks;
+    cfg.pencils_per_a2a = 1;
+    SpectralEngine solver(comm, cfg);
+    solver.init_taylor_green();
+    solver.step(1e-3);  // warm-up
+    comm.barrier();
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        before[i] = obs::registry().histogram(expected[i].first).count;
+      }
+    }
+    comm.barrier();
+    solver.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        after[i] = obs::registry().histogram(expected[i].first).count;
+      }
+    }
+  });
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expected[i].second) << expected[i].first;
+  }
+  // Strided copies run inside the pack/unpack spans and carry none of
+  // their own.
+  EXPECT_EQ(obs::registry().snapshot().histograms.count("gpu.memcpy2d"), 0u);
 }
 
 }  // namespace

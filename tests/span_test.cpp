@@ -3,16 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "obs/perfdiff.hpp"
+#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "pipeline/async_fft.hpp"
 #include "pipeline/dns_step_model.hpp"
@@ -95,11 +100,79 @@ TEST_F(SpanTest, EndIsIdempotentAndEarly) {
   EXPECT_EQ(trace.spans[0].name, "early");
 }
 
+std::int64_t histogram_count(std::string_view name) {
+  return obs::registry().histogram(name).count;
+}
+
+TEST_F(SpanTest, EndFeedsTheRegistryHistogram) {
+  // Every span observes its seconds into the histogram named after it,
+  // with tracing off and on, exactly once however it is ended.
+  for (const bool on : {false, true}) {
+    obs::set_tracing(on);
+    const char* name =
+        on ? "span_test.histogram.traced" : "span_test.histogram.untraced";
+    const std::int64_t before = histogram_count(name);
+    { TraceSpan span(name, SpanKind::Compute); }
+    EXPECT_EQ(histogram_count(name) - before, 1);
+    {
+      TraceSpan span(name, SpanKind::Compute);
+      const double elapsed = span.end();
+      EXPECT_GE(elapsed, 0.0);
+      EXPECT_DOUBLE_EQ(span.end(), 0.0);  // a second end is a no-op
+      EXPECT_EQ(histogram_count(name) - before, 2);
+    }
+    // The destructor of an ended span does not count it again.
+    EXPECT_EQ(histogram_count(name) - before, 2);
+    EXPECT_GE(obs::registry().histogram(name).sum, 0.0);
+    const auto trace = obs::collect_trace();
+    EXPECT_EQ(trace.spans.size(), on ? 2u : 0u);
+  }
+}
+
+TEST_F(SpanTest, TogglingTracingWhileSpansRunIsRaceFree) {
+  // Restarts and clears on one thread race spans opened, closed and
+  // recorded on others (the campaign driver re-applies PSDNS_TRACE on
+  // every rank thread while peers already run spans). Under TSan this is
+  // the data-race check for the trace epoch and clock origin. Small rings
+  // keep the per-restart re-registration cheap.
+  obs::set_trace_capacity(64);
+  std::atomic<bool> stop{false};
+  std::atomic<int> iterations{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&stop, &iterations] {
+      for (; !stop.load(std::memory_order_relaxed); ++iterations) {
+        TraceSpan outer("span_test.toggle.outer", SpanKind::Compute);
+        { TraceSpan inner("span_test.toggle.inner", SpanKind::Other); }
+        const double t0 = obs::trace_clock();
+        obs::record_span("span_test.toggle.explicit", SpanKind::Other, t0,
+                         obs::trace_clock(), obs::current_span());
+      }
+    });
+  }
+  // Keep restarting until the workers have run 2000 iterations between
+  // the restarts.
+  for (int i = 0; i < 200 || iterations.load() < 2000; ++i) {
+    obs::set_tracing(true);
+    obs::clear_trace();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& w : workers) w.join();
+  // Whatever the interleaving, the surviving records are well formed.
+  for (const auto& s : obs::collect_trace().spans) {
+    EXPECT_NE(s.id, 0u);
+    EXPECT_FALSE(s.name.empty());
+  }
+  EXPECT_GE(histogram_count("span_test.toggle.outer"), 2000);
+}
+
 TEST_F(SpanTest, RingWrapKeepsNewestAndCountsDropped) {
   obs::set_trace_capacity(8);
   obs::set_tracing(true);
   for (int i = 0; i < 13; ++i) {
-    TraceSpan span("s" + std::to_string(i), SpanKind::Compute);
+    // The span holds its name by reference: it must outlive the span.
+    const std::string name = "s" + std::to_string(i);
+    TraceSpan span(name, SpanKind::Compute);
   }
   const auto trace = obs::collect_trace();
   EXPECT_EQ(trace.spans.size(), 8u);
