@@ -15,6 +15,17 @@ std::uint64_t next_group_trace_uid() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+namespace {
+// The groups the calling rank thread has joined (its world group first),
+// held weakly: a group dies with the last communicator that uses it.
+thread_local std::vector<std::weak_ptr<Group>> t_groups;
+}  // namespace
+
+void join_group(const std::shared_ptr<Group>& group) {
+  std::erase_if(t_groups, [](const auto& g) { return g.expired(); });
+  t_groups.push_back(group);
+}
+
 }  // namespace detail
 
 Communicator Communicator::split(int color, int key) {
@@ -46,6 +57,7 @@ Communicator Communicator::split(int color, int key) {
     }
     sub = slot;
   }
+  detail::join_group(sub);
   barrier();  // every rank has taken its subgroup pointer
 
   if (new_rank == 0) {
@@ -61,26 +73,43 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& body) {
   PSDNS_REQUIRE(nranks >= 1, "need at least one rank");
   auto group = std::make_shared<detail::Group>(nranks);
 
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
+  const auto n = static_cast<std::size_t>(nranks);
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<char> secondary(n, 0);  // the rank failed with PeerFailure
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
+  threads.reserve(n);
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
       obs::set_rank_tag(r);  // stamp this rank's log lines and trace spans
+      detail::join_group(group);
+      // Mark every group this rank joined aborted, then drop it out of
+      // their barriers: peers waiting there wake up, see the mark and
+      // throw PeerFailure instead of reading this rank's dead buffers.
+      const auto abort_groups = [](int root) {
+        for (const auto& weak : detail::t_groups) {
+          if (const auto g = weak.lock()) g->abort(root);
+        }
+      };
+      const auto i = static_cast<std::size_t>(r);
       try {
         Communicator comm(group, r);
         body(comm);
+      } catch (const PeerFailure& peer) {
+        errors[i] = std::current_exception();
+        secondary[i] = 1;
+        abort_groups(peer.failed_rank());  // pass the root on
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // A failed rank must not deadlock the others at a barrier; the
-        // barrier is dropped so remaining ranks will also fail fast when
-        // they next synchronize. Simplest robust policy for tests: abort
-        // the whole group by rethrowing on join below, and let peers park.
-        group->barrier.arrive_and_drop();
+        errors[i] = std::current_exception();
+        abort_groups(r);
       }
+      detail::t_groups.clear();
     });
   }
   for (auto& t : threads) t.join();
+  // The root failure, not the PeerFailures it caused on the other ranks.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (errors[i] && !secondary[i]) std::rethrow_exception(errors[i]);
+  }
   for (const auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }

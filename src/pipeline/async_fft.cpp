@@ -96,6 +96,7 @@ void AsyncFft3d::inverse(std::span<const Complex* const> spec,
             const_cast<const Complex* const*>(work), nv),
         grp.x0, grp.x1, std::span<Complex>(grp.send.data(), total));
     grp.request = comm_.ialltoall(grp.send.data(), grp.recv.data(), block);
+    transpose::count_copy(total);  // the staged exchange's own copy
     grp.flow = pack.id() != 0 ? obs::new_flow() : 0;
     if (grp.flow != 0) obs::flow_emit(grp.flow);
   }
@@ -194,6 +195,7 @@ void AsyncFft3d::forward(std::span<const Real* const> phys,
             const_cast<const Complex* const*>(yslab), nv),
         grp.x0, grp.x1, std::span<Complex>(grp.send.data(), total));
     grp.request = comm_.ialltoall(grp.send.data(), grp.recv.data(), block);
+    transpose::count_copy(total);  // the staged exchange's own copy
     grp.flow = pack.id() != 0 ? obs::new_flow() : 0;
     if (grp.flow != 0) obs::flow_emit(grp.flow);
   }

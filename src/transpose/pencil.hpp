@@ -15,11 +15,15 @@
 //       pz[k + nz*(ii + w*jj)]
 //
 // x is split with pencil_range (nxh = N/2+1 is rarely divisible by Pr), so
-// the row transpose uses alltoallv; the column transpose has equal blocks.
+// row-transpose blocks differ in width; column-transpose blocks are equal.
+// Each transpose is one comm::Communicator::alltoall_strided on the row or
+// column communicator: a rank copies every peer's block straight out of the
+// peer's source pencil into its own destination pencil (one copy, no
+// staging). The x <-> y and y <-> z moves change the fastest axis, so those
+// blocks copy element-strided rows.
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "comm/communicator.hpp"
 #include "fft/types.hpp"
@@ -68,12 +72,6 @@ class PencilTranspose {
   PencilGrid grid_;
   comm::Communicator row_;
   comm::Communicator col_;
-  // Message staging from the workspace arena; count/displacement scratch
-  // for the unequal-block row exchange is sized once in the constructor so
-  // steady-state transposes allocate nothing.
-  mutable util::WorkspaceArena::Handle<Complex> send_, recv_;
-  std::vector<std::size_t> row_counts_, row_displs_;
-  std::vector<std::size_t> peer_counts_, peer_displs_;
 };
 
 }  // namespace psdns::transpose

@@ -1,11 +1,18 @@
 #include "transpose/slab.hpp"
 
 #include "gpu/copy.hpp"
+#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace psdns::transpose {
+
+void count_copy(std::size_t elems) {
+  obs::registry().counter_add(
+      "transpose.copy_bytes",
+      static_cast<std::int64_t>(elems * sizeof(Complex)));
+}
 
 void SlabGrid::validate() const {
   PSDNS_REQUIRE(nxh >= 1 && ny >= 1 && nz >= 1, "empty grid");
@@ -42,6 +49,7 @@ void SlabTranspose::pack_z(std::span<const Complex* const> vars_a,
   PSDNS_REQUIRE(send.size() >= block * static_cast<std::size_t>(comm_.size()),
                 "send buffer too small");
 
+  count_copy(block * static_cast<std::size_t>(comm_.size()));
   // Every (q, v, kk) copy touches a disjoint destination, so the flattened
   // loop stripes across the worker pool.
   const std::size_t nvars = vars_a.size();
@@ -70,6 +78,7 @@ void SlabTranspose::unpack_y(std::span<const Complex> recv, std::size_t x0,
   const std::size_t my = grid_.my(), mz = grid_.mz();
   const std::size_t block = block_elems(w, vars_b.size());
 
+  count_copy(block * static_cast<std::size_t>(comm_.size()));
   const std::size_t nvars = vars_b.size();
   util::ThreadPool::global().parallel_for(
       "transpose.slab.unpack", 0,
@@ -98,6 +107,7 @@ void SlabTranspose::pack_y(std::span<const Complex* const> vars_b,
   PSDNS_REQUIRE(send.size() >= block * static_cast<std::size_t>(comm_.size()),
                 "send buffer too small");
 
+  count_copy(block * static_cast<std::size_t>(comm_.size()));
   const std::size_t nvars = vars_b.size();
   util::ThreadPool::global().parallel_for(
       "transpose.slab.pack", 0,
@@ -122,6 +132,7 @@ void SlabTranspose::unpack_z(std::span<const Complex> recv, std::size_t x0,
   const std::size_t my = grid_.my(), mz = grid_.mz();
   const std::size_t block = block_elems(w, vars_a.size());
 
+  count_copy(block * static_cast<std::size_t>(comm_.size()));
   const std::size_t nvars = vars_a.size();
   util::ThreadPool::global().parallel_for(
       "transpose.slab.unpack", 0,
@@ -145,13 +156,22 @@ void SlabTranspose::z_to_y_chunk(std::span<const Complex* const> vars_a,
                                  std::size_t x0, std::size_t x1) {
   PSDNS_REQUIRE(x1 > x0 && x1 <= grid_.nxh, "bad x-chunk");
   PSDNS_REQUIRE(vars_a.size() == vars_b.size(), "variable count mismatch");
-  const std::size_t block = block_elems(x1 - x0, vars_a.size());
-  const std::size_t total = block * static_cast<std::size_t>(comm_.size());
-  send_.ensure(total);
-  recv_.ensure(total);
-  pack_z(vars_a, x0, x1, std::span<Complex>(send_.data(), total));
-  comm_.alltoall(send_.data(), recv_.data(), block);
-  unpack_y(std::span<const Complex>(recv_.data(), total), x0, x1, vars_b);
+  const std::size_t nxh = grid_.nxh, my = grid_.my(), mz = grid_.mz();
+  const std::size_t y0 = static_cast<std::size_t>(comm_.rank()) * my;
+  // Peer p's Z-slab holds z in [p*mz, (p+1)*mz). Per local y plane jj
+  // (repeat), its mz rows of my y range land as consecutive z rows.
+  comm_.alltoall_strided(
+      vars_a, grid_.zslab_elems(), vars_b, grid_.yslab_elems(),
+      [&](int p, std::size_t) {
+        return comm::StridedBlock{
+            .width = x1 - x0, .rows = mz, .reps = my,
+            .src = x0 + nxh * y0, .src_pitch = nxh * grid_.ny,
+            .src_rep_pitch = nxh,
+            .dst = x0 + nxh * static_cast<std::size_t>(p) * mz,
+            .dst_pitch = nxh, .dst_rep_pitch = nxh * grid_.nz};
+      });
+  count_copy(block_elems(x1 - x0, vars_a.size()) *
+             static_cast<std::size_t>(comm_.size()));
 }
 
 void SlabTranspose::y_to_z_chunk(std::span<const Complex* const> vars_b,
@@ -159,13 +179,22 @@ void SlabTranspose::y_to_z_chunk(std::span<const Complex* const> vars_b,
                                  std::size_t x0, std::size_t x1) {
   PSDNS_REQUIRE(x1 > x0 && x1 <= grid_.nxh, "bad x-chunk");
   PSDNS_REQUIRE(vars_a.size() == vars_b.size(), "variable count mismatch");
-  const std::size_t block = block_elems(x1 - x0, vars_b.size());
-  const std::size_t total = block * static_cast<std::size_t>(comm_.size());
-  send_.ensure(total);
-  recv_.ensure(total);
-  pack_y(vars_b, x0, x1, std::span<Complex>(send_.data(), total));
-  comm_.alltoall(send_.data(), recv_.data(), block);
-  unpack_z(std::span<const Complex>(recv_.data(), total), x0, x1, vars_a);
+  const std::size_t nxh = grid_.nxh, my = grid_.my(), mz = grid_.mz();
+  const std::size_t z0 = static_cast<std::size_t>(comm_.rank()) * mz;
+  // Peer p's Y-slab holds y in [p*my, (p+1)*my). Per local z plane kk
+  // (repeat), its my rows of my z range land as consecutive y rows.
+  comm_.alltoall_strided(
+      vars_b, grid_.yslab_elems(), vars_a, grid_.zslab_elems(),
+      [&](int p, std::size_t) {
+        return comm::StridedBlock{
+            .width = x1 - x0, .rows = my, .reps = mz,
+            .src = x0 + nxh * z0, .src_pitch = nxh * grid_.nz,
+            .src_rep_pitch = nxh,
+            .dst = x0 + nxh * static_cast<std::size_t>(p) * my,
+            .dst_pitch = nxh, .dst_rep_pitch = nxh * grid_.ny};
+      });
+  count_copy(block_elems(x1 - x0, vars_b.size()) *
+             static_cast<std::size_t>(comm_.size()));
 }
 
 void SlabTranspose::z_to_y(std::span<const Complex* const> vars_a,

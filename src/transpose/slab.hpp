@@ -16,6 +16,14 @@
 // x-chunk (pencil) at a time: the slab is split along x into np pencils
 // (Fig. 6) so that GPU-sized pieces can be processed and communicated
 // independently; Q pencils can be aggregated per all-to-all (Sec. 4.1).
+//
+// Each chunk is one comm::Communicator::alltoall_strided: every rank copies
+// its rows straight out of its peers' source slabs into its own destination
+// slab, so every byte moves once and no staging buffer exists. The pack_* /
+// unpack_* primitives below are the staged alternative (pack, a contiguous
+// all-to-all, unpack: three copies); the transposes do not call them, the
+// asynchronous pipeline and the benchmarks do. Every copy either path
+// makes is added to the transpose.copy_bytes counter.
 
 #include <cstddef>
 #include <span>
@@ -23,7 +31,6 @@
 
 #include "comm/communicator.hpp"
 #include "fft/types.hpp"
-#include "util/arena.hpp"
 
 namespace psdns::transpose {
 
@@ -51,6 +58,10 @@ struct PencilRange {
   std::size_t width() const { return x1 - x0; }
 };
 PencilRange pencil_range(std::size_t nxh, int np, int ip);
+
+/// Adds `elems` complex elements to the transpose.copy_bytes counter: every
+/// transpose copy (exchange, pack, unpack) reports the bytes it moved.
+void count_copy(std::size_t elems);
 
 /// Distributed transpose between Z-slabs and Y-slabs over a communicator.
 /// Multi-variable: `nvars` fields are exchanged in one message (larger P2P
@@ -81,8 +92,9 @@ class SlabTranspose {
   void y_to_z(std::span<const Complex* const> vars_b,
               std::span<Complex* const> vars_a, int np = 1, int q = 1);
 
-  // -- pack/unpack primitives, exposed for the asynchronous pipeline (these
-  //    are exactly the strided-copy patterns of Sec. 4.2) --
+  // -- staged pack/unpack primitives, for the asynchronous pipeline and the
+  //    benchmarks (these are exactly the strided-copy patterns of Sec. 4.2;
+  //    pack -> alltoall -> unpack equals the chunk transposes bitwise) --
 
   /// Bytes-free element count of one rank-pair block for a chunk of width w.
   std::size_t block_elems(std::size_t w, std::size_t nvars) const {
@@ -110,9 +122,6 @@ class SlabTranspose {
  private:
   comm::Communicator& comm_;
   SlabGrid grid_;
-  // Message staging checked out of the workspace arena: grown on demand,
-  // returned to the pool (not the heap) when the transpose is destroyed.
-  mutable util::WorkspaceArena::Handle<Complex> send_, recv_;
 };
 
 }  // namespace psdns::transpose

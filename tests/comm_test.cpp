@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -241,6 +244,219 @@ TEST(Split, KeyControlsOrdering) {
     EXPECT_EQ(rev.rank(), 2 - comm.rank());
   });
 }
+
+TEST(AlltoallStrided, MatchesAlltoallOnStridedLayouts) {
+  // Two variables per rank; rank q's block for rank r is stored as r-th
+  // column of a (P x 3) row-major source, and lands as row q of a (3 x P)
+  // column-major-like destination: element-strided on both sides.
+  for (const int P : {1, 2, 3, 4}) {
+    run_ranks(P, [&](Communicator& comm) {
+      const auto n = static_cast<std::size_t>(P);
+      const auto me = static_cast<std::size_t>(comm.rank());
+      std::vector<std::vector<double>> src(2, std::vector<double>(3 * n));
+      std::vector<std::vector<double>> dst(2,
+                                           std::vector<double>(3 * n, -1.0));
+      for (std::size_t v = 0; v < 2; ++v) {
+        for (std::size_t c = 0; c < 3; ++c) {
+          for (std::size_t r = 0; r < n; ++r) {
+            // element c of the block for rank r
+            src[v][r * 3 + c] = 1000.0 * v + 100.0 * me + 10.0 * r + c;
+          }
+        }
+      }
+      const double* sp[2] = {src[0].data(), src[1].data()};
+      double* dp[2] = {dst[0].data(), dst[1].data()};
+      comm.alltoall_strided(
+          std::span<const double* const>(sp, 2), 3 * n,
+          std::span<double* const>(dp, 2), 3 * n, [&](int q, std::size_t) {
+            return StridedBlock{.width = 3,
+                                .src = me * 3,
+                                .src_step = 1,
+                                .dst = static_cast<std::size_t>(q),
+                                .dst_step = n};
+          });
+      for (std::size_t v = 0; v < 2; ++v) {
+        for (std::size_t q = 0; q < n; ++q) {
+          for (std::size_t c = 0; c < 3; ++c) {
+            EXPECT_EQ(dst[v][q + n * c],
+                      1000.0 * v + 100.0 * q + 10.0 * me + c);
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST(AlltoallStrided, RowsAndRepeatsFollowTheirPitches) {
+  // One peer (self): a 2 x 3 x 4 sub-box of a 4 x 5 x 6 array copied into
+  // a dense 4 x 3 x 2 box with the axes reversed.
+  run_ranks(1, [](Communicator& comm) {
+    std::vector<int> src(4 * 5 * 6);
+    std::iota(src.begin(), src.end(), 0);
+    std::vector<int> dst(4 * 3 * 2, -1);
+    const int* sp = src.data();
+    int* dp = dst.data();
+    comm.alltoall_strided(
+        std::span<const int* const>(&sp, 1), src.size(),
+        std::span<int* const>(&dp, 1), dst.size(), [](int, std::size_t) {
+          return StridedBlock{.width = 2, .rows = 3, .reps = 4,
+                              .src = 1 + 4 * 1 + 20 * 1, .src_step = 1,
+                              .src_pitch = 4, .src_rep_pitch = 20,
+                              .dst = 0, .dst_step = 12, .dst_pitch = 4,
+                              .dst_rep_pitch = 1};
+        });
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          EXPECT_EQ(dst[k + 4 * r + 12 * c],
+                    src[(1 + c) + 4 * (1 + r) + 20 * (1 + k)]);
+        }
+      }
+    }
+  });
+}
+
+TEST(AlltoallStrided, RejectsBadBlocksOnEveryRankWithoutHanging) {
+  // Preconditions are checked before publishing, so a rejected call
+  // unwinds every rank before any peer reads its memory.
+  run_ranks(2, [](Communicator& comm) {
+    std::vector<int> buf(8, comm.rank());
+    const int* sp = buf.data();
+    int* dp = buf.data() + 4;
+    const auto self_block = [&](int q, std::size_t) {
+      return StridedBlock{.width = 1, .src = static_cast<std::size_t>(q),
+                          .dst = static_cast<std::size_t>(q)};
+    };
+    // Destination overlaps this rank's own source.
+    EXPECT_THROW(comm.alltoall_strided(std::span<const int* const>(&sp, 1),
+                                       8, std::span<int* const>(&dp, 1), 4,
+                                       self_block),
+                 util::Error);
+    // Block runs past the destination.
+    std::vector<int> out(1);
+    int* op = out.data();
+    EXPECT_THROW(comm.alltoall_strided(std::span<const int* const>(&sp, 1),
+                                       4, std::span<int* const>(&op, 1), 1,
+                                       self_block),
+                 util::Error);
+    // The group is still usable.
+    EXPECT_EQ(comm.allreduce_sum(1), 2);
+  });
+}
+
+// --- one-rank failure ---
+//
+// Rank 1 throws between two calls of a collective while every other rank
+// goes on to the second call. At that call no survivor may read rank 1's
+// freed buffers (ASan) or wait for it forever: each survivor gets
+// PeerFailure{1}, and run_ranks rethrows rank 1's own error.
+
+using Collective = std::function<void(Communicator&)>;
+
+void expect_root_failure_surfaces(int ranks, bool on_split,
+                                  const Collective& collective) {
+  std::atomic<int> peer_failures{0};
+  try {
+    run_ranks(ranks, [&](Communicator& world) {
+      // A full-size subgroup ordered in reverse: the survivors then block
+      // in a barrier the failed rank must drop out of besides the world's.
+      Communicator comm = on_split ? world.split(0, -world.rank()) : world;
+      try {
+        // A survivor may already see the failure at the first call's last
+        // barrier, once rank 1 has left it.
+        collective(comm);
+        if (world.rank() == 1) util::raise("rank 1 exploded");
+        collective(comm);
+      } catch (const PeerFailure& e) {
+        EXPECT_EQ(e.failed_rank(), 1);
+        ++peer_failures;
+        throw;
+      }
+      ADD_FAILURE() << "rank " << world.rank()
+                    << " completed a collective with a failed peer";
+    });
+    ADD_FAILURE() << "run_ranks returned normally";
+  } catch (const PeerFailure&) {
+    ADD_FAILURE() << "a secondary PeerFailure was rethrown, not the root";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1 exploded"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(peer_failures.load(), ranks - 1);
+}
+
+class RankOneFails : public ::testing::TestWithParam<int> {};
+
+TEST_P(RankOneFails, Alltoall) {
+  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
+    std::vector<int> send(static_cast<std::size_t>(comm.size()), 7);
+    std::vector<int> recv(send.size());
+    comm.alltoall(send.data(), recv.data(), 1);
+  });
+}
+
+TEST_P(RankOneFails, Alltoallv) {
+  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
+    const auto n = static_cast<std::size_t>(comm.size());
+    std::vector<int> send(n, 7), recv(n);
+    std::vector<std::size_t> counts(n, 1), displs(n);
+    std::iota(displs.begin(), displs.end(), std::size_t{0});
+    comm.alltoallv(send.data(), counts.data(), displs.data(), recv.data(),
+                   counts.data(), displs.data());
+  });
+}
+
+TEST_P(RankOneFails, AlltoallStrided) {
+  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
+    std::vector<int> send(static_cast<std::size_t>(comm.size()), 7);
+    std::vector<int> recv(send.size());
+    const int* sp = send.data();
+    int* rp = recv.data();
+    const auto me = static_cast<std::size_t>(comm.rank());
+    comm.alltoall_strided(
+        std::span<const int* const>(&sp, 1), send.size(),
+        std::span<int* const>(&rp, 1), recv.size(),
+        [me](int q, std::size_t) {
+          return StridedBlock{.width = 1, .src = me,
+                              .dst = static_cast<std::size_t>(q)};
+        });
+  });
+}
+
+TEST_P(RankOneFails, IalltoallWait) {
+  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
+    std::vector<int> send(static_cast<std::size_t>(comm.size()), 7);
+    std::vector<int> recv(send.size());
+    Request req = comm.ialltoall(send.data(), recv.data(), 1);
+    req.wait();
+  });
+}
+
+TEST_P(RankOneFails, AllreduceSum) {
+  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
+    std::vector<double> v(3, 1.0);
+    comm.allreduce_sum(v.data(), v.data(), v.size());
+  });
+}
+
+TEST_P(RankOneFails, Barrier) {
+  expect_root_failure_surfaces(GetParam(), false,
+                               [](Communicator& comm) { comm.barrier(); });
+}
+
+TEST_P(RankOneFails, AlltoallOnSplitSubcommunicator) {
+  expect_root_failure_surfaces(GetParam(), true, [](Communicator& comm) {
+    std::vector<int> send(static_cast<std::size_t>(comm.size()), 7);
+    std::vector<int> recv(send.size());
+    comm.alltoall(send.data(), recv.data(), 1);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, RankOneFails, ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& pinfo) {
+                           return "P" + std::to_string(pinfo.param);
+                         });
 
 }  // namespace
 }  // namespace psdns::comm

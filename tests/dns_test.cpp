@@ -1166,60 +1166,141 @@ TEST(Regrid, RejectsMismatchedScalars) {
 
 // --- instrumentation volume ---
 
+/// Runs `cfg` on `ranks` rank threads (Taylor-Green start, one warm-up
+/// step) and returns how far each named registry histogram count, then each
+/// named counter, moved over one more step.
+std::vector<std::int64_t> warmed_step_deltas(
+    int ranks, const SolverConfig& cfg,
+    const std::vector<std::string>& histograms,
+    const std::vector<std::string>& counters) {
+  const auto read = [&] {
+    std::vector<std::int64_t> v;
+    for (const auto& h : histograms) {
+      v.push_back(obs::registry().histogram(h).count);
+    }
+    for (const auto& c : counters) v.push_back(obs::registry().counter(c));
+    return v;
+  };
+  std::vector<std::int64_t> before, after;
+  comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+    SpectralEngine solver(comm, cfg);
+    solver.init_taylor_green();
+    solver.step(1e-3);  // warm-up
+    comm.barrier();
+    if (comm.rank() == 0) before = read();
+    comm.barrier();
+    solver.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) after = read();
+  });
+  for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+  return after;
+}
+
 TEST(Instrumentation, SlabStepSpanCountsAreExact) {
   // Every obs::TraceSpan feeds the histogram named after it, so the span
   // volume of a warmed step is a deterministic function of the engine's
   // call structure. RK2 makes two RHS evaluations; each runs one 3-field
-  // inverse (z_to_y: np/q = 4 chunks of pack_z, all-to-all, unpack_y) and
-  // one 6-product forward (y_to_z: 4 chunks of pack_y, all-to-all,
-  // unpack_z), and a batched slab transform does each y pass once for
-  // all its variables and each x pass once per variable.
+  // inverse (z_to_y: np/q = 4 chunks, one one-copy all-to-all each) and
+  // one 6-product forward (y_to_z: 4 chunks), and a batched slab transform
+  // does each y pass once for all its variables and each x pass once per
+  // variable. The staged pack/unpack primitives are not on this path.
   constexpr int kRanks = 2, kRhs = 2, kChunks = 4;
   constexpr int kVelocity = 3, kProducts = 6;
   const std::vector<std::pair<std::string, std::int64_t>> expected = {
-      {"transpose.pack_z", kRanks * kChunks * kRhs},
-      {"transpose.unpack_y", kRanks * kChunks * kRhs},
-      {"transpose.pack_y", kRanks * kChunks * kRhs},
-      {"transpose.unpack_z", kRanks * kChunks * kRhs},
+      {"transpose.pack_z", 0},
+      {"transpose.unpack_y", 0},
+      {"transpose.pack_y", 0},
+      {"transpose.unpack_z", 0},
       {"comm.alltoall", kRanks * 2 * kChunks * kRhs},
       {"slab_fft.inverse.y", kRanks * kRhs},
       {"slab_fft.inverse.x", kRanks * kVelocity * kRhs},
       {"slab_fft.forward.y", kRanks * kRhs},
       {"slab_fft.forward.x", kRanks * kProducts * kRhs},
   };
-  std::vector<std::int64_t> before(expected.size());
-  std::vector<std::int64_t> after(expected.size());
-  comm::run_ranks(kRanks, [&](comm::Communicator& comm) {
+  SolverConfig cfg;
+  cfg.n = 16;
+  cfg.viscosity = 0.02;
+  cfg.scheme = TimeScheme::RK2;
+  cfg.pencils = kChunks;
+  cfg.pencils_per_a2a = 1;
+  std::vector<std::string> names;
+  for (const auto& e : expected) names.push_back(e.first);
+  const auto got = warmed_step_deltas(kRanks, cfg, names, {});
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i].second) << expected[i].first;
+  }
+  // Strided copies run inside the exchange spans and carry none of their
+  // own.
+  EXPECT_EQ(obs::registry().snapshot().histograms.count("gpu.memcpy2d"), 0u);
+}
+
+TEST(Instrumentation, PencilStepSpanCountsAreExact) {
+  // 2x2 pencil NS: a pencil transform moves one variable at a time through
+  // two exchanges (row and column), so each RHS evaluation makes
+  // 2 * (3 fields + 6 products) comm.alltoall calls per rank; none is the
+  // v-variant any more.
+  constexpr int kRanks = 4, kRhs = 2, kVelocity = 3, kProducts = 6;
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"comm.alltoall", kRanks * 2 * (kVelocity + kProducts) * kRhs},
+      {"comm.alltoallv", 0},
+      {"pencil_fft.inverse.z", kRanks * kVelocity * kRhs},
+      {"pencil_fft.inverse.x", kRanks * kVelocity * kRhs},
+      {"pencil_fft.forward.x", kRanks * kProducts * kRhs},
+      {"pencil_fft.forward.z", kRanks * kProducts * kRhs},
+  };
+  SolverConfig cfg;
+  cfg.n = 16;
+  cfg.viscosity = 0.02;
+  cfg.scheme = TimeScheme::RK2;
+  cfg.decomposition = transpose::Decomposition::Pencil;
+  std::vector<std::string> names;
+  for (const auto& e : expected) names.push_back(e.first);
+  const auto got = warmed_step_deltas(kRanks, cfg, names, {});
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i].second) << expected[i].first;
+  }
+}
+
+TEST(Instrumentation, TransposesCopyEachByteOnce) {
+  // transpose.copy_bytes counts every copy a transpose makes; the
+  // all-to-all counts the bytes it delivers. A one-copy exchange makes them
+  // equal exactly (a staged pack -> all-to-all -> unpack reads 3x).
+  struct Case {
+    const char* name;
+    int ranks;
+    transpose::Decomposition decomposition;
+    SystemType system;
+    int pencils;
+  };
+  const Case cases[] = {
+      {"slab NS 1 rank np=1", 1, transpose::Decomposition::Slab,
+       SystemType::NavierStokes, 1},
+      {"slab NS 1 rank np=4", 1, transpose::Decomposition::Slab,
+       SystemType::NavierStokes, 4},
+      {"slab NS 2 ranks np=1", 2, transpose::Decomposition::Slab,
+       SystemType::NavierStokes, 1},
+      {"slab NS 2 ranks np=4", 2, transpose::Decomposition::Slab,
+       SystemType::NavierStokes, 4},
+      {"pencil MHD 1x2", 2, transpose::Decomposition::Pencil,
+       SystemType::Mhd, 1},
+      {"pencil MHD 2x2", 4, transpose::Decomposition::Pencil,
+       SystemType::Mhd, 1},
+  };
+  for (const auto& c : cases) {
     SolverConfig cfg;
     cfg.n = 16;
     cfg.viscosity = 0.02;
     cfg.scheme = TimeScheme::RK2;
-    cfg.pencils = kChunks;
+    cfg.decomposition = c.decomposition;
+    cfg.system = c.system;
+    cfg.pencils = c.pencils;
     cfg.pencils_per_a2a = 1;
-    SpectralEngine solver(comm, cfg);
-    solver.init_taylor_green();
-    solver.step(1e-3);  // warm-up
-    comm.barrier();
-    if (comm.rank() == 0) {
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        before[i] = obs::registry().histogram(expected[i].first).count;
-      }
-    }
-    comm.barrier();
-    solver.step(1e-3);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        after[i] = obs::registry().histogram(expected[i].first).count;
-      }
-    }
-  });
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(after[i] - before[i], expected[i].second) << expected[i].first;
+    const auto got = warmed_step_deltas(
+        c.ranks, cfg, {}, {"transpose.copy_bytes", "comm.alltoall.bytes"});
+    EXPECT_GT(got[1], 0) << c.name;
+    EXPECT_EQ(got[0], got[1]) << c.name;
   }
-  // Strided copies run inside the pack/unpack spans and carry none of
-  // their own.
-  EXPECT_EQ(obs::registry().snapshot().histograms.count("gpu.memcpy2d"), 0u);
 }
 
 }  // namespace

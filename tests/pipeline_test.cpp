@@ -4,6 +4,7 @@
 
 #include "comm/communicator.hpp"
 #include "model/paper.hpp"
+#include "obs/registry.hpp"
 #include "model/scaling.hpp"
 #include "pipeline/async_fft.hpp"
 #include "pipeline/dns_step_model.hpp"
@@ -451,6 +452,38 @@ TEST(AsyncFft, MultipleVariablesShareTheExchange) {
       }
     }
   });
+}
+
+TEST(AsyncFft, StagedExchangeCopiesEachByteThreeTimes) {
+  // The pipeline stages its all-to-alls: pack, the contiguous exchange and
+  // unpack each move every byte once, and each reports to
+  // transpose.copy_bytes (the one-copy transposes report 1x).
+  const std::size_t n = 8;
+  std::int64_t copied = 0, exchanged = 0;
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    AsyncFft3d pipelined(comm, n, 3, 2);
+    std::vector<Real> phys(pipelined.physical_elems(), 1.0);
+    std::vector<Complex> spec(pipelined.spectral_elems());
+    comm.barrier();
+    const auto copy0 = obs::registry().counter("transpose.copy_bytes");
+    const auto bytes0 = obs::registry().counter("comm.alltoall.bytes");
+    comm.barrier();
+    const Real* pp = phys.data();
+    Complex* sp = spec.data();
+    pipelined.forward(std::span<const Real* const>(&pp, 1),
+                      std::span<Complex* const>(&sp, 1));
+    const Complex* scp = spec.data();
+    Real* pm = phys.data();
+    pipelined.inverse(std::span<const Complex* const>(&scp, 1),
+                      std::span<Real* const>(&pm, 1));
+    comm.barrier();
+    if (comm.rank() == 0) {
+      copied = obs::registry().counter("transpose.copy_bytes") - copy0;
+      exchanged = obs::registry().counter("comm.alltoall.bytes") - bytes0;
+    }
+  });
+  EXPECT_GT(exchanged, 0);
+  EXPECT_EQ(copied, 3 * exchanged);
 }
 
 }  // namespace

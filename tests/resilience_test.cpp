@@ -275,6 +275,96 @@ TEST(Hooks, Memcpy2dShortWriteBitFlipAndThrow) {
   EXPECT_EQ(dst, src);
 }
 
+/// One strided exchange of a 2-rank group: rank q sends rank r the 4 rows
+/// of 2 ints at src[8r, 8r+8); rank r stores rank q's block at dst[8q].
+void strided_exchange(comm::Communicator& comm, const std::vector<int>& src,
+                      std::vector<int>& dst) {
+  const int* sp = src.data();
+  int* dp = dst.data();
+  const auto me = static_cast<std::size_t>(comm.rank());
+  comm.alltoall_strided(
+      std::span<const int* const>(&sp, 1), src.size(),
+      std::span<int* const>(&dp, 1), dst.size(), [me](int q, std::size_t) {
+        return comm::StridedBlock{.width = 2, .rows = 4, .src = 8 * me,
+                                  .src_pitch = 2,
+                                  .dst = 8 * static_cast<std::size_t>(q),
+                                  .dst_pitch = 2};
+      });
+}
+
+std::vector<int> strided_source(int rank) {
+  std::vector<int> src(16);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = 1000 * (rank + 1) + static_cast<int>(i);
+  }
+  return src;
+}
+
+std::vector<int> strided_expected(int rank) {
+  std::vector<int> want(16);
+  for (int q = 0; q < 2; ++q) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      want[8 * static_cast<std::size_t>(q) + i] =
+          1000 * (q + 1) + 8 * rank + static_cast<int>(i);
+    }
+  }
+  return want;
+}
+
+TEST(Hooks, StridedExchangeThrowsOnEveryRankBeforePublishing) {
+  // The exchange polls comm.alltoall, then gpu.memcpy2d (its copy), once
+  // per call and before any rank publishes: a throw unwinds every rank and
+  // the retried call delivers correct data.
+  ScopedPlan plan("comm.alltoall@0=throw;gpu.memcpy2d@0=throw");
+  std::atomic<int> caught{0};
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    const auto src = strided_source(comm.rank());
+    std::vector<int> dst(16, -1);
+    for (const char* want : {site::comm_alltoall, site::gpu_memcpy2d}) {
+      try {
+        strided_exchange(comm, src, dst);
+        ADD_FAILURE() << "expected InjectedFault at " << want;
+      } catch (const InjectedFault& e) {
+        EXPECT_EQ(e.site(), want);
+        ++caught;
+      }
+    }
+    EXPECT_EQ(dst, std::vector<int>(16, -1));
+    strided_exchange(comm, src, dst);
+    EXPECT_EQ(dst, strided_expected(comm.rank()));
+  });
+  EXPECT_EQ(caught.load(), 4);
+}
+
+TEST(Hooks, StridedExchangeCorruptsOnlyTheReceiversDestination) {
+  ScopedPlan plan(
+      "comm.alltoall@0=bit_flip;gpu.memcpy2d@1=short_write;"
+      "gpu.memcpy2d@2=bit_flip");
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    const auto src = strided_source(comm.rank());
+    const auto want = strided_expected(comm.rank());
+    // bit_flip (comm): the first received element's high bit, as alltoall.
+    std::vector<int> dst(16, -1);
+    strided_exchange(comm, src, dst);
+    auto flipped = want;
+    flipped[0] ^= 0x40000000;
+    EXPECT_EQ(dst, flipped);
+    // short_write (memcpy2d): half the rows of the first block arrive.
+    dst.assign(16, -1);
+    strided_exchange(comm, src, dst);
+    auto truncated = want;
+    std::fill(truncated.begin() + 4, truncated.begin() + 8, -1);
+    EXPECT_EQ(dst, truncated);
+    // bit_flip (memcpy2d): bit 0 of the first received element.
+    strided_exchange(comm, src, dst);
+    auto low = want;
+    low[0] ^= 1;
+    EXPECT_EQ(dst, low);
+    // Sources are never written.
+    EXPECT_EQ(src, strided_source(comm.rank()));
+  });
+}
+
 // --- the acceptance fault drill ---
 //
 // A two-allocation campaign with one injected fault per site must recover

@@ -568,6 +568,60 @@ TEST(TelemetryCampaignTest, LiveEndpointServesReducedMetricsWhileStepping) {
   std::filesystem::remove(series_path);
 }
 
+/// What a bit-flip drill run left behind: each rank's HealthAbort step and
+/// event codes, and from the telemetry series the step at which
+/// fault.injected first moved, the first abort row and the last row.
+struct BitFlipDrill {
+  std::vector<std::int64_t> abort_steps;
+  std::vector<std::string> abort_codes;
+  std::int64_t inject_step = -1;
+  std::int64_t first_abort_step = -1;
+  std::int64_t last_row_step = -1;
+};
+
+/// Runs `cfg` (telemetry_path set, Strict health) on 2 ranks under `plan`,
+/// expecting every rank to abort.
+BitFlipDrill run_bit_flip_drill(const driver::CampaignConfig& cfg,
+                                const std::string& plan_text) {
+  BitFlipDrill out;
+  std::mutex mu;
+  // Every rank snapshots the one process-wide registry, so a row's max
+  // over ranks is the global count; earlier tests may have moved it.
+  const auto injected_before =
+      static_cast<double>(registry().counter("fault.injected"));
+  {
+    resilience::ScopedPlan plan(plan_text);
+    comm::run_ranks(2, [&](comm::Communicator& comm) {
+      try {
+        driver::run_campaign_supervised(comm, cfg);
+        ADD_FAILURE() << "rank " << comm.rank()
+                      << ": corrupted campaign completed without abort";
+      } catch (const HealthAbort& abort) {
+        std::lock_guard<std::mutex> lock(mu);
+        out.abort_steps.push_back(abort.step());
+        for (const auto& e : abort.events()) out.abort_codes.push_back(e.code);
+      }
+    });
+  }
+
+  // The series pins down detection latency: the first row where the
+  // fault.injected counter moves is also the first (and only) abort row.
+  const auto rows = read_series_jsonl(cfg.telemetry_path);
+  if (rows.empty()) return out;
+  for (const auto& row : rows) {
+    const ReducedValue* injected = row.counter("fault.injected");
+    const double now = injected != nullptr ? injected->max : 0.0;
+    if (out.inject_step < 0 && now > injected_before) {
+      out.inject_step = row.step;
+    }
+    if (out.first_abort_step < 0 && row.health_verdict == "abort") {
+      out.first_abort_step = row.step;
+    }
+  }
+  out.last_row_step = rows.back().step;
+  return out;
+}
+
 // The acceptance drill: a silent bit flip in an all-to-all mid-step-3 sends
 // the velocity field non-finite; a Strict health monitor must abort at that
 // same step on every rank, and the checkpoint chain must contain only
@@ -589,57 +643,24 @@ TEST(TelemetryDrillTest, BitFlipIsCaughtWithinOneStepAndCheckpointsStayClean) {
   // Call index 13 lands inside step 3's transposes (4 all-to-alls per step
   // at n=16 on 2 ranks; steps 1-2 plus init consume 11 calls). The flipped
   // exponent bit makes the field non-finite during step 3.
-  std::mutex mu;
-  std::vector<std::int64_t> abort_steps;
-  std::vector<std::string> abort_codes;
-  {
-    resilience::ScopedPlan plan("comm.alltoall@13=bit_flip");
-    comm::run_ranks(2, [&](comm::Communicator& comm) {
-      try {
-        driver::run_campaign_supervised(comm, cfg);
-        ADD_FAILURE() << "rank " << comm.rank()
-                      << ": corrupted campaign completed without abort";
-      } catch (const HealthAbort& abort) {
-        std::lock_guard<std::mutex> lock(mu);
-        abort_steps.push_back(abort.step());
-        for (const auto& e : abort.events()) abort_codes.push_back(e.code);
-      }
-    });
-  }
+  const BitFlipDrill drill =
+      run_bit_flip_drill(cfg, "comm.alltoall@13=bit_flip");
 
   // Every rank aborted, at the same step, with the NaN guard fired.
-  ASSERT_EQ(abort_steps.size(), 2u);
-  EXPECT_EQ(abort_steps[0], abort_steps[1]);
-  const std::int64_t abort_step = abort_steps[0];
+  ASSERT_EQ(drill.abort_steps.size(), 2u);
+  EXPECT_EQ(drill.abort_steps[0], drill.abort_steps[1]);
+  const std::int64_t abort_step = drill.abort_steps[0];
   EXPECT_EQ(abort_step, 3) << "injection at call 13 should strike step 3";
-  EXPECT_TRUE(std::find(abort_codes.begin(), abort_codes.end(),
-                        "nan_energy") != abort_codes.end())
+  EXPECT_TRUE(std::find(drill.abort_codes.begin(), drill.abort_codes.end(),
+                        "nan_energy") != drill.abort_codes.end())
       << "NaN guard did not fire";
 
-  // The series pins down detection latency: the first row where the
-  // fault.injected counter moves is also the first (and only) abort row.
-  const auto rows = read_series_jsonl(series_path);
-  ASSERT_FALSE(rows.empty());
-  std::int64_t inject_step = -1;
-  std::int64_t first_abort_step = -1;
-  double last_injected = rows.front().counter("fault.injected") != nullptr
-                             ? rows.front().counter("fault.injected")->sum
-                             : 0.0;
-  if (last_injected > 0.0) inject_step = rows.front().step;
-  for (const auto& row : rows) {
-    const ReducedValue* injected = row.counter("fault.injected");
-    const double now = injected != nullptr ? injected->sum : 0.0;
-    if (inject_step < 0 && now > last_injected) inject_step = row.step;
-    last_injected = std::max(last_injected, now);
-    if (first_abort_step < 0 && row.health_verdict == "abort") {
-      first_abort_step = row.step;
-    }
-  }
-  ASSERT_GE(inject_step, 0) << "fault never fired";
-  EXPECT_EQ(first_abort_step, inject_step)
+  ASSERT_GE(drill.last_row_step, 0) << "empty telemetry series";
+  ASSERT_GE(drill.inject_step, 0) << "fault never fired";
+  EXPECT_EQ(drill.first_abort_step, drill.inject_step)
       << "abort verdict lagged the injection step";
-  EXPECT_EQ(first_abort_step, abort_step);
-  EXPECT_EQ(rows.back().step, abort_step)
+  EXPECT_EQ(drill.first_abort_step, abort_step);
+  EXPECT_EQ(drill.last_row_step, abort_step)
       << "campaign kept stepping past the abort";
 
   // No corrupt checkpoint: the abort fired before the post-fault cadence
@@ -661,6 +682,44 @@ TEST(TelemetryDrillTest, BitFlipIsCaughtWithinOneStepAndCheckpointsStayClean) {
 
   remove_all_variants(ckpt);
   remove_all_variants(clean_ckpt);
+  std::filesystem::remove(series_path);
+}
+
+// The pencil twin: the row and column exchanges are the same one-copy
+// collective as the slab transpose, so a bit_flip entry corrupts the
+// received payload there too (on the row exchange it used to throw
+// InjectedFault) and the Strict monitor aborts at the injection step.
+// A 1x2 pencil transform makes two all-to-alls per variable: init's
+// 3-field forward takes calls 0-5, the throwaway RHS evaluation of the
+// first cfl_dt() calls 6-23 (so call 13 would corrupt discarded data), and
+// each step 36 (an RHS evaluation runs the 3 velocity inverses, column
+// then row exchange each, then the 6 product forwards). Call 97 is the row
+// exchange of the first velocity inverse in step 3; it used to throw.
+TEST(TelemetryDrillTest, PencilBitFlipIsCaughtAtTheInjectionStep) {
+  const std::string series_path = tmp("psdns_telemetry_drill_pencil.jsonl");
+  std::filesystem::remove(series_path);
+
+  driver::CampaignConfig cfg = drill_base_config();
+  cfg.solver.decomposition = transpose::Decomposition::Pencil;  // 1x2
+  cfg.telemetry_path = series_path;
+  cfg.health.mode = HealthMode::Strict;
+
+  const BitFlipDrill drill =
+      run_bit_flip_drill(cfg, "comm.alltoall@97=bit_flip");
+
+  ASSERT_EQ(drill.abort_steps.size(), 2u);
+  EXPECT_EQ(drill.abort_steps[0], drill.abort_steps[1]);
+  EXPECT_EQ(drill.abort_steps[0], 3)
+      << "injection at call 97 should strike step 3";
+  EXPECT_TRUE(std::find(drill.abort_codes.begin(), drill.abort_codes.end(),
+                        "nan_energy") != drill.abort_codes.end())
+      << "NaN guard did not fire";
+  ASSERT_GE(drill.inject_step, 0) << "fault never fired";
+  EXPECT_EQ(drill.first_abort_step, drill.inject_step)
+      << "abort verdict lagged the injection step";
+  EXPECT_EQ(drill.abort_steps[0], drill.inject_step);
+  EXPECT_EQ(drill.last_row_step, drill.inject_step)
+      << "campaign kept stepping past the abort";
   std::filesystem::remove(series_path);
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -175,6 +177,81 @@ TEST(SlabTranspose, MultipleVariablesInOneMessage) {
   });
 }
 
+// The one-copy exchange against the retained staged composition: for every
+// chunk, pack -> alltoall -> unpack must leave the destination bitwise equal
+// to z_to_y / y_to_z, including the uneven last chunk of a grouping.
+class SlabStagedEquivalenceP : public ::testing::TestWithParam<int> {};
+
+TEST_P(SlabStagedEquivalenceP, OneCopyExchangeEqualsPackAlltoallUnpack) {
+  const int P = GetParam();
+  const std::size_t nxh = 9, ny = 8, nz = 8, nvars = 3;
+  comm::run_ranks(P, [&](comm::Communicator& comm) {
+    SlabGrid grid{nxh, ny, nz, P};
+    SlabTranspose tp(comm, grid);
+    util::Rng rng(31, static_cast<std::uint64_t>(comm.rank()));
+    const auto filled = [&](std::size_t elems) {
+      std::vector<std::vector<Complex>> vars(nvars);
+      for (auto& v : vars) {
+        v.resize(elems);
+        for (auto& c : v) c = Complex{rng.gaussian(), rng.gaussian()};
+      }
+      return vars;
+    };
+    const auto ptrs = [](auto& vars) {
+      std::vector<decltype(vars[0].data())> p;
+      for (auto& v : vars) p.push_back(v.data());
+      return p;
+    };
+    const auto a = filled(grid.zslab_elems());
+    const auto b = filled(grid.yslab_elems());
+    const auto ap = ptrs(a);
+    const auto bp = ptrs(b);
+    const std::span<const Complex* const> as(ap.data(), nvars);
+    const std::span<const Complex* const> bs(bp.data(), nvars);
+
+    for (const auto& [np, q] :
+         {std::pair{1, 1}, {3, 1}, {4, 3}, {5, 2}, {9, 4}}) {
+      // Destinations start equal (and sentinel-free) on both paths, so
+      // untouched elements compare too.
+      auto y_one = filled(grid.yslab_elems());
+      auto y_staged = y_one;
+      auto z_one = filled(grid.zslab_elems());
+      auto z_staged = z_one;
+      auto yo = ptrs(y_one), ys = ptrs(y_staged);
+      auto zo = ptrs(z_one), zs = ptrs(z_staged);
+
+      tp.z_to_y(as, std::span<Complex* const>(yo.data(), nvars), np, q);
+      tp.y_to_z(bs, std::span<Complex* const>(zo.data(), nvars), np, q);
+
+      std::vector<Complex> send, recv;
+      for (int ip = 0; ip < np; ip += q) {
+        const std::size_t x0 = pencil_range(nxh, np, ip).x0;
+        const std::size_t x1 =
+            pencil_range(nxh, np, std::min(ip + q, np) - 1).x1;
+        const std::size_t block = tp.block_elems(x1 - x0, nvars);
+        send.assign(block * static_cast<std::size_t>(P), Complex{});
+        recv.assign(send.size(), Complex{});
+        tp.pack_z(as, x0, x1, send);
+        comm.alltoall(send.data(), recv.data(), block);
+        tp.unpack_y(recv, x0, x1,
+                    std::span<Complex* const>(ys.data(), nvars));
+        tp.pack_y(bs, x0, x1, send);
+        comm.alltoall(send.data(), recv.data(), block);
+        tp.unpack_z(recv, x0, x1,
+                    std::span<Complex* const>(zs.data(), nvars));
+      }
+      EXPECT_EQ(y_one, y_staged) << "z_to_y np=" << np << " q=" << q;
+      EXPECT_EQ(z_one, z_staged) << "y_to_z np=" << np << " q=" << q;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, SlabStagedEquivalenceP,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& pinfo) {
+                           return "P" + std::to_string(pinfo.param);
+                         });
+
 TEST(SlabGrid, RejectsIndivisibleShapes) {
   EXPECT_THROW((SlabGrid{4, 6, 8, 4}).validate(), util::Error);  // ny % 4 != 0
   EXPECT_THROW((SlabGrid{4, 8, 6, 4}).validate(), util::Error);  // nz % 4 != 0
@@ -263,6 +340,70 @@ INSTANTIATE_TEST_SUITE_P(
     Grids, PencilTransposeP,
     ::testing::Values(GridCase{1, 1}, GridCase{2, 2}, GridCase{4, 2},
                       GridCase{2, 4}, GridCase{1, 4}, GridCase{4, 1}),
+    [](const ::testing::TestParamInfo<GridCase>& pinfo) {
+      return "Pr" + std::to_string(pinfo.param.pr) + "Pc" +
+             std::to_string(pinfo.param.pc);
+    });
+
+// Row sizes that do not divide nxh give the row exchange blocks of unequal
+// width; every element must still land in place, in all four directions.
+class PencilUnevenP : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(PencilUnevenP, EveryDirectionPlacesEveryElement) {
+  const auto [pr, pc] = GetParam();
+  const std::size_t nxh = 7, ny = 12, nz = 12;
+  ASSERT_NE(nxh % static_cast<std::size_t>(pr), 0u);
+  comm::run_ranks(pr * pc, [&](comm::Communicator& comm) {
+    PencilGrid grid{nxh, ny, nz, pr, pc};
+    PencilTranspose tp(comm, grid);
+    const std::size_t yl = grid.yl(), zl = grid.zl(), yl2 = grid.yl2();
+    const std::size_t y0 = static_cast<std::size_t>(tp.row_rank()) * yl;
+    const std::size_t z0 = static_cast<std::size_t>(tp.col_rank()) * zl;
+    const std::size_t y0b = static_cast<std::size_t>(tp.col_rank()) * yl2;
+    const auto xr = tp.x_range();
+    const std::size_t w = xr.width();
+
+    std::vector<Complex> px(nxh * yl * zl);
+    for (std::size_t kk = 0; kk < zl; ++kk) {
+      for (std::size_t jj = 0; jj < yl; ++jj) {
+        for (std::size_t i = 0; i < nxh; ++i) {
+          px[i + nxh * (jj + yl * kk)] = cval(i, y0 + jj, z0 + kk);
+        }
+      }
+    }
+    std::vector<Complex> py(ny * w * zl, Complex{-1, -1});
+    std::vector<Complex> pz(nz * w * yl2, Complex{-1, -1});
+    tp.x_to_y(px, py);
+    tp.y_to_z(py, pz);
+    for (std::size_t jj = 0; jj < yl2; ++jj) {
+      for (std::size_t ii = 0; ii < w; ++ii) {
+        for (std::size_t k = 0; k < nz; ++k) {
+          ASSERT_EQ(pz[k + nz * (ii + w * jj)],
+                    cval(xr.x0 + ii, y0b + jj, k));
+        }
+      }
+    }
+
+    std::vector<Complex> py2(py.size(), Complex{-2, -2});
+    tp.z_to_y(pz, py2);
+    for (std::size_t kk = 0; kk < zl; ++kk) {
+      for (std::size_t ii = 0; ii < w; ++ii) {
+        for (std::size_t j = 0; j < ny; ++j) {
+          ASSERT_EQ(py2[j + ny * (ii + w * kk)],
+                    cval(xr.x0 + ii, j, z0 + kk));
+        }
+      }
+    }
+    std::vector<Complex> px2(px.size(), Complex{-2, -2});
+    tp.y_to_x(py2, px2);
+    EXPECT_EQ(px2, px);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, PencilUnevenP,
+    ::testing::Values(GridCase{2, 1}, GridCase{3, 1}, GridCase{3, 2},
+                      GridCase{2, 3}, GridCase{4, 3}),
     [](const ::testing::TestParamInfo<GridCase>& pinfo) {
       return "Pr" + std::to_string(pinfo.param.pr) + "Pc" +
              std::to_string(pinfo.param.pc);
