@@ -8,9 +8,8 @@
 // pattern is modeled by psdns::net.
 //
 // Semantics follow MPI: alltoall exchanges equal blocks ordered by rank;
-// ialltoall returns a Request whose wait() completes the exchange (every
-// rank of the communicator must reach wait(), like MPI_WAIT on a
-// nonblocking collective); split() creates row/column sub-communicators.
+// split() creates row/column sub-communicators. Every collective is
+// blocking.
 //
 // alltoall_strided is the one-copy exchange the transposes use, the host
 // analogue of MPI_ALLTOALLW with derived datatypes (and of the paper's
@@ -50,8 +49,6 @@
 #include "util/thread_pool.hpp"
 
 namespace psdns::comm {
-
-class Communicator;
 
 /// Thrown by a collective on every surviving rank when a peer of its group
 /// failed. failed_rank() is the run_ranks (world) rank whose own error
@@ -93,40 +90,6 @@ struct StridedBlock {
     return dst + (width - 1) * dst_step + (rows - 1) * dst_pitch +
            (reps - 1) * dst_rep_pitch + 1;
   }
-};
-
-/// Handle for a pending nonblocking collective. The exchange is performed
-/// inside wait(); all ranks must call wait() in matching collective order.
-/// Deliberately a plain function pointer plus arguments rather than a
-/// std::function: the capture (communicator + two buffers + count) would
-/// exceed the small-object buffer and heap-allocate on every ialltoall in
-/// the async pipeline's steady state.
-class Request {
- public:
-  using RunFn = void (*)(Communicator&, const void*, void*, std::size_t);
-
-  Request() = default;
-
-  bool valid() const { return run_ != nullptr; }
-
-  void wait() {
-    PSDNS_REQUIRE(valid(), "wait() on an empty or consumed Request");
-    RunFn fn = run_;
-    run_ = nullptr;
-    fn(*comm_, send_, recv_, count_);
-  }
-
- private:
-  friend class Communicator;
-  Request(Communicator* comm, RunFn run, const void* send, void* recv,
-          std::size_t count)
-      : comm_(comm), run_(run), send_(send), recv_(recv), count_(count) {}
-
-  Communicator* comm_ = nullptr;
-  RunFn run_ = nullptr;
-  const void* send_ = nullptr;
-  void* recv_ = nullptr;
-  std::size_t count_ = 0;
 };
 
 namespace detail {
@@ -263,17 +226,6 @@ class Communicator {
       });
       detail::flip_high_bit(hit != recv + n ? *hit : *recv);
     }
-  }
-
-  /// MPI_IALLTOALL. The returned Request's wait() performs the exchange.
-  template <class T>
-  Request ialltoall(const T* send, T* recv, std::size_t count) {
-    return Request(
-        this,
-        [](Communicator& c, const void* s, void* r, std::size_t n) {
-          c.alltoall(static_cast<const T*>(s), static_cast<T*>(r), n);
-        },
-        send, recv, count);
   }
 
   /// MPI_ALLTOALLV with per-destination counts and displacements (in

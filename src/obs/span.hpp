@@ -16,9 +16,9 @@
 // giving the per-thread hierarchy, and flow edges (flow_emit in the
 // producing span, flow_consume in the consuming span) record causality
 // across threads, lanes and SPMD ranks - the instrumented sites are the
-// comm all-to-alls and the async pipeline's post/wait pairs. trace_export
-// renders the edges as Chrome flow events (ph "s"/"f") so the overlap
-// structure is visible in Perfetto.
+// comm all-to-alls and the campaign service's hand-off of a job to its
+// rank threads. trace_export renders the edges as Chrome flow events (ph
+// "s"/"f") so the overlap structure is visible in Perfetto.
 //
 // Environment gating follows the same precedence rules as PSDNS_LOG_*:
 // PSDNS_TRACE=1|true|on enables capture (0|false|off disables),

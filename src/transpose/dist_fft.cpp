@@ -70,18 +70,27 @@ SlabFft3d::SlabFft3d(comm::Communicator& comm, std::size_t n)
   PSDNS_REQUIRE(n >= 2, "grid too small");
 }
 
+void SlabFft3d::set_batching(int np, int q) {
+  PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
+  // The transposes move groups [first pencil's x0, last pencil's x1); an
+  // empty group would only fail inside the first exchange.
+  for (int ip = 0; ip < np; ip += q) {
+    const std::size_t x0 = pencil_range(nxh(), np, ip).x0;
+    const std::size_t x1 =
+        pencil_range(nxh(), np, std::min(ip + q, np) - 1).x1;
+    PSDNS_REQUIRE(x1 > x0, "pencils=" + std::to_string(np) +
+                               " with pencils_per_a2a=" + std::to_string(q) +
+                               " leaves an empty x-chunk: unless "
+                               "pencils_per_a2a >= pencils, pencils must "
+                               "not exceed N/2+1=" +
+                               std::to_string(nxh()));
+  }
+  np_ = np;
+  q_ = q;
+}
+
 void SlabFft3d::forward(std::span<const Real* const> phys,
                         std::span<Complex* const> spec) {
-  forward(phys, spec, np_, q_);
-}
-
-void SlabFft3d::inverse(std::span<const Complex* const> spec,
-                        std::span<Real* const> phys) {
-  inverse(spec, phys, np_, q_);
-}
-
-void SlabFft3d::forward(std::span<const Real* const> phys,
-                        std::span<Complex* const> spec, int np, int q) {
   PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
   const std::size_t nv = phys.size();
   const std::size_t h = nxh();
@@ -117,7 +126,7 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
   transpose_.y_to_z(
       std::span<const Complex* const>(
           const_cast<const Complex* const*>(yslab_ptrs_.data()), nv),
-      spec, np, q);
+      spec, np_, q_);
 
   // y: strided lines (stride nxh) inside the Z-slab.
   obs::TraceSpan span("slab_fft.forward.y", obs::SpanKind::Compute);
@@ -133,7 +142,7 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
 }
 
 void SlabFft3d::inverse(std::span<const Complex* const> spec,
-                        std::span<Real* const> phys, int np, int q) {
+                        std::span<Real* const> phys) {
   PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
   const std::size_t nv = phys.size();
   const std::size_t h = nxh();
@@ -165,7 +174,7 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
   transpose_.z_to_y(
       std::span<const Complex* const>(
           const_cast<const Complex* const*>(zslab_ptrs_.data()), nv),
-      std::span<Complex* const>(yslab_ptrs_.data(), nv), np, q);
+      std::span<Complex* const>(yslab_ptrs_.data(), nv), np_, q_);
 
   for (std::size_t v = 0; v < nv; ++v) {
     Complex* w = yslab_ptrs_[v];
@@ -186,26 +195,6 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
       plan_x_->inverse_batch(w, h, phys[v], n_, n_ * my());
     }
   }
-}
-
-void SlabFft3d::forward(std::span<const Real> phys, std::span<Complex> spec,
-                        int np, int q) {
-  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
-  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
-  const Real* p = phys.data();
-  Complex* s = spec.data();
-  forward(std::span<const Real* const>(&p, 1),
-          std::span<Complex* const>(&s, 1), np, q);
-}
-
-void SlabFft3d::inverse(std::span<const Complex> spec, std::span<Real> phys,
-                        int np, int q) {
-  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
-  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
-  const Complex* s = spec.data();
-  Real* p = phys.data();
-  inverse(std::span<const Complex* const>(&s, 1),
-          std::span<Real* const>(&p, 1), np, q);
 }
 
 // -------------------------------------------------------------- PencilFft3d

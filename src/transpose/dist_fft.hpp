@@ -17,6 +17,11 @@
 // backend a Decomposition value names, so callers pick slab or pencil with
 // one config value instead of a class.
 //
+// SlabFft3d is the one slab backend. set_batching() is the only way to set
+// its np/Q: the pencils chunk the global transpose, so np and Q change how
+// many all-to-alls a transform makes, never a bit of its result; the
+// line-FFT passes always run over the whole slab.
+//
 // Both backends are unnormalized: inverse(forward(u)) == N^3 * u.
 
 #include <cstddef>
@@ -101,31 +106,18 @@ class SlabFft3d final : public DistFft3d {
                            static_cast<std::size_t>(comm_.rank()) * my());
   }
 
-  void set_batching(int np, int q) override {
-    PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
-    np_ = np;
-    q_ = q;
-  }
+  /// Rejects a batching that leaves an x-chunk empty (np > N/2+1 with
+  /// q < np), so a bad config fails when the engine is built.
+  void set_batching(int np, int q) override;
   int pencils() const override { return np_; }
   int pencils_per_alltoall() const override { return q_; }
 
-  /// Batched entry points using the configured np/q.
+  using DistFft3d::forward;
+  using DistFft3d::inverse;
   void forward(std::span<const Real* const> phys,
                std::span<Complex* const> spec) override;
   void inverse(std::span<const Complex* const> spec,
                std::span<Real* const> phys) override;
-
-  /// Explicit-batching variants (np pencils, q per all-to-all).
-  void forward(std::span<const Real* const> phys,
-               std::span<Complex* const> spec, int np, int q);
-  void inverse(std::span<const Complex* const> spec,
-               std::span<Real* const> phys, int np, int q);
-
-  /// Single-variable convenience overloads.
-  void forward(std::span<const Real> phys, std::span<Complex> spec,
-               int np = 1, int q = 1);
-  void inverse(std::span<const Complex> spec, std::span<Real> phys,
-               int np = 1, int q = 1);
 
  private:
   comm::Communicator& comm_;

@@ -21,9 +21,9 @@
 // its rows straight out of its peers' source slabs into its own destination
 // slab, so every byte moves once and no staging buffer exists. The pack_* /
 // unpack_* primitives below are the staged alternative (pack, a contiguous
-// all-to-all, unpack: three copies); the transposes do not call them, the
-// asynchronous pipeline and the benchmarks do. Every copy either path
-// makes is added to the transpose.copy_bytes counter.
+// all-to-all, unpack: three copies), kept for the benchmarks and the
+// equivalence tests; the transposes do not call them. Every copy either
+// path makes is added to the transpose.copy_bytes counter.
 
 #include <cstddef>
 #include <span>
@@ -92,9 +92,10 @@ class SlabTranspose {
   void y_to_z(std::span<const Complex* const> vars_b,
               std::span<Complex* const> vars_a, int np = 1, int q = 1);
 
-  // -- staged pack/unpack primitives, for the asynchronous pipeline and the
-  //    benchmarks (these are exactly the strided-copy patterns of Sec. 4.2;
-  //    pack -> alltoall -> unpack equals the chunk transposes bitwise) --
+  // -- staged pack/unpack primitives, for the benchmarks and the
+  //    equivalence tests (these are exactly the strided-copy patterns of
+  //    Sec. 4.2; pack -> alltoall -> unpack equals the chunk transposes
+  //    bitwise) --
 
   /// Bytes-free element count of one rank-pair block for a chunk of width w.
   std::size_t block_elems(std::size_t w, std::size_t nvars) const {

@@ -92,27 +92,6 @@ TEST(Alltoall, RepeatedCallsDoNotInterfere) {
   });
 }
 
-TEST(Ialltoall, CompletesAtWait) {
-  run_ranks(4, [](Communicator& comm) {
-    std::vector<int> send(4), recv(4, -1);
-    for (int r = 0; r < 4; ++r) send[r] = comm.rank() * 10 + r;
-    Request req = comm.ialltoall(send.data(), recv.data(), 1);
-    EXPECT_TRUE(req.valid());
-    req.wait();
-    EXPECT_FALSE(req.valid());
-    for (int r = 0; r < 4; ++r) EXPECT_EQ(recv[r], r * 10 + comm.rank());
-  });
-}
-
-TEST(Ialltoall, WaitOnConsumedRequestThrows) {
-  run_ranks(2, [](Communicator& comm) {
-    std::vector<int> send(2), recv(2);
-    Request req = comm.ialltoall(send.data(), recv.data(), 1);
-    req.wait();
-    EXPECT_THROW(req.wait(), util::Error);
-  });
-}
-
 TEST(Alltoallv, VariableBlockSizes) {
   // Rank r sends r+1 elements to every destination.
   const int P = 3;
@@ -421,15 +400,6 @@ TEST_P(RankOneFails, AlltoallStrided) {
           return StridedBlock{.width = 1, .src = me,
                               .dst = static_cast<std::size_t>(q)};
         });
-  });
-}
-
-TEST_P(RankOneFails, IalltoallWait) {
-  expect_root_failure_surfaces(GetParam(), false, [](Communicator& comm) {
-    std::vector<int> send(static_cast<std::size_t>(comm.size()), 7);
-    std::vector<int> recv(send.size());
-    Request req = comm.ialltoall(send.data(), recv.data(), 1);
-    req.wait();
   });
 }
 

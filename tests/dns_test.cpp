@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -489,6 +490,42 @@ TEST(Invariance, PencilBatchingDoesNotChangePhysics) {
   EXPECT_DOUBLE_EQ(run(3, 1), base);
   EXPECT_DOUBLE_EQ(run(4, 2), base);
   EXPECT_DOUBLE_EQ(run(4, 4), base);
+}
+
+TEST(Batching, EmptyXChunkIsRejectedWhenTheEngineIsBuilt) {
+  // n=16 has N/2+1 = 9 x-modes: ten pencils leave the first x-chunk empty
+  // unless all ten share one all-to-all.
+  const auto config = [](int np, int q) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    cfg.pencils = np;
+    cfg.pencils_per_a2a = q;
+    return cfg;
+  };
+  std::atomic<int> built{0};
+  try {
+    comm::run_ranks(2, [&](comm::Communicator& comm) {
+      SpectralEngine solver(comm, config(10, 1));
+      ++built;
+      solver.step(0.02);
+    });
+    ADD_FAILURE() << "pencils=10, pencils_per_a2a=1 was accepted at n=16";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pencils=10"), std::string::npos) << what;
+    EXPECT_NE(what.find("pencils_per_a2a=1"), std::string::npos) << what;
+    EXPECT_NE(what.find("N/2+1=9"), std::string::npos) << what;
+  }
+  EXPECT_EQ(built.load(), 0);
+
+  for (const auto& [np, q] : {std::pair{9, 1}, std::pair{10, 10}}) {
+    EXPECT_NO_THROW(comm::run_ranks(2, [&](comm::Communicator& comm) {
+      SpectralEngine solver(comm, config(np, q));
+      solver.init_isotropic(7, 3.0, 0.5);
+      solver.step(0.02);
+    })) << "np=" << np << " q=" << q;
+  }
 }
 
 TEST(Invariance, PencilEngineMatchesSlabEngine) {

@@ -2,16 +2,11 @@
 
 #include <cmath>
 
-#include "comm/communicator.hpp"
 #include "model/paper.hpp"
-#include "obs/registry.hpp"
 #include "model/scaling.hpp"
-#include "pipeline/async_fft.hpp"
 #include "pipeline/dns_step_model.hpp"
 #include "pipeline/timeline.hpp"
-#include "transpose/dist_fft.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace psdns::pipeline {
 namespace {
@@ -366,124 +361,6 @@ TEST(Timeline, ClipsOpsStraddlingTEnd) {
   const auto p = t.find("MPI");
   const auto bar = t.find('|', p);
   EXPECT_EQ(t.substr(bar + 1, 8), "......##");
-}
-
-// --- functional Fig.-4 executor ---
-
-class AsyncFftP : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(AsyncFftP, MatchesMonolithicTransform) {
-  const auto [np, q] = GetParam();
-  const std::size_t n = 16;
-  const int P = 4;
-  comm::run_ranks(P, [&](comm::Communicator& comm) {
-    transpose::SlabFft3d reference(comm, n);
-    AsyncFft3d pipelined(comm, n, np, q);
-
-    util::Rng rng(42, static_cast<std::uint64_t>(comm.rank()));
-    std::vector<Real> phys(reference.physical_elems());
-    for (auto& v : phys) v = rng.gaussian();
-
-    std::vector<Complex> want(reference.spectral_elems());
-    reference.forward(phys, want);
-
-    std::vector<Complex> got(pipelined.spectral_elems());
-    const Real* pp = phys.data();
-    Complex* gp = got.data();
-    pipelined.forward(std::span<const Real* const>(&pp, 1),
-                      std::span<Complex* const>(&gp, 1));
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_LT(std::abs(got[i] - want[i]), 1e-9) << "i=" << i;
-    }
-
-    // Inverse round trip through the pipelined path.
-    std::vector<Real> back(pipelined.physical_elems());
-    const Complex* gcp = got.data();
-    Real* bp = back.data();
-    pipelined.inverse(std::span<const Complex* const>(&gcp, 1),
-                      std::span<Real* const>(&bp, 1));
-    const double scale = static_cast<double>(n) * n * n;
-    for (std::size_t i = 0; i < phys.size(); ++i) {
-      EXPECT_NEAR(back[i] / scale, phys[i], 1e-10);
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Batching, AsyncFftP,
-    ::testing::Values(std::pair{1, 1}, std::pair{3, 1}, std::pair{4, 2},
-                      std::pair{4, 4}, std::pair{5, 2}),
-    [](const ::testing::TestParamInfo<std::pair<int, int>>& pinfo) {
-      return "np" + std::to_string(pinfo.param.first) + "q" +
-             std::to_string(pinfo.param.second);
-    });
-
-TEST(AsyncFft, MultipleVariablesShareTheExchange) {
-  const std::size_t n = 8;
-  comm::run_ranks(2, [&](comm::Communicator& comm) {
-    transpose::SlabFft3d reference(comm, n);
-    AsyncFft3d pipelined(comm, n, 2, 1);
-
-    util::Rng rng(1, static_cast<std::uint64_t>(comm.rank()));
-    std::vector<std::vector<Real>> phys(3);
-    std::vector<const Real*> pp(3);
-    for (int v = 0; v < 3; ++v) {
-      phys[static_cast<std::size_t>(v)].resize(reference.physical_elems());
-      for (auto& x : phys[static_cast<std::size_t>(v)]) x = rng.gaussian();
-      pp[static_cast<std::size_t>(v)] = phys[static_cast<std::size_t>(v)].data();
-    }
-    std::vector<std::vector<Complex>> got(3), want(3);
-    std::vector<Complex*> gp(3), wp(3);
-    for (int v = 0; v < 3; ++v) {
-      got[static_cast<std::size_t>(v)].resize(reference.spectral_elems());
-      want[static_cast<std::size_t>(v)].resize(reference.spectral_elems());
-      gp[static_cast<std::size_t>(v)] = got[static_cast<std::size_t>(v)].data();
-      wp[static_cast<std::size_t>(v)] = want[static_cast<std::size_t>(v)].data();
-    }
-    reference.forward(std::span<const Real* const>(pp.data(), 3),
-                      std::span<Complex* const>(wp.data(), 3));
-    pipelined.forward(std::span<const Real* const>(pp.data(), 3),
-                      std::span<Complex* const>(gp.data(), 3));
-    for (int v = 0; v < 3; ++v) {
-      for (std::size_t i = 0; i < want[0].size(); ++i) {
-        EXPECT_LT(std::abs(got[static_cast<std::size_t>(v)][i] -
-                           want[static_cast<std::size_t>(v)][i]),
-                  1e-9);
-      }
-    }
-  });
-}
-
-TEST(AsyncFft, StagedExchangeCopiesEachByteThreeTimes) {
-  // The pipeline stages its all-to-alls: pack, the contiguous exchange and
-  // unpack each move every byte once, and each reports to
-  // transpose.copy_bytes (the one-copy transposes report 1x).
-  const std::size_t n = 8;
-  std::int64_t copied = 0, exchanged = 0;
-  comm::run_ranks(2, [&](comm::Communicator& comm) {
-    AsyncFft3d pipelined(comm, n, 3, 2);
-    std::vector<Real> phys(pipelined.physical_elems(), 1.0);
-    std::vector<Complex> spec(pipelined.spectral_elems());
-    comm.barrier();
-    const auto copy0 = obs::registry().counter("transpose.copy_bytes");
-    const auto bytes0 = obs::registry().counter("comm.alltoall.bytes");
-    comm.barrier();
-    const Real* pp = phys.data();
-    Complex* sp = spec.data();
-    pipelined.forward(std::span<const Real* const>(&pp, 1),
-                      std::span<Complex* const>(&sp, 1));
-    const Complex* scp = spec.data();
-    Real* pm = phys.data();
-    pipelined.inverse(std::span<const Complex* const>(&scp, 1),
-                      std::span<Real* const>(&pm, 1));
-    comm.barrier();
-    if (comm.rank() == 0) {
-      copied = obs::registry().counter("transpose.copy_bytes") - copy0;
-      exchanged = obs::registry().counter("comm.alltoall.bytes") - bytes0;
-    }
-  });
-  EXPECT_GT(exchanged, 0);
-  EXPECT_EQ(copied, 3 * exchanged);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -19,8 +21,8 @@
 #include "obs/perfdiff.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "pipeline/async_fft.hpp"
 #include "pipeline/dns_step_model.hpp"
+#include "transpose/dist_fft.hpp"
 
 namespace {
 
@@ -266,40 +268,54 @@ TEST_F(SpanTest, SelfEdgesAreNotRecorded) {
   EXPECT_TRUE(obs::collect_trace().edges.empty());
 }
 
-TEST_F(SpanTest, AsyncFftPostWaitProducesFlowEdges) {
+TEST_F(SpanTest, SlabInverseExchangesProduceCrossRankEdges) {
+  // Two pencils, one per all-to-all: the inverse's z_to_y makes two
+  // alltoall_strided exchanges per rank, and each exchange joins the two
+  // ranks' spans with one edge per direction.
   obs::set_tracing(true);
   comm::run_ranks(2, [](comm::Communicator& comm) {
     const std::size_t n = 8;
-    pipeline::AsyncFft3d fft(comm, n, 2, 1);
+    transpose::SlabFft3d fft(comm, n);
+    fft.set_batching(2, 1);
     std::vector<fft::Complex> spec(fft.spectral_elems());
     std::vector<fft::Real> phys(fft.physical_elems());
     spec[0] = fft::Complex{1.0, 0.0};
-    const fft::Complex* sp = spec.data();
-    fft::Real* ph = phys.data();
-    fft.inverse(std::span<const fft::Complex* const>(&sp, 1),
-                std::span<fft::Real* const>(&ph, 1));
+    fft.inverse(spec, phys);
   });
   const auto trace = obs::collect_trace();
-  ASSERT_NE(find_span(trace, "async.pack"), nullptr);
-  ASSERT_NE(find_span(trace, "async.unpack"), nullptr);
-  ASSERT_NE(find_span(trace, "async.fft_y"), nullptr);
-  // Each rank posts 2 groups, each with a post->wait flow edge, plus the
-  // alltoall cross-rank edges.
-  int post_wait_edges = 0;
-  for (const auto& e : trace.edges) {
-    const SpanRecord *src = nullptr, *dst = nullptr;
-    for (const auto& s : trace.spans) {
-      if (s.id == e.src) src = &s;
-      if (s.id == e.dst) dst = &s;
-    }
-    ASSERT_NE(src, nullptr);
-    ASSERT_NE(dst, nullptr);
-    if (src->name == "async.pack" && dst->name == "async.unpack") {
-      EXPECT_EQ(src->rank, dst->rank);  // post/wait is a same-rank edge
-      ++post_wait_edges;
-    }
+  // Each rank's comm.alltoall spans in call order: index = exchange.
+  std::vector<const SpanRecord*> by_rank[2];
+  for (const auto& s : trace.spans) {
+    if (s.name != "comm.alltoall") continue;
+    ASSERT_TRUE(s.rank == 0 || s.rank == 1);
+    by_rank[s.rank].push_back(&s);
   }
-  EXPECT_EQ(post_wait_edges, 4);  // 2 ranks x 2 groups
+  for (auto& spans : by_rank) {
+    ASSERT_EQ(spans.size(), 2u);
+    std::sort(spans.begin(), spans.end(),
+              [](const SpanRecord* a, const SpanRecord* b) {
+                return a->start_s < b->start_s;
+              });
+  }
+  const auto exchange_of = [&](obs::SpanId id) {
+    for (int r = 0; r < 2; ++r) {
+      for (int i = 0; i < 2; ++i) {
+        if (by_rank[r][static_cast<std::size_t>(i)]->id == id) {
+          return std::pair{r, i};
+        }
+      }
+    }
+    return std::pair{-1, -1};
+  };
+  ASSERT_EQ(trace.edges.size(), 4u);
+  for (const auto& e : trace.edges) {
+    const auto [src_rank, src_exchange] = exchange_of(e.src);
+    const auto [dst_rank, dst_exchange] = exchange_of(e.dst);
+    ASSERT_GE(src_rank, 0) << "edge source is not a comm.alltoall span";
+    ASSERT_GE(dst_rank, 0) << "edge target is not a comm.alltoall span";
+    EXPECT_NE(src_rank, dst_rank);
+    EXPECT_EQ(src_exchange, dst_exchange);
+  }
 }
 
 TEST_F(SpanTest, AlltoallRecordsCrossRankEdges) {

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "fft/fft3d.hpp"
+#include "obs/registry.hpp"
 #include "transpose/dist_fft.hpp"
 #include "transpose/pencil.hpp"
 #include "transpose/slab.hpp"
@@ -223,6 +226,12 @@ TEST_P(SlabStagedEquivalenceP, OneCopyExchangeEqualsPackAlltoallUnpack) {
       tp.z_to_y(as, std::span<Complex* const>(yo.data(), nvars), np, q);
       tp.y_to_z(bs, std::span<Complex* const>(zo.data(), nvars), np, q);
 
+      // The staged path copies every byte three times: pack and unpack
+      // count theirs, and the caller counts the contiguous exchange's.
+      comm.barrier();
+      const auto copy0 = obs::registry().counter("transpose.copy_bytes");
+      const auto bytes0 = obs::registry().counter("comm.alltoall.bytes");
+      comm.barrier();
       std::vector<Complex> send, recv;
       for (int ip = 0; ip < np; ip += q) {
         const std::size_t x0 = pencil_range(nxh, np, ip).x0;
@@ -233,13 +242,23 @@ TEST_P(SlabStagedEquivalenceP, OneCopyExchangeEqualsPackAlltoallUnpack) {
         recv.assign(send.size(), Complex{});
         tp.pack_z(as, x0, x1, send);
         comm.alltoall(send.data(), recv.data(), block);
+        count_copy(recv.size());
         tp.unpack_y(recv, x0, x1,
                     std::span<Complex* const>(ys.data(), nvars));
         tp.pack_y(bs, x0, x1, send);
         comm.alltoall(send.data(), recv.data(), block);
+        count_copy(recv.size());
         tp.unpack_z(recv, x0, x1,
                     std::span<Complex* const>(zs.data(), nvars));
       }
+      comm.barrier();
+      const auto copied =
+          obs::registry().counter("transpose.copy_bytes") - copy0;
+      const auto exchanged =
+          obs::registry().counter("comm.alltoall.bytes") - bytes0;
+      comm.barrier();
+      EXPECT_GT(exchanged, 0);
+      EXPECT_EQ(copied, 3 * exchanged) << "np=" << np << " q=" << q;
       EXPECT_EQ(y_one, y_staged) << "z_to_y np=" << np << " q=" << q;
       EXPECT_EQ(z_one, z_staged) << "y_to_z np=" << np << " q=" << q;
     }
@@ -470,8 +489,10 @@ TEST_P(SlabFftP, RoundTripScalesByVolume) {
     for (auto& v : phys) v = rng.gaussian();
     std::vector<Complex> spec(fft3.spectral_elems());
     std::vector<Real> back(fft3.physical_elems());
-    fft3.forward(phys, spec, /*np=*/2, /*q=*/1);
-    fft3.inverse(spec, back, /*np=*/2, /*q=*/2);
+    fft3.set_batching(2, 1);
+    fft3.forward(phys, spec);
+    fft3.set_batching(2, 2);
+    fft3.inverse(spec, back);
     const double scale = static_cast<double>(n) * n * n;
     for (std::size_t idx = 0; idx < phys.size(); ++idx) {
       EXPECT_NEAR(back[idx] / scale, phys[idx], 1e-10);
@@ -483,6 +504,96 @@ INSTANTIATE_TEST_SUITE_P(Ranks, SlabFftP, ::testing::Values(1, 2, 4, 8),
                          [](const ::testing::TestParamInfo<int>& pinfo) {
                            return "P" + std::to_string(pinfo.param);
                          });
+
+// np pencils only chunk the global transpose, which is a pure copy: any
+// batching must reproduce the one-exchange transform bit for bit, in
+// ceil(np/q) all-to-alls per transform.
+class SlabBatchingP
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+template <class T>
+bool bitwise_equal(const std::vector<std::vector<T>>& a,
+                   const std::vector<std::vector<T>>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const std::vector<T>& x, const std::vector<T>& y) {
+                      return x.size() == y.size() &&
+                             std::memcmp(x.data(), y.data(),
+                                         x.size() * sizeof(T)) == 0;
+                    });
+}
+
+template <class T>
+std::vector<T*> data_ptrs(std::vector<std::vector<T>>& vars) {
+  std::vector<T*> p;
+  for (auto& v : vars) p.push_back(v.data());
+  return p;
+}
+
+TEST_P(SlabBatchingP, BitwiseEqualsOneExchangeInCeilNpOverQAlltoalls) {
+  const auto [np, q] = GetParam();
+  const std::size_t n = 16;
+  const int P = 4;
+  const std::int64_t groups = (np + q - 1) / q;
+  comm::run_ranks(P, [&](comm::Communicator& comm) {
+    SlabFft3d one(comm, n), batched(comm, n);
+    one.set_batching(1, 1);
+    batched.set_batching(np, q);
+    // All-to-alls this rank made during `transform` (the counter is
+    // process-wide, hence the barriers and the division by P).
+    const auto alltoalls = [&](const auto& transform) {
+      comm.barrier();
+      const auto c0 = obs::registry().counter("comm.alltoall.calls");
+      comm.barrier();
+      transform();
+      comm.barrier();
+      const auto c1 = obs::registry().counter("comm.alltoall.calls");
+      comm.barrier();
+      return (c1 - c0) / P;
+    };
+    util::Rng rng(42, static_cast<std::uint64_t>(comm.rank()));
+    for (const std::size_t nv : {std::size_t{1}, std::size_t{3}}) {
+      std::vector<std::vector<Real>> phys(
+          nv, std::vector<Real>(one.physical_elems()));
+      for (auto& v : phys) {
+        for (auto& x : v) x = rng.gaussian();
+      }
+      std::vector<std::vector<Complex>> want(
+          nv, std::vector<Complex>(one.spectral_elems()));
+      auto got = want;
+      std::vector<std::vector<Real>> back_want(
+          nv, std::vector<Real>(one.physical_elems()));
+      auto back_got = back_want;
+      auto pp = data_ptrs(phys);
+      auto wp = data_ptrs(want), gp = data_ptrs(got);
+      auto bwp = data_ptrs(back_want), bgp = data_ptrs(back_got);
+      const std::span<const Real* const> ps(
+          const_cast<const Real* const*>(pp.data()), nv);
+      const std::span<const Complex* const> ws(
+          const_cast<const Complex* const*>(wp.data()), nv);
+      const std::span<const Complex* const> gs(
+          const_cast<const Complex* const*>(gp.data()), nv);
+
+      EXPECT_EQ(alltoalls([&] { one.forward(ps, wp); }), 1);
+      EXPECT_EQ(alltoalls([&] { batched.forward(ps, gp); }), groups)
+          << "forward nv=" << nv;
+      EXPECT_TRUE(bitwise_equal(got, want)) << "forward nv=" << nv;
+
+      EXPECT_EQ(alltoalls([&] { one.inverse(ws, bwp); }), 1);
+      EXPECT_EQ(alltoalls([&] { batched.inverse(gs, bgp); }), groups)
+          << "inverse nv=" << nv;
+      EXPECT_TRUE(bitwise_equal(back_got, back_want)) << "inverse nv=" << nv;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Batchings, SlabBatchingP,
+    ::testing::Values(std::pair{1, 1}, std::pair{3, 1}, std::pair{4, 2},
+                      std::pair{4, 4}, std::pair{5, 2}),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& pinfo) {
+      return "np" + std::to_string(pinfo.param.first) + "q" +
+             std::to_string(pinfo.param.second);
+    });
 
 TEST(SlabFft, PooledForwardBitwiseMatchesInline) {
   // The pooled pack/unpack and line-FFT loops stripe deterministically, so
