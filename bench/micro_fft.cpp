@@ -61,45 +61,8 @@ void BM_R2C(benchmark::State& state) {
 }
 BENCHMARK(BM_R2C)->Arg(64)->Arg(1024)->Arg(18432);
 
-void BM_Strided(benchmark::State& state) {
-  // The y-direction line shape of a pencil: stride = pencil width.
-  const std::size_t n = 256, stride = 64;
-  const auto plan = psdns::fft::get_plan(n);
-  psdns::util::Rng rng(4);
-  std::vector<Complex> x(n * stride);
-  for (auto& c : x) c = Complex{rng.gaussian(), rng.gaussian()};
-  for (auto _ : state) {
-    plan->transform_strided(Direction::Forward, x.data(),
-                            static_cast<std::ptrdiff_t>(stride), x.data(),
-                            static_cast<std::ptrdiff_t>(stride));
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_Strided);
-
-// Per-line vs. batched transforms of the same plane of lines: n lines of
-// length n at stride n (dist 1), the z-line layout of an n x n plane. The
-// ratio of these two benches is the win of the blocked-gather Stockham path
-// over gather/recurse/scatter per line.
-void BM_PerLineStrided(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plan = psdns::fft::get_plan(n);
-  psdns::util::Rng rng(6);
-  std::vector<Complex> x(n * n);
-  for (auto& c : x) c = Complex{rng.gaussian(), rng.gaussian()};
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < n; ++b) {
-      plan->transform_strided(Direction::Forward, x.data() + b,
-                              static_cast<std::ptrdiff_t>(n), x.data() + b,
-                              static_cast<std::ptrdiff_t>(n));
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_PerLineStrided)->Arg(64)->Arg(256)->Arg(1024);
-
+// Batched transforms of a plane of lines: n lines of length n at stride n
+// (dist 1), the z-line layout of an n x n plane.
 void BM_BatchedLines(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto plan = psdns::fft::get_plan(n);

@@ -1,6 +1,5 @@
 #pragma once
-// Naive O(n^2) reference DFT. Used by tests as the ground truth and by the
-// Bluestein path for very small lengths where table setup is not worthwhile.
+// Naive O(n^2) reference DFT, used by the tests as the ground truth.
 
 #include <cstddef>
 

@@ -1,13 +1,14 @@
 #pragma once
-// Length factorization for the mixed-radix engine.
+// Length factorization: the Stockham engine's radix schedule, the
+// smooth/Bluestein split, and Bluestein's power-of-two convolution length.
 
 #include <cstddef>
 #include <vector>
 
 namespace psdns::fft {
 
-/// Largest prime factor the specialized/generic butterfly path will accept;
-/// lengths with a prime factor above this go through Bluestein's algorithm.
+/// Largest prime factor the Stockham engine's butterflies accept; lengths
+/// with a prime factor above this go through Bluestein's algorithm.
 inline constexpr std::size_t kMaxDirectPrime = 19;
 
 /// Factors n into primes, smallest first (e.g. 18432 -> 2^11 * 3^2).

@@ -4,11 +4,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "fft/bluestein.hpp"
 #include "fft/factor.hpp"
-#include "fft/mixed_radix.hpp"
 #include "fft/stockham.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
@@ -19,18 +17,8 @@
 namespace psdns::fft {
 
 struct PlanC2C::Impl {
-  std::optional<MixedRadixEngine> smooth;     // strided single-line path
-  std::optional<StockhamEngine> stockham;     // batched/contiguous path
-  std::optional<BluesteinEngine> bluestein;   // non-smooth lengths
-
-  void execute(Direction dir, const Complex* in, std::ptrdiff_t stride,
-               Complex* out) const {
-    if (smooth) {
-      smooth->execute(dir, in, stride, out);
-    } else {
-      bluestein->execute(dir, in, stride, out);
-    }
-  }
+  std::optional<StockhamEngine> stockham;    // smooth lengths
+  std::optional<BluesteinEngine> bluestein;  // non-smooth lengths
 };
 
 namespace {
@@ -69,7 +57,6 @@ std::size_t batch_block_lines(std::size_t n) {
 PlanC2C::PlanC2C(std::size_t n) : n_(n), impl_(std::make_unique<Impl>()) {
   PSDNS_REQUIRE(n >= 1, "transform length must be positive");
   if (is_smooth(n)) {
-    impl_->smooth.emplace(n);
     impl_->stockham.emplace(n);
   } else {
     impl_->bluestein.emplace(n);
@@ -85,35 +72,20 @@ PlanC2C::PlanC2C(PlanC2C&&) noexcept = default;
 PlanC2C& PlanC2C::operator=(PlanC2C&&) noexcept = default;
 
 void PlanC2C::transform(Direction dir, const Complex* in, Complex* out) const {
-  if (impl_->stockham) {
-    // Single-line (batch = 1) run of the iterative engine: `out` doubles as
-    // the result buffer, the thread-local scratch as the ping-pong partner.
-    auto& tmp = scratch(n_);
-    if (impl_->stockham->prefers_work_input()) {
-      std::copy(in, in + n_, tmp.data());
-    } else if (in != out) {
-      std::copy(in, in + n_, out);
-    }
-    impl_->stockham->execute_batch(dir, out, tmp.data(), 1);
+  if (!impl_->stockham) {
+    transform_batch(dir, in, out,
+                    BatchLayout{.count = 1, .stride = 1, .dist = n_});
     return;
   }
-  if (in == out) {
-    auto& tmp = scratch(n_);
-    impl_->execute(dir, in, 1, tmp.data());
-    std::copy(tmp.data(), tmp.data() + n_, out);
-  } else {
-    impl_->execute(dir, in, 1, out);
-  }
-}
-
-void PlanC2C::transform_strided(Direction dir, const Complex* in,
-                                std::ptrdiff_t in_stride, Complex* out,
-                                std::ptrdiff_t out_stride) const {
+  // Single-line (batch = 1) run of the iterative engine: `out` doubles as
+  // the result buffer, the thread-local scratch as the ping-pong partner.
   auto& tmp = scratch(n_);
-  impl_->execute(dir, in, in_stride, tmp.data());
-  for (std::size_t k = 0; k < n_; ++k) {
-    out[static_cast<std::ptrdiff_t>(k) * out_stride] = tmp[k];
+  if (impl_->stockham->prefers_work_input()) {
+    std::copy(in, in + n_, tmp.data());
+  } else if (in != out) {
+    std::copy(in, in + n_, out);
   }
+  impl_->stockham->execute_batch(dir, out, tmp.data(), 1);
 }
 
 void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
@@ -122,13 +94,15 @@ void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
   const std::size_t dist = layout.dist == 0 ? n_ * layout.stride : layout.dist;
 
   if (!impl_->stockham) {
-    // Non-smooth fallback: per-line Bluestein, correctness-equivalent to the
-    // pre-batched code path.
+    // Non-smooth lengths: Bluestein per line into contiguous scratch, then
+    // scatter, so the line may be transformed in place.
+    auto& tmp = scratch(n_);
     for (std::size_t b = 0; b < layout.count; ++b) {
-      transform_strided(dir, in + b * dist,
-                        static_cast<std::ptrdiff_t>(layout.stride),
-                        out + b * dist,
-                        static_cast<std::ptrdiff_t>(layout.stride));
+      impl_->bluestein->execute(dir, in + b * dist,
+                                static_cast<std::ptrdiff_t>(layout.stride),
+                                tmp.data());
+      Complex* line = out + b * dist;
+      for (std::size_t k = 0; k < n_; ++k) line[k * layout.stride] = tmp[k];
     }
     return;
   }

@@ -37,21 +37,17 @@ class PlanC2C {
 
   std::size_t size() const { return n_; }
 
-  /// Contiguous transform; in == out (in-place) is allowed.
+  /// Contiguous transform; in == out (in-place) is allowed. Inverse is
+  /// unnormalized (as with FFTW/cuFFT).
   void transform(Direction dir, const Complex* in, Complex* out) const;
-
-  /// Strided transform of a single line; in-place allowed when the strides
-  /// match. Inverse is unnormalized (as with FFTW/cuFFT).
-  void transform_strided(Direction dir, const Complex* in,
-                         std::ptrdiff_t in_stride, Complex* out,
-                         std::ptrdiff_t out_stride) const;
 
   /// Batched transform with identical input and output layout. For smooth
   /// lengths this is the fast path: blocks of batch_block_lines(n) strided
   /// lines are gathered into contiguous scratch (batch-innermost), run
   /// through the iterative Stockham engine in one streaming pass per stage,
-  /// and scattered back. Non-smooth lengths fall back to a per-line loop
-  /// over the Bluestein engine. in == out (fully in-place) is allowed.
+  /// and scattered back. Non-smooth lengths run each line through the
+  /// Bluestein engine into per-thread scratch and scatter it back. in ==
+  /// out (fully in-place) is allowed.
   void transform_batch(Direction dir, const Complex* in, Complex* out,
                        const BatchLayout& layout) const;
 

@@ -29,21 +29,13 @@ util::WorkspaceArena::Handle<Complex>& scratch(std::size_t slot,
   return buf[slot];
 }
 
-// Ping-pong staging for the batched paths (separate from scratch(): the
-// per-line fallbacks this file keeps use scratch() internally).
-util::WorkspaceArena::Handle<Complex>& batch_scratch(std::size_t slot,
-                                                     std::size_t n) {
-  thread_local util::WorkspaceArena::Handle<Complex> buf[2];
-  buf[slot].ensure(n);
-  return buf[slot];
-}
-
 }  // namespace
 
 PlanR2C::PlanR2C(std::size_t n) : n_(n) {
   PSDNS_REQUIRE(n >= 2, "real transform length must be >= 2");
-  if (n % 2 == 0) {
-    half_ = get_plan(n / 2);
+  auto half = n % 2 == 0 ? get_plan(n / 2) : nullptr;
+  if (half && half->stockham()) {
+    half_ = std::move(half);
     const std::size_t h = n / 2;
     omega_.resize(h + 1);
     const double base = -2.0 * std::numbers::pi / static_cast<double>(n);
@@ -57,82 +49,27 @@ PlanR2C::PlanR2C(std::size_t n) : n_(n) {
 }
 
 void PlanR2C::forward(const Real* in, Complex* out) const {
-  if (n_ % 2 != 0) {
-    auto& tmp_in = scratch(0, n_);
-    auto& tmp_out = scratch(1, n_);
-    for (std::size_t j = 0; j < n_; ++j) tmp_in[j] = Complex{in[j], 0.0};
-    full_->transform(Direction::Forward, tmp_in.data(), tmp_out.data());
-    for (std::size_t k = 0; k < spectrum_size(); ++k) out[k] = tmp_out[k];
-    return;
-  }
-
-  const std::size_t h = n_ / 2;
-  // Pack adjacent real pairs into h complex samples and take one half-length
-  // complex transform.
-  auto& z = scratch(0, h);
-  auto& zf = scratch(1, h);
-  for (std::size_t j = 0; j < h; ++j) {
-    z[j] = Complex{in[2 * j], in[2 * j + 1]};
-  }
-  half_->transform(Direction::Forward, z.data(), zf.data());
-
-  // Unravel: A[k] = FFT(even samples), B[k] = FFT(odd samples);
-  // X[k] = A[k] + w^k B[k] with w = exp(-2*pi*i/n).
-  const Complex i_unit{0.0, 1.0};
-  for (std::size_t k = 0; k <= h; ++k) {
-    const Complex zk = k == h ? zf[0] : zf[k];
-    const Complex zmk = std::conj(zf[(h - k) % h]);
-    const Complex a = 0.5 * (zk + zmk);
-    const Complex b = (zk - zmk) / (2.0 * i_unit);
-    out[k] = a + omega_[k] * b;
-  }
+  forward_batch(in, n_, out, spectrum_size(), 1);
 }
 
 void PlanR2C::inverse(const Complex* in, Real* out) const {
-  if (n_ % 2 != 0) {
-    // Expand conjugate-symmetric spectrum and use the full complex plan.
-    auto& spec = scratch(0, n_);
-    auto& tmp = scratch(1, n_);
-    for (std::size_t k = 0; k < spectrum_size(); ++k) spec[k] = in[k];
-    for (std::size_t k = spectrum_size(); k < n_; ++k) {
-      spec[k] = std::conj(in[n_ - k]);
-    }
-    full_->transform(Direction::Inverse, spec.data(), tmp.data());
-    for (std::size_t j = 0; j < n_; ++j) out[j] = tmp[j].real();
-    return;
-  }
-
-  const std::size_t h = n_ / 2;
-  // Recover the packed half-length spectrum: Z[k] = A[k] + i*B[k] with
-  // A[k] = (X[k] + conj(X[h-k]))/2, B[k] = (X[k] - conj(X[h-k])) * wbar^k / 2.
-  auto& z = scratch(0, h);
-  auto& zt = scratch(1, h);
-  const Complex i_unit{0.0, 1.0};
-  for (std::size_t k = 0; k < h; ++k) {
-    const Complex xk = in[k];
-    const Complex xmk = std::conj(in[h - k]);
-    const Complex a = 0.5 * (xk + xmk);
-    const Complex b = 0.5 * (xk - xmk) * std::conj(omega_[k]);
-    z[k] = a + i_unit * b;
-  }
-  half_->transform(Direction::Inverse, z.data(), zt.data());
-  // The half-length unnormalized inverse carries a factor h; the FFTW c2r
-  // convention wants a factor n = 2h, hence the extra 2.
-  for (std::size_t j = 0; j < h; ++j) {
-    out[2 * j] = 2.0 * zt[j].real();
-    out[2 * j + 1] = 2.0 * zt[j].imag();
-  }
+  inverse_batch(in, spectrum_size(), out, n_, 1);
 }
 
 void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
                             std::size_t out_dist, std::size_t count) const {
-  const StockhamEngine* eng = n_ % 2 == 0 ? half_->stockham() : nullptr;
-  if (!eng) {
+  if (!half_) {
+    // Full-length complex transform of each line, keeping n/2+1 outputs.
+    Complex* z = scratch(0, n_).data();
     for (std::size_t b = 0; b < count; ++b) {
-      forward(in + b * in_dist, out + b * out_dist);
+      const Real* line = in + b * in_dist;
+      for (std::size_t j = 0; j < n_; ++j) z[j] = Complex{line[j], 0.0};
+      full_->transform(Direction::Forward, z, z);
+      std::copy(z, z + spectrum_size(), out + b * out_dist);
     }
     return;
   }
+  const StockhamEngine* eng = half_->stockham();
 
   const std::size_t h = n_ / 2;
   const std::size_t bmax = batch_block_lines(h);
@@ -146,9 +83,9 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
         const std::size_t b0 = blk * bmax;
         const std::size_t nb = std::min(bmax, count - b0);
         Complex* stage0 =
-            batch_scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
+            scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
         Complex* stage1 =
-            batch_scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
+            scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
         // Pack adjacent real pairs of every line, batch-innermost.
         Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
         for (std::size_t j = 0; j < h; ++j) {
@@ -181,13 +118,23 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
 
 void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
                             std::size_t out_dist, std::size_t count) const {
-  const StockhamEngine* eng = n_ % 2 == 0 ? half_->stockham() : nullptr;
-  if (!eng) {
+  if (!half_) {
+    // Expand the conjugate-symmetric spectrum of each line and take the
+    // full-length complex inverse.
+    Complex* z = scratch(0, n_).data();
     for (std::size_t b = 0; b < count; ++b) {
-      inverse(in + b * in_dist, out + b * out_dist);
+      const Complex* spec = in + b * in_dist;
+      std::copy(spec, spec + spectrum_size(), z);
+      for (std::size_t k = spectrum_size(); k < n_; ++k) {
+        z[k] = std::conj(spec[n_ - k]);
+      }
+      full_->transform(Direction::Inverse, z, z);
+      Real* line = out + b * out_dist;
+      for (std::size_t j = 0; j < n_; ++j) line[j] = z[j].real();
     }
     return;
   }
+  const StockhamEngine* eng = half_->stockham();
 
   const std::size_t h = n_ / 2;
   const std::size_t bmax = batch_block_lines(h);
@@ -198,9 +145,9 @@ void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
         const std::size_t b0 = blk * bmax;
         const std::size_t nb = std::min(bmax, count - b0);
         Complex* stage0 =
-            batch_scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
+            scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
         Complex* stage1 =
-            batch_scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
+            scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
         // Recover the packed half-length spectrum Z[k] = A[k] + i*B[k].
         Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
         for (std::size_t k = 0; k < h; ++k) {

@@ -1,7 +1,8 @@
 #pragma once
 // Real <-> complex 1-D transforms using the half-length complex trick for
-// even lengths (the DNS takes complex-to-real transforms in the unit-stride x
-// direction, exactly as Sec. 3.3 of the paper describes).
+// even lengths whose half is smooth (the DNS takes complex-to-real
+// transforms in the unit-stride x direction, exactly as Sec. 3.3 of the
+// paper describes). Other lengths run the full-length complex plan.
 //
 // Conventions match FFTW: forward(x) yields the first n/2+1 coefficients of
 // the DFT of x; inverse is unnormalized, so inverse(forward(x)) == n * x.
@@ -22,18 +23,21 @@ class PlanR2C {
   std::size_t size() const { return n_; }
   std::size_t spectrum_size() const { return n_ / 2 + 1; }
 
-  /// out[k], k in [0, n/2], = sum_j in[j] exp(-2*pi*i*j*k/n). Out-of-place.
+  /// out[k], k in [0, n/2], = sum_j in[j] exp(-2*pi*i*j*k/n). Out-of-place;
+  /// forward_batch at count 1.
   void forward(const Real* in, Complex* out) const;
 
   /// Inverse of `forward`, unnormalized (result is n * original signal).
   /// Out-of-place; `in` must hold spectrum_size() coefficients.
+  /// inverse_batch at count 1.
   void inverse(const Complex* in, Real* out) const;
 
   /// Batched forward over `count` lines: line b reads n reals starting at
   /// in[b*in_dist] and writes spectrum_size() coefficients starting at
-  /// out[b*out_dist]. Even smooth lengths run blocks of lines through the
-  /// batched Stockham half-length engine (pack, transform, unravel all
-  /// vectorize across the batch); other lengths fall back per line.
+  /// out[b*out_dist]. Even lengths with a smooth half run blocks of lines
+  /// through the batched Stockham half-length engine (pack, transform,
+  /// unravel all vectorize across the batch); other lengths take one
+  /// full-length complex transform per line.
   void forward_batch(const Real* in, std::size_t in_dist, Complex* out,
                      std::size_t out_dist, std::size_t count) const;
 
@@ -43,8 +47,8 @@ class PlanR2C {
 
  private:
   std::size_t n_;
-  std::shared_ptr<const PlanC2C> half_;  // length n/2 plan (even n)
-  std::shared_ptr<const PlanC2C> full_;  // length n fallback (odd n)
+  std::shared_ptr<const PlanC2C> half_;  // length n/2 plan (smooth n/2)
+  std::shared_ptr<const PlanC2C> full_;  // length n plan (all other n)
   std::vector<Complex> omega_;           // exp(-2*pi*i*k/n), k in [0, n/2]
 };
 

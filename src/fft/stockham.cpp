@@ -68,8 +68,8 @@ StockhamEngine::StockhamEngine(std::size_t n) : n_(n) {
   PSDNS_REQUIRE(is_smooth(n),
                 "length has a large prime factor; use Bluestein instead");
 
-  // Same radix schedule as MixedRadixEngine: pairs of 2s merge into radix-4
-  // stages (half the twiddle multiplies), remaining factors as-is.
+  // Radix schedule: pairs of 2s merge into radix-4 stages (half the twiddle
+  // multiplies), remaining factors as-is.
   std::vector<std::size_t> factors = prime_factors(n);
   std::vector<std::size_t> merged;
   std::size_t twos = 0;

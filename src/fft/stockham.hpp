@@ -83,7 +83,7 @@ class StockhamEngine {
   /// the input buffer (see prefers_work_input()). `data` and `work` must
   /// each hold size()*batch elements and must not alias; both are clobbered
   /// and the result lands in `data` in natural order. Inverse is
-  /// unnormalized, matching MixedRadixEngine.
+  /// unnormalized (as with FFTW/cuFFT).
   void execute_batch(Direction dir, Complex* data, Complex* work,
                      std::size_t batch) const;
 

@@ -16,9 +16,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "dns/spectral_core.hpp"
+#include "fft/plan.hpp"
 #include "obs/arena_metrics.hpp"
 #include "obs/registry.hpp"
 #include "util/arena.hpp"
@@ -252,6 +254,33 @@ TEST(AllocFree, SlabRk2PooledFourThreads) {
     EXPECT_EQ(arena_after.misses - arena_before.misses, 0u);
   });
   pool.set_threads(prev);
+}
+
+TEST(AllocFree, WarmedBluesteinBatchTouchesNoHeap) {
+  // 97 is prime, so every line runs Bluestein's chirp-z convolution; its
+  // buffers are per-thread arena handles, grown by the untracked warm-up.
+  const std::size_t n = 97, count = 8;
+  const auto plan = fft::get_plan(n);
+  std::vector<fft::Complex> data(n * count);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = fft::Complex{static_cast<double>(i % 13), 1.0};
+  }
+  const fft::BatchLayout lines{.count = count, .stride = count, .dist = 1};
+  plan->transform_batch(fft::Direction::Forward, data.data(), data.data(),
+                        lines);
+  const auto arena_before = util::WorkspaceArena::global().stats();
+  const long n0 = g_news.load();
+  const long d0 = g_deletes.load();
+  t_track = true;
+  plan->transform_batch(fft::Direction::Forward, data.data(), data.data(),
+                        lines);
+  plan->transform_batch(fft::Direction::Inverse, data.data(), data.data(),
+                        lines);
+  t_track = false;
+  const auto arena_after = util::WorkspaceArena::global().stats();
+  EXPECT_EQ(g_news.load() - n0, 0);
+  EXPECT_EQ(g_deletes.load() - d0, 0);
+  EXPECT_EQ(arena_after.misses - arena_before.misses, 0u);
 }
 
 TEST(ArenaMetrics, PublishesGaugesNextToUsage) {

@@ -8,7 +8,6 @@
 #include "fft/dft.hpp"
 #include "fft/factor.hpp"
 #include "fft/fft3d.hpp"
-#include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
 #include "fft/real.hpp"
 #include "fft/stockham.hpp"
@@ -33,6 +32,16 @@ double max_abs_diff(const std::vector<Complex>& a,
     m = std::max(m, std::abs(a[i] - b[i]));
   }
   return m;
+}
+
+// dft_reference of the line line[k*stride], k in [0, n), written back to
+// the same positions (gathered first, so the update is in place).
+void reference_line(Direction dir, std::size_t n, Complex* line,
+                    std::size_t stride) {
+  std::vector<Complex> x(n), y(n);
+  for (std::size_t k = 0; k < n; ++k) x[k] = line[k * stride];
+  dft_reference(dir, n, x.data(), y.data());
+  for (std::size_t k = 0; k < n; ++k) line[k * stride] = y[k];
 }
 
 TEST(Factor, PrimeFactors) {
@@ -141,16 +150,17 @@ TEST(C2C, SingleFrequencyIsDelta) {
 }
 
 TEST(C2C, StridedMatchesContiguous) {
+  // One strided line (a batch of one), out of place, against the
+  // reference DFT of the gathered line.
   const std::size_t n = 36, stride = 7;
   const auto x = random_signal(n * stride, 2);
   std::vector<Complex> want(n), got_buf(n * stride, Complex{-1, -1});
   std::vector<Complex> gathered(n);
   for (std::size_t j = 0; j < n; ++j) gathered[j] = x[j * stride];
+  dft_reference(Direction::Forward, n, gathered.data(), want.data());
   PlanC2C plan(n);
-  plan.transform(Direction::Forward, gathered.data(), want.data());
-  plan.transform_strided(Direction::Forward, x.data(),
-                         static_cast<std::ptrdiff_t>(stride), got_buf.data(),
-                         static_cast<std::ptrdiff_t>(stride));
+  plan.transform_batch(Direction::Forward, x.data(), got_buf.data(),
+                       BatchLayout{.count = 1, .stride = stride});
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_LT(std::abs(got_buf[k * stride] - want[k]), 1e-12);
   }
@@ -175,12 +185,10 @@ TEST(C2C, BatchedStridedLayout) {
   const std::size_t n = 16, stride = 4;
   auto x = random_signal(n * stride, 4);
   auto want = x;
-  PlanC2C plan(n);
   for (std::size_t b = 0; b < stride; ++b) {
-    plan.transform_strided(Direction::Forward, want.data() + b,
-                           static_cast<std::ptrdiff_t>(stride),
-                           want.data() + b, static_cast<std::ptrdiff_t>(stride));
+    reference_line(Direction::Forward, n, want.data() + b, stride);
   }
+  PlanC2C plan(n);
   plan.transform_batch(Direction::Forward, x.data(), x.data(),
                        BatchLayout{.count = stride, .stride = stride, .dist = 1});
   EXPECT_LT(max_abs_diff(want, x), 1e-12);
@@ -191,11 +199,13 @@ TEST(C2C, BatchedStridedLayout) {
 // Engine-level check against the naive DFT: every supported radix alone and
 // mixed, across batch widths that straddle the blocking boundaries.
 TEST(Stockham, MatchesReferenceAcrossRadicesAndBatches) {
-  // Pure radices 2/3/4/5/7 and mixed smooth sizes (including the paper's
-  // 2^a*3^b family and 5- and 7-smooth lengths).
-  const std::size_t sizes[] = {1,  2,  3,  4,  5,   7,   8,   9,  16, 25,
-                               27, 35, 48, 49, 60,  72,  105, 96, 144, 210,
-                               243, 360, 512, 576, 1155};
+  // Pure radices 2/3/4/5/7/11/13/17/19 and mixed smooth sizes (including
+  // the paper's 2^a*3^b family, 5- and 7-smooth lengths, and the
+  // generic-radix products 55, 91, 133 and 323).
+  const std::size_t sizes[] = {1,   2,   3,   4,   5,   7,   8,   9,   11,
+                               13,  16,  17,  19,  25,  27,  35,  48,  49,
+                               55,  60,  72,  91,  105, 96,  133, 144, 210,
+                               243, 323, 360, 512, 576, 1155};
   for (const std::size_t n : sizes) {
     const std::size_t kb = batch_block_lines(n);
     const std::size_t batches[] = {1, kb - 1, kb, kb + 1, 5};
@@ -236,7 +246,7 @@ TEST(Stockham, MatchesReferenceAcrossRadicesAndBatches) {
 
 TEST(Stockham, BatchedTransformMatchesPerLineStrided) {
   // transform_batch (gather -> batched engine -> scatter) against the
-  // pre-change per-line strided path, smooth and Bluestein lengths.
+  // reference DFT of each strided line, smooth and Bluestein lengths.
   for (const std::size_t n : {48u, 97u}) {
     const std::size_t kb = batch_block_lines(n);
     for (const std::size_t count : {std::size_t{1}, kb - 1, kb, kb + 1,
@@ -245,13 +255,10 @@ TEST(Stockham, BatchedTransformMatchesPerLineStrided) {
       // z-line layout of a plane.
       auto x = random_signal(n * count, 40 + n + count);
       auto want = x;
-      PlanC2C plan(n);
       for (std::size_t b = 0; b < count; ++b) {
-        plan.transform_strided(Direction::Forward, want.data() + b,
-                               static_cast<std::ptrdiff_t>(count),
-                               want.data() + b,
-                               static_cast<std::ptrdiff_t>(count));
+        reference_line(Direction::Forward, n, want.data() + b, count);
       }
+      PlanC2C plan(n);
       plan.transform_batch(
           Direction::Forward, x.data(), x.data(),
           BatchLayout{.count = count, .stride = count, .dist = 1});
@@ -288,24 +295,6 @@ TEST(Stockham, GatherScatterRoundTripLeavesGapsUntouched) {
           << idx;
     } else {
       EXPECT_EQ(buf[idx], sentinel) << idx;  // gap must be bit-identical
-    }
-  }
-}
-
-// The generic-radix combine of the recursive engine (now reached via
-// transform_strided and Bluestein) against the reference, exercising the
-// precomputed radix-r DFT rows for r in {5, 7, 11, 13, 17, 19}.
-TEST(MixedRadix, GenericRadixMatchesReference) {
-  for (const std::size_t n : {5u, 7u, 11u, 13u, 17u, 19u, 55u, 91u, 133u,
-                              323u}) {
-    const auto x = random_signal(n, 900 + n);
-    std::vector<Complex> want(n), got(n);
-    MixedRadixEngine engine(n);
-    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
-      dft_reference(dir, n, x.data(), want.data());
-      engine.execute(dir, x.data(), 1, got.data());
-      EXPECT_LT(max_abs_diff(want, got), 1e-9 * static_cast<double>(n))
-          << "n=" << n;
     }
   }
 }
@@ -367,7 +356,10 @@ TEST_P(R2CLength, RoundTripScalesByN) {
 
 INSTANTIATE_TEST_SUITE_P(
     Lengths, R2CLength,
-    ::testing::Values(2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 7, 9, 15),
+    // 46 = 2*23 and 194 = 2*97: even lengths whose half is not smooth, so
+    // they take the full-length (Bluestein) complex plan like odd lengths.
+    ::testing::Values(2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 7, 9, 15,
+                      46, 194),
     [](const ::testing::TestParamInfo<std::size_t>& pinfo) { return "n" + std::to_string(pinfo.param); });
 
 TEST(R2C, NyquistAndMeanAreReal) {
@@ -462,8 +454,8 @@ TEST(Fft3d, R2CMatchesC2COnRealInput) {
   }
 }
 
-// Batched 3-D transforms against the pre-change per-line path (rebuilt here
-// from the single-line primitives) and the r2c -> c2r identity.
+// Batched 3-D transforms against the reference DFT taken line by line in
+// x, y and z, and the r2c -> c2r identity.
 class Fft3dBatched : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Fft3dBatched, R2CMatchesPerLinePathAndRoundTrips) {
@@ -474,29 +466,29 @@ TEST_P(Fft3dBatched, R2CMatchesPerLinePathAndRoundTrips) {
   std::vector<Real> x(shape.volume());
   for (auto& v : x) v = rng.gaussian();
 
-  // Pre-change reference: per-line r2c in x, then per-line strided y and z.
-  const auto prx = get_plan_r2c(n);
-  const auto p = get_plan(n);
+  // Reference: DFT of each real x line (first nxh coefficients), then of
+  // each strided y and z line.
   std::vector<Complex> want(nxh * n * n);
+  std::vector<Complex> xline(n), xspec(n);
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t j = 0; j < n; ++j) {
-      prx->forward(x.data() + n * (j + n * k), want.data() + nxh * (j + n * k));
+      const Real* src = x.data() + n * (j + n * k);
+      for (std::size_t i = 0; i < n; ++i) xline[i] = Complex{src[i], 0.0};
+      dft_reference(Direction::Forward, n, xline.data(), xspec.data());
+      std::copy(xspec.begin(), xspec.begin() + static_cast<std::ptrdiff_t>(nxh),
+                want.begin() + static_cast<std::ptrdiff_t>(nxh * (j + n * k)));
     }
   }
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t i = 0; i < nxh; ++i) {
-      Complex* line = want.data() + i + nxh * n * k;
-      p->transform_strided(Direction::Forward, line,
-                           static_cast<std::ptrdiff_t>(nxh), line,
-                           static_cast<std::ptrdiff_t>(nxh));
+      reference_line(Direction::Forward, n, want.data() + i + nxh * n * k,
+                     nxh);
     }
   }
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t i = 0; i < nxh; ++i) {
-      Complex* line = want.data() + i + nxh * j;
-      p->transform_strided(Direction::Forward, line,
-                           static_cast<std::ptrdiff_t>(nxh * n), line,
-                           static_cast<std::ptrdiff_t>(nxh * n));
+      reference_line(Direction::Forward, n, want.data() + i + nxh * j,
+                     nxh * n);
     }
   }
 
