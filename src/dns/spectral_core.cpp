@@ -28,6 +28,25 @@ double noise(std::uint64_t seed, std::size_t i, std::size_t j, std::size_t k,
   }
   return s - 2.0;
 }
+
+/// White noise for a vector triple: components first, first + 1, first + 2.
+auto noise3(std::uint64_t seed, int first) {
+  return [seed, first](std::size_t i, std::size_t j, std::size_t k) {
+    return std::array<double, 3>{noise(seed, i, j, k, first),
+                                 noise(seed, i, j, k, first + 1),
+                                 noise(seed, i, j, k, first + 2)};
+  };
+}
+
+/// A physical-space function f(x, y, z) sampled at grid indices.
+template <class F>
+auto on_grid(std::size_t n, const F& f) {
+  const double cell = kTwoPi / static_cast<double>(n);
+  return [cell, &f](std::size_t xi, std::size_t yi, std::size_t zi) {
+    return f(cell * static_cast<double>(xi), cell * static_cast<double>(yi),
+             cell * static_cast<double>(zi));
+  };
+}
 }  // namespace
 
 SpectralEngine::SpectralEngine(comm::Communicator& comm, SolverConfig config)
@@ -79,50 +98,29 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
   for (auto& c : state_) c.assign(spec_, Complex{0.0, 0.0});
 
   // Check out every steady-state scratch block now: step() only reuses.
-  rhs_a_.ensure(nf * spec_);
-  rhs_b_.ensure(nf * spec_);
+  // RK2's second RHS reuses k_'s one field set: N(u) is dead once the
+  // midpoint stage is formed.
+  const std::size_t stages = config_.scheme == TimeScheme::RK4 ? 4 : 1;
   stage_.ensure(nf * spec_);
-  if (config_.scheme == TimeScheme::RK4) k_.ensure(4 * nf * spec_);
+  k_.ensure(stages * nf * spec_);
   if (config_.phase_shift_dealias) shifted_.ensure(nf * spec_);
   prod_hat_.ensure(nprod_ * spec_);
   phys_.ensure((nf + nprod_) * phys_elems_);
 
   state_ptrs_.resize(nf);
-  state_mut_.resize(nf);
   stage_ptrs_.resize(nf);
-  stage_mut_.resize(nf);
   spec_in_.resize(nf);
-  rhs_a_ptrs_.resize(nf);
-  rhs_b_ptrs_.resize(nf);
-  phys_out_.resize(nf);
-  field_phys_.resize(nf);
   for (std::size_t f = 0; f < nf; ++f) {
     state_ptrs_[f] = state_[f].data();
-    state_mut_[f] = state_[f].data();
     stage_ptrs_[f] = block(stage_, f);
-    stage_mut_[f] = block(stage_, f);
-    rhs_a_ptrs_[f] = block(rhs_a_, f);
-    rhs_b_ptrs_[f] = block(rhs_b_, f);
-    phys_out_[f] = phys_block(f);
-    field_phys_[f] = phys_block(f);
   }
-  if (config_.scheme == TimeScheme::RK4) {
-    k_ptrs_.resize(4 * nf);
-    for (std::size_t q = 0; q < 4; ++q) {
-      for (std::size_t f = 0; f < nf; ++f) {
-        k_ptrs_[q * nf + f] = k_.data() + (q * nf + f) * spec_;
-      }
-    }
-  }
-  prod_in_.resize(nprod_);
-  prod_out_.resize(nprod_);
+  k_ptrs_.resize(stages * nf);
+  for (std::size_t f = 0; f < k_ptrs_.size(); ++f) k_ptrs_[f] = block(k_, f);
   prod_spec_.resize(nprod_);
-  prod_spec_const_.resize(nprod_);
-  for (std::size_t t = 0; t < nprod_; ++t) {
-    prod_in_[t] = phys_block(nf + t);
-    prod_out_[t] = phys_block(nf + t);
-    prod_spec_[t] = block(prod_hat_, t);
-    prod_spec_const_[t] = block(prod_hat_, t);
+  for (std::size_t t = 0; t < nprod_; ++t) prod_spec_[t] = block(prod_hat_, t);
+  phys_ptrs_.resize(nf + nprod_);
+  for (std::size_t f = 0; f < phys_ptrs_.size(); ++f) {
+    phys_ptrs_[f] = phys_block(f);
   }
 }
 
@@ -130,46 +128,79 @@ void SpectralEngine::apply_dealias(Complex* field) {
   scale_and_truncate(view_, field, 1.0, dealias_);
 }
 
-void SpectralEngine::finalize_vector_ic(std::size_t base) {
-  const std::size_t n = config_.n;
-  const double scale = 1.0 / (static_cast<double>(n) * n * n);
-  for (std::size_t c = 0; c < 3; ++c) {
-    Complex* s = state_[base + c].data();
-    for (std::size_t i = 0; i < spec_; ++i) s[i] *= scale;
-  }
-  project(view_, state_[base].data(), state_[base + 1].data(),
-          state_[base + 2].data());
-  for (std::size_t c = 0; c < 3; ++c) {
-    apply_dealias(state_[base + c].data());
+void SpectralEngine::axpy(Complex* const* y, const Complex* const* x,
+                          double a, const Complex* const* z) const {
+  for (std::size_t f = 0; f < field_count(); ++f) {
+    for (std::size_t i = 0; i < spec_; ++i) y[f][i] = x[f][i] + a * z[f][i];
   }
 }
 
-void SpectralEngine::finalize_velocity_ic() {
-  finalize_vector_ic(0);
-  time_ = 0.0;
-  steps_ = 0;
+void SpectralEngine::copy_fields(Complex* const* dst,
+                                 const Complex* const* src) const {
+  for (std::size_t f = 0; f < field_count(); ++f) {
+    std::copy(src[f], src[f] + spec_, dst[f]);
+  }
+}
+
+std::size_t SpectralEngine::zero_mode() const {
+  std::size_t zero = spec_;
+  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
+    if (kx == 0 && ky == 0 && kz == 0) zero = idx;
+  });
+  return zero;
+}
+
+void SpectralEngine::fill_fields(std::size_t base, std::size_t count,
+                                 const PointFill& value) {
+  Real* phys[3] = {};
+  Complex* spec[3] = {};
+  for (std::size_t c = 0; c < count; ++c) {
+    phys[c] = phys_block(c);
+    spec[c] = state_[base + c].data();
+  }
+  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
+                             std::size_t zi) {
+    const auto v = value(xi, yi, zi);
+    for (std::size_t c = 0; c < count; ++c) phys[c][idx] = v[c];
+  });
+  fft_.forward(std::span<const Real* const>(phys, count),
+               std::span<Complex* const>(spec, count));
+  const std::size_t n = config_.n;
+  const double scale = 1.0 / (static_cast<double>(n) * n * n);
+  for (std::size_t c = 0; c < count; ++c) {
+    for (std::size_t i = 0; i < spec_; ++i) spec[c][i] *= scale;
+  }
+  if (count == 3) project(view_, spec[0], spec[1], spec[2]);
+  for (std::size_t c = 0; c < count; ++c) apply_dealias(spec[c]);
+}
+
+void SpectralEngine::shape_spectrum(std::size_t base, std::size_t count,
+                                    const std::vector<double>& current,
+                                    double k_peak, double total) {
+  std::vector<double> gain(current.size(), 0.0);
+  double target_total = 0.0;
+  for (std::size_t s = 1; s < current.size(); ++s) {
+    const double kr = static_cast<double>(s) / k_peak;
+    const double target = std::pow(kr, 4.0) * std::exp(-2.0 * kr * kr);
+    target_total += target;
+    if (current[s] > 1e-300) gain[s] = std::sqrt(target / current[s]);
+  }
+  const double norm = std::sqrt(total / target_total);
+  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
+    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
+                                  static_cast<double>(ky) * ky +
+                                  static_cast<double>(kz) * kz);
+    const auto shell = static_cast<std::size_t>(std::lround(kmag));
+    const double g = shell < gain.size() ? gain[shell] * norm : 0.0;
+    for (std::size_t c = 0; c < count; ++c) state_[base + c][idx] *= g;
+  });
 }
 
 void SpectralEngine::init_from_function(
     const std::function<std::array<double, 3>(double, double, double)>& f) {
-  const double cell = kTwoPi / static_cast<double>(config_.n);
-  Real* px = phys_block(0);
-  Real* py = phys_block(1);
-  Real* pz = phys_block(2);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    const auto u = f(cell * static_cast<double>(xi),
-                     cell * static_cast<double>(yi),
-                     cell * static_cast<double>(zi));
-    px[idx] = u[0];
-    py[idx] = u[1];
-    pz[idx] = u[2];
-  });
-  const Real* phys3[3] = {px, py, pz};
-  Complex* spec3[3] = {state_[0].data(), state_[1].data(), state_[2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
-  finalize_velocity_ic();
+  fill_fields(0, 3, on_grid(config_.n, f));
+  time_ = 0.0;
+  steps_ = 0;
 }
 
 void SpectralEngine::init_taylor_green() {
@@ -179,113 +210,38 @@ void SpectralEngine::init_taylor_green() {
   });
 }
 
-void SpectralEngine::shape_vector_spectrum(std::size_t base, double k_peak,
-                                           double energy) {
-  // Shape the shell spectrum to E(k) ~ (k/k0)^4 exp(-2 (k/k0)^2).
-  const auto current =
-      energy_spectrum(view_, comm_, state_[base].data(),
-                      state_[base + 1].data(), state_[base + 2].data());
-  std::vector<double> gain(current.size(), 0.0);
-  double target_total = 0.0;
-  for (std::size_t s = 1; s < current.size(); ++s) {
-    const double kr = static_cast<double>(s) / k_peak;
-    const double target = std::pow(kr, 4.0) * std::exp(-2.0 * kr * kr);
-    target_total += target;
-    if (current[s] > 1e-300) gain[s] = std::sqrt(target / current[s]);
-  }
-  const double norm = std::sqrt(energy / target_total);
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    const double g = shell < gain.size() ? gain[shell] * norm : 0.0;
-    state_[base][idx] *= g;
-    state_[base + 1][idx] *= g;
-    state_[base + 2][idx] *= g;
-  });
-}
-
 void SpectralEngine::init_isotropic(std::uint64_t seed, double k_peak,
                                     double energy) {
   PSDNS_REQUIRE(k_peak > 0.0 && energy > 0.0, "bad isotropic IC parameters");
   // White noise per component, keyed on global indices: identical physics
   // for every rank count and decomposition.
-  Real* px = phys_block(0);
-  Real* py = phys_block(1);
-  Real* pz = phys_block(2);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    px[idx] = noise(seed, xi, yi, zi, 0);
-    py[idx] = noise(seed, xi, yi, zi, 1);
-    pz[idx] = noise(seed, xi, yi, zi, 2);
-  });
-  const Real* phys3[3] = {px, py, pz};
-  Complex* spec3[3] = {state_[0].data(), state_[1].data(), state_[2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
-  finalize_velocity_ic();
-  shape_vector_spectrum(0, k_peak, energy);
+  fill_fields(0, 3, noise3(seed, 0));
+  time_ = 0.0;
+  steps_ = 0;
+  shape_spectrum(0, 3, spectrum(), k_peak, energy);
 }
 
 void SpectralEngine::init_scalar_from_function(
     int s, const std::function<double(double, double, double)>& f) {
   PSDNS_REQUIRE(s >= 0 && s < scalar_count(), "scalar index out of range");
-  const std::size_t n = config_.n;
-  const double cell = kTwoPi / static_cast<double>(n);
-  Real* phys = phys_block(0);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    phys[idx] = f(cell * static_cast<double>(xi),
-                  cell * static_cast<double>(yi),
-                  cell * static_cast<double>(zi));
-  });
-  auto& theta = state_[static_cast<std::size_t>(3 + s)];
-  fft_.forward(std::span<const Real>(phys, phys_elems_),
-               std::span<Complex>(theta.data(), theta.size()));
-  const double scale = 1.0 / (static_cast<double>(n) * n * n);
-  for (auto& z : theta) z *= scale;
-  apply_dealias(theta.data());
+  const auto sample = on_grid(config_.n, f);
+  fill_fields(static_cast<std::size_t>(3 + s), 1,
+              [&](std::size_t xi, std::size_t yi, std::size_t zi) {
+                return std::array<double, 3>{sample(xi, yi, zi)};
+              });
 }
 
 void SpectralEngine::init_scalar_isotropic(int s, std::uint64_t seed,
                                            double k_peak, double variance) {
   PSDNS_REQUIRE(s >= 0 && s < scalar_count(), "scalar index out of range");
   PSDNS_REQUIRE(k_peak > 0.0 && variance > 0.0, "bad scalar IC parameters");
-  const std::size_t n = config_.n;
-  Real* phys = phys_block(0);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    phys[idx] = noise(seed, xi, yi, zi, 100 + s);
+  const auto si = static_cast<std::size_t>(3 + s);
+  fill_fields(si, 1, [&](std::size_t xi, std::size_t yi, std::size_t zi) {
+    return std::array<double, 3>{noise(seed, xi, yi, zi, 100 + s)};
   });
-  auto& theta = state_[static_cast<std::size_t>(3 + s)];
-  fft_.forward(std::span<const Real>(phys, phys_elems_),
-               std::span<Complex>(theta.data(), theta.size()));
-  const double scale = 1.0 / (static_cast<double>(n) * n * n);
-  for (auto& z : theta) z *= scale;
   // Zero-mean fluctuation: only the rank owning the k = 0 mode holds it.
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    if (kx == 0 && ky == 0 && kz == 0) theta[idx] = Complex{0.0, 0.0};
-  });
-  apply_dealias(theta.data());
-
-  const auto current = field_spectrum(view_, comm_, theta.data());
-  std::vector<double> gain(current.size(), 0.0);
-  double target_total = 0.0;
-  for (std::size_t sh = 1; sh < current.size(); ++sh) {
-    const double kr = static_cast<double>(sh) / k_peak;
-    const double target = std::pow(kr, 4.0) * std::exp(-2.0 * kr * kr);
-    target_total += target;
-    if (current[sh] > 1e-300) gain[sh] = std::sqrt(target / current[sh]);
-  }
-  const double norm = std::sqrt(variance / target_total);
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    theta[idx] *= shell < gain.size() ? gain[shell] * norm : 0.0;
-  });
+  if (const std::size_t z = zero_mode(); z < spec_) state_[si][z] = {};
+  shape_spectrum(si, 1, scalar_spectrum(s), k_peak, variance);
 }
 
 void SpectralEngine::init_magnetic_isotropic(std::uint64_t seed, double k_peak,
@@ -296,34 +252,19 @@ void SpectralEngine::init_magnetic_isotropic(std::uint64_t seed, double k_peak,
   const auto base = static_cast<std::size_t>(mb);
 
   // Preserve any previously imposed uniform mean field across the refill.
+  const std::size_t z = zero_mode();
   Complex b0[3] = {};
-  std::size_t zero_idx = spec_;  // sentinel: this rank may not own k = 0
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    if (kx == 0 && ky == 0 && kz == 0) zero_idx = idx;
-  });
-  if (zero_idx < spec_) {
-    for (std::size_t c = 0; c < 3; ++c) b0[c] = state_[base + c][zero_idx];
+  if (z < spec_) {
+    for (std::size_t c = 0; c < 3; ++c) b0[c] = state_[base + c][z];
   }
-
-  Real* px = phys_block(0);
-  Real* py = phys_block(1);
-  Real* pz = phys_block(2);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    px[idx] = noise(seed, xi, yi, zi, 200);
-    py[idx] = noise(seed, xi, yi, zi, 201);
-    pz[idx] = noise(seed, xi, yi, zi, 202);
-  });
-  const Real* phys3[3] = {px, py, pz};
-  Complex* spec3[3] = {state_[base].data(), state_[base + 1].data(),
-                       state_[base + 2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
-  finalize_vector_ic(base);
-  shape_vector_spectrum(base, k_peak, energy);
-
-  if (zero_idx < spec_) {
-    for (std::size_t c = 0; c < 3; ++c) state_[base + c][zero_idx] = b0[c];
+  fill_fields(base, 3, noise3(seed, 200));
+  shape_spectrum(base, 3,
+                 energy_spectrum(view_, comm_, state_[base].data(),
+                                 state_[base + 1].data(),
+                                 state_[base + 2].data()),
+                 k_peak, energy);
+  if (z < spec_) {
+    for (std::size_t c = 0; c < 3; ++c) state_[base + c][z] = b0[c];
   }
 }
 
@@ -331,40 +272,18 @@ void SpectralEngine::init_magnetic_from_function(
     const std::function<std::array<double, 3>(double, double, double)>& f) {
   const int mb = magnetic_base();
   PSDNS_REQUIRE(mb >= 0, "system carries no magnetic field");
-  const auto base = static_cast<std::size_t>(mb);
-  const double cell = kTwoPi / static_cast<double>(config_.n);
-  Real* px = phys_block(0);
-  Real* py = phys_block(1);
-  Real* pz = phys_block(2);
-  for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
-                             std::size_t zi) {
-    const auto b = f(cell * static_cast<double>(xi),
-                     cell * static_cast<double>(yi),
-                     cell * static_cast<double>(zi));
-    px[idx] = b[0];
-    py[idx] = b[1];
-    pz[idx] = b[2];
-  });
-  const Real* phys3[3] = {px, py, pz};
-  Complex* spec3[3] = {state_[base].data(), state_[base + 1].data(),
-                       state_[base + 2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
-  finalize_vector_ic(base);
+  fill_fields(static_cast<std::size_t>(mb), 3, on_grid(config_.n, f));
 }
 
 void SpectralEngine::set_uniform_magnetic_field(
     const std::array<double, 3>& b0) {
   const int mb = magnetic_base();
   PSDNS_REQUIRE(mb >= 0, "system carries no magnetic field");
-  const auto base = static_cast<std::size_t>(mb);
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    if (kx == 0 && ky == 0 && kz == 0) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        state_[base + c][idx] = Complex{b0[c], 0.0};
-      }
+  if (const std::size_t z = zero_mode(); z < spec_) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      state_[static_cast<std::size_t>(mb) + c][z] = Complex{b0[c], 0.0};
     }
-  });
+  }
 }
 
 void SpectralEngine::restore(std::span<const Complex* const> fields, double t,
@@ -409,7 +328,7 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
     for (std::size_t f = 0; f < nf; ++f) spec_in_[f] = in[f];
   }
   fft_.inverse(std::span<const Complex* const>(spec_in_.data(), nf),
-               std::span<Real* const>(phys_out_.data(), nf));
+               std::span<Real* const>(phys_ptrs_.data(), nf));
 
   // 2. Pointwise max signal speed (CFL bookkeeping): the velocity, plus the
   //    magnetic field for MHD (b is in Alfven-velocity units, so this keeps
@@ -432,10 +351,11 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   last_umax_ = comm_.allreduce_max(umax);
 
   // 3. The system's products in physical space.
-  system_->form_products(field_phys_.data(), prod_out_.data(), phys_elems_);
+  Real* const* products = phys_ptrs_.data() + nf;
+  system_->form_products(phys_ptrs_.data(), products, phys_elems_);
 
   // 4. Products to spectral space (one multi-variable transform).
-  fft_.forward(std::span<const Real* const>(prod_in_.data(), nprod_),
+  fft_.forward(std::span<const Real* const>(products, nprod_),
                std::span<Complex* const>(prod_spec_.data(), nprod_));
   //    Undo the shift, then normalize and dealias in one pass.
   for (std::size_t t = 0; t < nprod_; ++t) {
@@ -445,7 +365,7 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   }
 
   // 5. The system's spectral RHS from the dealiased product spectra.
-  system_->assemble_rhs(view_, in, prod_spec_const_.data(), rhs);
+  system_->assemble_rhs(view_, in, prod_spec_.data(), rhs);
 
   // 6. Velocity-proportional band forcing with fixed injection power.
   if (with_forcing && config_.forcing.enabled) {
@@ -467,69 +387,46 @@ void SpectralEngine::step(double dt) {
 
   // The linear propagator E (viscous/diffusive decay plus any system terms
   // such as the Coriolis rotation) is applied to whole field *sets* so
-  // systems whose linear operator couples components stay exact.
+  // systems whose linear operator couples components stay exact. Both
+  // schemes open with k1 = N(u) and the midpoint stage u1 = E_h (u + h k1).
+  Complex* const* state = state_ptrs_.data();
+  Complex* const* stage = stage_ptrs_.data();
+  Complex* const* k1 = k_ptrs_.data();
+  compute_rhs(state, k1);
+  axpy(stage, state, h, k1);
+  apply_linear(stage, h);
   if (config_.scheme == TimeScheme::RK2) {
     // Midpoint RK2 with exact linear terms:
-    //   u_mid = E_h (u + dt/2 N(u));  u_new = E_f u + dt E_h N(u_mid).
-    compute_rhs(state_ptrs_.data(), rhs_a_ptrs_.data());
-    for (std::size_t f = 0; f < nf; ++f) {
-      const Complex* s = state_[f].data();
-      const Complex* ra = block(rhs_a_, f);
-      Complex* st = block(stage_, f);
-      for (std::size_t i = 0; i < spec_; ++i) st[i] = s[i] + h * ra[i];
-    }
-    apply_linear(stage_mut_.data(), h);
-    compute_rhs(stage_ptrs_.data(), rhs_b_ptrs_.data());
-    apply_linear(state_mut_.data(), dt);   // E_f u
-    apply_linear(rhs_b_ptrs_.data(), h);   // E_h N(u_mid)
-    for (std::size_t f = 0; f < nf; ++f) {
-      const Complex* rb = block(rhs_b_, f);
-      Complex* s = state_[f].data();
-      for (std::size_t i = 0; i < spec_; ++i) s[i] += dt * rb[i];
-    }
+    //   u_new = E_f u + dt E_h N(u1).
+    // N(u1) overwrites k1, which the update no longer needs.
+    compute_rhs(stage, k1);
+    apply_linear(state, dt);  // E_f u
+    apply_linear(k1, h);      // E_h N(u1)
+    axpy(state, state, dt, k1);
   } else {
     // Integrating-factor RK4 (classical RK4 on v = E(-t) u):
-    //   k1 = N(u)
-    //   u1 = E_h (u + dt/2 k1);      k2 = N(u1)
+    //   k2 = N(u1)
     //   u2 = E_h u + dt/2 k2;        k3 = N(u2)
     //   u3 = E_f u + dt E_h k3;      k4 = N(u3)
     //   u+ = E_f u + dt/6 (E_f k1 + 2 E_h (k2 + k3) + k4)
-    Complex* const* k1 = k_ptrs_.data();
-    Complex* const* k2 = k_ptrs_.data() + nf;
-    Complex* const* k3 = k_ptrs_.data() + 2 * nf;
-    Complex* const* k4 = k_ptrs_.data() + 3 * nf;
-    compute_rhs(state_ptrs_.data(), k1);
-    for (std::size_t f = 0; f < nf; ++f) {
-      const Complex* s = state_[f].data();
-      Complex* st = block(stage_, f);
-      for (std::size_t i = 0; i < spec_; ++i) st[i] = s[i] + h * k1[f][i];
-    }
-    apply_linear(stage_mut_.data(), h);
-    compute_rhs(stage_ptrs_.data(), k2);
-    for (std::size_t f = 0; f < nf; ++f) {
-      std::copy(state_[f].begin(), state_[f].end(), block(stage_, f));
-    }
-    apply_linear(stage_mut_.data(), h);  // E_h u
-    for (std::size_t f = 0; f < nf; ++f) {
-      Complex* st = block(stage_, f);
-      for (std::size_t i = 0; i < spec_; ++i) st[i] += h * k2[f][i];
-    }
-    compute_rhs(stage_ptrs_.data(), k3);
-    for (std::size_t f = 0; f < nf; ++f) {
-      std::copy(state_[f].begin(), state_[f].end(), block(stage_, f));
-    }
-    apply_linear(stage_mut_.data(), dt);  // E_f u
-    apply_linear(k3, h);                  // k3 <- E_h k3
-    for (std::size_t f = 0; f < nf; ++f) {
-      Complex* st = block(stage_, f);
-      for (std::size_t i = 0; i < spec_; ++i) st[i] += dt * k3[f][i];
-    }
-    compute_rhs(stage_ptrs_.data(), k4);
+    Complex* const* k2 = k1 + nf;
+    Complex* const* k3 = k1 + 2 * nf;
+    Complex* const* k4 = k1 + 3 * nf;
+    compute_rhs(stage, k2);
+    copy_fields(stage, state);
+    apply_linear(stage, h);  // E_h u
+    axpy(stage, stage, h, k2);
+    compute_rhs(stage, k3);
+    copy_fields(stage, state);
+    apply_linear(stage, dt);  // E_f u
+    apply_linear(k3, h);      // k3 <- E_h k3
+    axpy(stage, stage, dt, k3);
+    compute_rhs(stage, k4);
     apply_linear(k1, dt);  // E_f k1
     apply_linear(k2, h);   // E_h k2
-    apply_linear(state_mut_.data(), dt);
+    apply_linear(state, dt);
     for (std::size_t f = 0; f < nf; ++f) {
-      Complex* s = state_[f].data();
+      Complex* s = state[f];
       for (std::size_t i = 0; i < spec_; ++i) {
         s[i] += dt / 6.0 *
                 (k1[f][i] + 2.0 * k2[f][i] + 2.0 * k3[f][i] + k4[f][i]);
@@ -544,7 +441,7 @@ void SpectralEngine::step(double dt) {
 double SpectralEngine::cfl_dt(double cfl) {
   if (last_umax_ <= 0.0) {
     // No RHS evaluated yet: measure once via a throwaway evaluation.
-    compute_rhs(state_ptrs_.data(), rhs_a_ptrs_.data());
+    compute_rhs(state_ptrs_.data(), k_ptrs_.data());
   }
   const double dx = kTwoPi / static_cast<double>(config_.n);
   return last_umax_ > 0.0 ? cfl * dx / last_umax_ : 1e9;
@@ -623,7 +520,7 @@ SpectralEngine::named_spectra() {
 }
 
 std::vector<double> SpectralEngine::transfer_spectrum() {
-  compute_rhs(state_ptrs_.data(), rhs_a_ptrs_.data(), /*with_forcing=*/false);
+  compute_rhs(state_ptrs_.data(), k_ptrs_.data(), /*with_forcing=*/false);
   std::vector<double> shells(config_.n / 2 + 1, 0.0);
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
@@ -635,7 +532,7 @@ std::vector<double> SpectralEngine::transfer_spectrum() {
     double rate = 0.0;
     for (int c = 0; c < 3; ++c) {
       const auto ci = static_cast<std::size_t>(c);
-      rate += (std::conj(state_[ci][idx]) * rhs_a_ptrs_[ci][idx]).real();
+      rate += (std::conj(state_[ci][idx]) * k_ptrs_[ci][idx]).real();
     }
     shells[shell] += mode_weight(kx, view_.n) * rate;
   });

@@ -21,12 +21,12 @@
 // exactly by the system's propagator (viscous/diffusive decay, plus e.g.
 // the Coriolis rotation).
 //
-// All substage scratch (RK stages, product spectra, physical-space blocks,
-// optional shifted copies) is checked out of util::WorkspaceArena once at
-// construction, and initial conditions are keyed on *global* grid indices
-// through the backend's PhysView - so a warmed-up step() performs zero
-// heap allocations and both decompositions produce the same physics from
-// the same seed.
+// All substage scratch (one RK stage, the stage-RHS block, product
+// spectra, physical-space blocks, optional shifted copies) is checked out
+// of util::WorkspaceArena once at construction, and initial conditions
+// are keyed on *global* grid indices through the backend's PhysView - so
+// a warmed-up step() performs zero heap allocations and both
+// decompositions produce the same physics from the same seed.
 
 #include <array>
 #include <cstdint>
@@ -209,17 +209,33 @@ class SpectralEngine {
     system_->apply_linear(view_, fields, dt);
   }
 
-  /// Normalize, project and dealias a solenoidal vector triple starting at
-  /// state index base after a physical-space fill.
-  void finalize_vector_ic(std::size_t base);
+  /// y[f] = x[f] + a z[f] over a full field set (y may alias x).
+  void axpy(Complex* const* y, const Complex* const* x, double a,
+            const Complex* const* z) const;
+  /// dst[f] = src[f] over a full field set.
+  void copy_fields(Complex* const* dst, const Complex* const* src) const;
 
-  /// Normalize, project and dealias the velocity state after a physical-
-  /// space fill; resets the clock.
-  void finalize_velocity_ic();
+  /// Grid-indexed initial-condition values: point (xi, yi, zi) -> one value
+  /// per filled field (only the first `count` entries are read).
+  using PointFill =
+      std::function<std::array<double, 3>(std::size_t, std::size_t,
+                                          std::size_t)>;
 
-  /// Shapes the shell spectrum of the vector triple at `base` to
-  /// E(k) ~ (k/k0)^4 exp(-2 (k/k0)^2) with total energy `energy`.
-  void shape_vector_spectrum(std::size_t base, double k_peak, double energy);
+  /// Fills state fields [base, base + count) from `value` at every local
+  /// point, forward-transforms and normalizes them, projects a vector
+  /// triple (count == 3) onto its solenoidal part, and dealiases.
+  void fill_fields(std::size_t base, std::size_t count,
+                   const PointFill& value);
+
+  /// Rescales the `count` fields at `base` so their shell spectrum, whose
+  /// current value the caller passes in, becomes
+  /// E(k) ~ (k/k0)^4 exp(-2 (k/k0)^2) summing to `total`.
+  void shape_spectrum(std::size_t base, std::size_t count,
+                      const std::vector<double>& current, double k_peak,
+                      double total);
+
+  /// Local index of the k = 0 mode, or spec_ if another rank owns it.
+  std::size_t zero_mode() const;
 
   Complex* block(util::WorkspaceArena::Handle<Complex>& h,
                  std::size_t f) const {
@@ -250,24 +266,20 @@ class SpectralEngine {
   double last_umax_ = 0.0;
 
   // Steady-state scratch: contiguous arena blocks checked out once in the
-  // constructor (nf fields each; k_ holds the four RK4 stages), so a
-  // warmed-up step() never touches the heap.
-  util::WorkspaceArena::Handle<Complex> rhs_a_, rhs_b_, stage_;
-  util::WorkspaceArena::Handle<Complex> k_;        // RK4 only
+  // constructor, so a warmed-up step() never touches the heap. stage_ holds
+  // one field set; k_ holds the stage RHS, one field set for RK2 and four
+  // (k1..k4) for RK4.
+  util::WorkspaceArena::Handle<Complex> stage_, k_;
   util::WorkspaceArena::Handle<Complex> shifted_;  // phase shifting only
   util::WorkspaceArena::Handle<Complex> prod_hat_;
   util::WorkspaceArena::Handle<Real> phys_;  // nf fields, then products
 
-  // Reused pointer tables for the batched transforms, RK stages, and the
-  // EquationSystem callbacks (const and mutable aliases of the same
-  // blocks; apply_linear needs mutable field sets).
-  std::vector<const Complex*> state_ptrs_, stage_ptrs_, spec_in_;
-  std::vector<Complex*> state_mut_, stage_mut_;
-  std::vector<Complex*> rhs_a_ptrs_, rhs_b_ptrs_, k_ptrs_;
-  std::vector<Real*> phys_out_, prod_out_;
-  std::vector<const Real*> prod_in_, field_phys_;
-  std::vector<Complex*> prod_spec_;
-  std::vector<const Complex*> prod_spec_const_;
+  // One reused pointer table per block (Complex** converts to the
+  // const Complex* const* the read-only callbacks take). spec_in_ is the
+  // inverse transform's input: the RHS argument, or its shifted copy.
+  std::vector<Complex*> state_ptrs_, stage_ptrs_, k_ptrs_, prod_spec_;
+  std::vector<const Complex*> spec_in_;
+  std::vector<Real*> phys_ptrs_;  // nf fields, then the products
 };
 
 /// Collective: rank 0 receives field f of every rank at its global slot

@@ -1,8 +1,8 @@
 #pragma once
 // Process-wide workspace arena: a size-bucketed pool of 64-byte aligned
 // blocks with RAII checkout/return handles. Every steady-state scratch
-// buffer in the hot path (RK substage fields, FFT plan scratch, the async
-// pipeline's host and pack/unpack staging buffers) draws from this pool,
+// buffer in the hot path (the engine's RK stage, stage-RHS, product and
+// physical-space blocks, FFT and transpose scratch) draws from this pool,
 // so a warmed-up solver step performs zero heap allocations and the pool's
 // high-water mark is the measured counterpart of the paper's Table 1
 // memory-footprint model.

@@ -23,6 +23,7 @@
 #include "fft/plan.hpp"
 #include "obs/arena_metrics.hpp"
 #include "obs/registry.hpp"
+#include "transpose/dist_fft.hpp"
 #include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
@@ -281,6 +282,55 @@ TEST(AllocFree, WarmedBluesteinBatchTouchesNoHeap) {
   EXPECT_EQ(g_news.load() - n0, 0);
   EXPECT_EQ(g_deletes.load() - d0, 0);
   EXPECT_EQ(arena_after.misses - arena_before.misses, 0u);
+}
+
+/// The engine's steady-state scratch is exactly one RK stage, the
+/// stage-RHS block (one field set for RK2, k1..k4 for RK4), the product
+/// spectra, the physical-space fields and products, and the shifted copies
+/// when phase shifting is on. The backend is built first, so only the
+/// engine constructor's checkouts land in the measured delta.
+void expect_engine_scratch(const SolverConfig& config) {
+  comm::run_ranks(1, [&](comm::Communicator& comm) {
+    auto fft = transpose::make_dist_fft(comm, config.n, config.decomposition);
+    auto& arena = util::WorkspaceArena::global();
+    const std::size_t before = arena.stats().outstanding_bytes;
+    SpectralEngine engine(comm, *fft, config);
+    const std::size_t checked_out = arena.stats().outstanding_bytes - before;
+
+    const std::size_t nf = engine.field_count();
+    const std::size_t nprod = engine.system().product_count();
+    const std::size_t field = fft->spectral_elems() * sizeof(Complex);
+    const std::size_t phys = fft->physical_elems() * sizeof(Real);
+    const std::size_t stages = config.scheme == TimeScheme::RK4 ? 4 : 1;
+    const auto bucket = util::WorkspaceArena::bucket_bytes;
+    std::size_t expected = bucket(nf * field) +           // stage_
+                           bucket(stages * nf * field) +  // k_
+                           bucket(nprod * field) +        // prod_hat_
+                           bucket((nf + nprod) * phys);   // phys_
+    if (config.phase_shift_dealias) expected += bucket(nf * field);
+    EXPECT_EQ(checked_out, expected);
+  });
+}
+
+TEST(EngineScratch, NavierStokesRk2HoldsOneStageAndOneRhsBlock) {
+  SolverConfig config;
+  config.n = 16;
+  expect_engine_scratch(config);
+}
+
+TEST(EngineScratch, NavierStokesRk4PhaseShiftHoldsFourRhsBlocks) {
+  SolverConfig config;
+  config.n = 16;
+  config.scheme = TimeScheme::RK4;
+  config.phase_shift_dealias = true;
+  expect_engine_scratch(config);
+}
+
+TEST(EngineScratch, MhdRk2HoldsOneStageAndOneRhsBlock) {
+  SolverConfig config;
+  config.n = 16;
+  config.system = SystemType::Mhd;
+  expect_engine_scratch(config);
 }
 
 TEST(ArenaMetrics, PublishesGaugesNextToUsage) {

@@ -474,6 +474,55 @@ TEST(Decomposition, MhdSlabMatchesPencil) {
   check_decomposition_equivalence(cfg);
 }
 
+/// B0 imposed *before* init_magnetic_isotropic: the refill must keep the
+/// mean field exactly while it replaces the fluctuation. Four ranks, so
+/// only one of them owns k = 0. Collects the magnetic spectrum on rank 0.
+std::vector<double> refill_under_mean_field(transpose::Decomposition d) {
+  const std::array<double, 3> b0 = {0.1, -0.2, 0.4};
+  std::vector<double> spectrum;
+  comm::run_ranks(4, [&](comm::Communicator& comm) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    cfg.system = SystemType::Mhd;
+    cfg.decomposition = d;
+    SpectralEngine solver(comm, cfg);
+    solver.set_uniform_magnetic_field(b0);
+    solver.init_magnetic_isotropic(9, 3.0, 0.25);
+
+    bool owner = false;
+    for_each_mode(solver.modes(), [&](std::size_t, int kx, int ky, int kz) {
+      owner = owner || (kx == 0 && ky == 0 && kz == 0);
+    });
+    EXPECT_EQ(comm.allreduce_sum(owner ? 1.0 : 0.0), 1.0);
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(probe_mode(solver, comm, 3 + c, 0, 0, 0),
+                (Complex{b0[c], 0.0}));
+    }
+    EXPECT_LT(max_divergence(solver.modes(), comm, solver.field(3),
+                             solver.field(4), solver.field(5)),
+              1e-12);
+    auto named = solver.named_spectra();
+    if (comm.rank() == 0) {
+      for (auto& [name, shells] : named) {
+        if (name == "magnetic") spectrum = std::move(shells);
+      }
+    }
+  });
+  return spectrum;
+}
+
+TEST(MhdValidation, MeanFieldSurvivesTheFluctuationRefill) {
+  const auto slab = refill_under_mean_field(transpose::Decomposition::Slab);
+  const auto pencil =
+      refill_under_mean_field(transpose::Decomposition::Pencil);
+  ASSERT_FALSE(slab.empty());
+  ASSERT_EQ(slab.size(), pencil.size());
+  for (std::size_t k = 0; k < slab.size(); ++k) {
+    EXPECT_NEAR(slab[k], pencil[k], 1e-12) << "shell " << k;
+  }
+}
+
 // --- checkpoint compatibility --------------------------------------------
 
 TEST(Systems, MhdStateSurvivesTheExtraFieldSlots) {
