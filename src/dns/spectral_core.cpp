@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "obs/span.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -99,13 +100,15 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
 
   // Check out every steady-state scratch block now: step() only reuses.
   // RK2's second RHS reuses k_'s one field set: N(u) is dead once the
-  // midpoint stage is formed.
+  // midpoint stage is formed. k_ is dead between steps, so it also serves
+  // as the physical scratch of up to three fields (phys_scratch).
   const std::size_t stages = config_.scheme == TimeScheme::RK4 ? 4 : 1;
   stage_.ensure(nf * spec_);
-  k_.ensure(stages * nf * spec_);
+  k_.ensure(std::max(stages * nf * spec_,
+                     (3 * phys_elems_ * sizeof(Real) + sizeof(Complex) - 1) /
+                         sizeof(Complex)));
   if (config_.phase_shift_dealias) shifted_.ensure(nf * spec_);
   prod_hat_.ensure(nprod_ * spec_);
-  phys_.ensure((nf + nprod_) * phys_elems_);
 
   state_ptrs_.resize(nf);
   stage_ptrs_.resize(nf);
@@ -118,18 +121,20 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
   for (std::size_t f = 0; f < k_ptrs_.size(); ++f) k_ptrs_[f] = block(k_, f);
   prod_spec_.resize(nprod_);
   for (std::size_t t = 0; t < nprod_; ++t) prod_spec_[t] = block(prod_hat_, t);
-  phys_ptrs_.resize(nf + nprod_);
-  for (std::size_t f = 0; f < phys_ptrs_.size(); ++f) {
-    phys_ptrs_[f] = phys_block(f);
-  }
 }
 
 void SpectralEngine::apply_dealias(Complex* field) {
   scale_and_truncate(view_, field, 1.0, dealias_);
 }
 
+void SpectralEngine::apply_linear(Complex* const* fields, double dt) {
+  obs::TraceSpan span("dns.apply_linear", obs::SpanKind::Compute);
+  system_->apply_linear(view_, fields, dt);
+}
+
 void SpectralEngine::axpy(Complex* const* y, const Complex* const* x,
                           double a, const Complex* const* z) const {
+  obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
   for (std::size_t f = 0; f < field_count(); ++f) {
     for (std::size_t i = 0; i < spec_; ++i) y[f][i] = x[f][i] + a * z[f][i];
   }
@@ -137,6 +142,7 @@ void SpectralEngine::axpy(Complex* const* y, const Complex* const* x,
 
 void SpectralEngine::copy_fields(Complex* const* dst,
                                  const Complex* const* src) const {
+  obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
   for (std::size_t f = 0; f < field_count(); ++f) {
     std::copy(src[f], src[f] + spec_, dst[f]);
   }
@@ -155,7 +161,7 @@ void SpectralEngine::fill_fields(std::size_t base, std::size_t count,
   Real* phys[3] = {};
   Complex* spec[3] = {};
   for (std::size_t c = 0; c < count; ++c) {
-    phys[c] = phys_block(c);
+    phys[c] = phys_scratch(c);
     spec[c] = state_[base + c].data();
   }
   for_each_point(pview_, [&](std::size_t idx, std::size_t xi, std::size_t yi,
@@ -315,60 +321,52 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
     delta[0] = delta[1] = delta[2] = half_cell;
   }
 
-  // 1. All fields to physical space (one multi-variable transform, exactly
-  //    how the production code amortizes message size over variables).
-  if (shift) {
-    for (std::size_t f = 0; f < nf; ++f) {
-      Complex* sh = block(shifted_, f);
-      std::copy(in[f], in[f] + spec_, sh);
-      phase_shift(view_, sh, delta, +1);
-      spec_in_[f] = sh;
-    }
-  } else {
-    for (std::size_t f = 0; f < nf; ++f) spec_in_[f] = in[f];
-  }
-  fft_.inverse(std::span<const Complex* const>(spec_in_.data(), nf),
-               std::span<Real* const>(phys_ptrs_.data(), nf));
-
-  // 2. Pointwise max signal speed (CFL bookkeeping): the velocity, plus the
-  //    magnetic field for MHD (b is in Alfven-velocity units, so this keeps
-  //    the estimate honest for Alfven waves too).
-  double umax = 0.0;
-  for (int c = 0; c < 3; ++c) {
-    const Real* p = phys_block(static_cast<std::size_t>(c));
-    for (std::size_t idx = 0; idx < phys_elems_; ++idx) {
-      umax = std::max(umax, std::abs(p[idx]));
-    }
-  }
-  if (const int mb = magnetic_base(); mb >= 0) {
-    for (int c = 0; c < 3; ++c) {
-      const Real* p = phys_block(static_cast<std::size_t>(mb + c));
-      for (std::size_t idx = 0; idx < phys_elems_; ++idx) {
-        umax = std::max(umax, std::abs(p[idx]));
+  // 1. The round trip (one multi-variable transform each way, exactly how
+  //    the production code amortizes message size over variables): all
+  //    fields to physical space, then per group of points the max signal
+  //    speed and the system's products, then the products back to spectral
+  //    space.
+  {
+    obs::TraceSpan span("dns.round_trip", obs::SpanKind::Compute);
+    if (shift) {
+      for (std::size_t f = 0; f < nf; ++f) {
+        Complex* sh = block(shifted_, f);
+        std::copy(in[f], in[f] + spec_, sh);
+        phase_shift(view_, sh, delta, +1);
+        spec_in_[f] = sh;
       }
+    } else {
+      for (std::size_t f = 0; f < nf; ++f) spec_in_[f] = in[f];
+    }
+    kernel_umax_ = 0.0;
+    fft_.round_trip(std::span<const Complex* const>(spec_in_.data(), nf),
+                    &SpectralEngine::products_kernel, this,
+                    std::span<Complex* const>(prod_spec_.data(), nprod_));
+  }
+  {
+    obs::TraceSpan span("dns.cfl_allreduce", obs::SpanKind::Comm);
+    last_umax_ = comm_.allreduce_max(kernel_umax_);
+  }
+
+  // 2. Undo the shift, then normalize and dealias in one pass.
+  {
+    obs::TraceSpan span("dns.rhs_epilogue", obs::SpanKind::Compute);
+    for (std::size_t t = 0; t < nprod_; ++t) {
+      Complex* p = block(prod_hat_, t);
+      if (shift) phase_shift(view_, p, delta, -1);
+      scale_and_truncate(view_, p, inv_n3, dealias_);
     }
   }
-  last_umax_ = comm_.allreduce_max(umax);
 
-  // 3. The system's products in physical space.
-  Real* const* products = phys_ptrs_.data() + nf;
-  system_->form_products(phys_ptrs_.data(), products, phys_elems_);
-
-  // 4. Products to spectral space (one multi-variable transform).
-  fft_.forward(std::span<const Real* const>(products, nprod_),
-               std::span<Complex* const>(prod_spec_.data(), nprod_));
-  //    Undo the shift, then normalize and dealias in one pass.
-  for (std::size_t t = 0; t < nprod_; ++t) {
-    Complex* p = block(prod_hat_, t);
-    if (shift) phase_shift(view_, p, delta, -1);
-    scale_and_truncate(view_, p, inv_n3, dealias_);
+  // 3. The system's spectral RHS from the dealiased product spectra.
+  {
+    obs::TraceSpan span("dns.assemble_rhs", obs::SpanKind::Compute);
+    system_->assemble_rhs(view_, in, prod_spec_.data(), rhs);
   }
 
-  // 5. The system's spectral RHS from the dealiased product spectra.
-  system_->assemble_rhs(view_, in, prod_spec_.data(), rhs);
-
-  // 6. Velocity-proportional band forcing with fixed injection power.
+  // 4. Velocity-proportional band forcing with fixed injection power.
   if (with_forcing && config_.forcing.enabled) {
+    obs::TraceSpan span("dns.forcing", obs::SpanKind::Compute);
     const double eband =
         band_energy(view_, comm_, in[0], in[1], in[2], config_.forcing.klo,
                     config_.forcing.khi);
@@ -378,6 +376,28 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
                        config_.forcing.klo, config_.forcing.khi, coeff);
     }
   }
+}
+
+void SpectralEngine::products_kernel(void* ctx, const Real* const* in,
+                                     Real* const* out, std::size_t points) {
+  auto& self = *static_cast<SpectralEngine*>(ctx);
+  // Pointwise max signal speed (CFL bookkeeping): the velocity, plus the
+  // magnetic field for MHD (b is in Alfven-velocity units, so this keeps
+  // the estimate honest for Alfven waves too).
+  double umax = self.kernel_umax_;
+  const auto fold = [&](std::size_t first) {
+    for (std::size_t c = first; c < first + 3; ++c) {
+      for (std::size_t idx = 0; idx < points; ++idx) {
+        umax = std::max(umax, std::abs(in[c][idx]));
+      }
+    }
+  };
+  fold(0);
+  if (const int mb = self.magnetic_base(); mb >= 0) {
+    fold(static_cast<std::size_t>(mb));
+  }
+  self.kernel_umax_ = umax;
+  self.system_->form_products(in, out, points);
 }
 
 void SpectralEngine::step(double dt) {
@@ -425,6 +445,7 @@ void SpectralEngine::step(double dt) {
     apply_linear(k1, dt);  // E_f k1
     apply_linear(k2, h);   // E_h k2
     apply_linear(state, dt);
+    obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
     for (std::size_t f = 0; f < nf; ++f) {
       Complex* s = state[f];
       for (std::size_t i = 0; i < spec_; ++i) {
@@ -543,8 +564,8 @@ std::vector<double> SpectralEngine::transfer_spectrum() {
 DerivativeMoments SpectralEngine::derivative_moments() {
   // Longitudinal derivatives via spectral differentiation (du/dx needs
   // i*kx, dv/dy i*ky, dw/dz i*kz), then pointwise moments in physical
-  // space. The stage block doubles as gradient scratch (never live between
-  // steps).
+  // space. The stage block doubles as gradient scratch and k_ as physical
+  // scratch (neither is live between steps).
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
     const Complex iu{0.0, 1.0};
     block(stage_, 0)[idx] = iu * static_cast<double>(kx) * state_[0][idx];
@@ -553,13 +574,13 @@ DerivativeMoments SpectralEngine::derivative_moments() {
   });
   const Complex* spec3[3] = {block(stage_, 0), block(stage_, 1),
                              block(stage_, 2)};
-  Real* phys3[3] = {phys_block(0), phys_block(1), phys_block(2)};
+  Real* phys3[3] = {phys_scratch(0), phys_scratch(1), phys_scratch(2)};
   fft_.inverse(std::span<const Complex* const>(spec3, 3),
                std::span<Real* const>(phys3, 3));
 
   double m2 = 0.0, m3 = 0.0, m4 = 0.0;
   for (int c = 0; c < 3; ++c) {
-    const Real* p = phys_block(static_cast<std::size_t>(c));
+    const Real* p = phys3[c];
     for (std::size_t idx = 0; idx < phys_elems_; ++idx) {
       const double g2 = p[idx] * p[idx];
       m2 += g2;

@@ -19,11 +19,14 @@
 // products in physical space, forward-transform them, let the system
 // assemble its spectral RHS, and dealias; the linear terms are integrated
 // exactly by the system's propagator (viscous/diffusive decay, plus e.g.
-// the Coriolis rotation).
+// the Coriolis rotation). The inverse transform, the products (with the
+// CFL max) and the forward transform are one DistFft3d::round_trip, so the
+// products are formed group by group inside the transform and the engine
+// holds no physical-space field.
 //
 // All substage scratch (one RK stage, the stage-RHS block, product
-// spectra, physical-space blocks, optional shifted copies) is checked out
-// of util::WorkspaceArena once at construction, and initial conditions
+// spectra, optional shifted copies) is checked out of
+// util::WorkspaceArena once at construction, and initial conditions
 // are keyed on *global* grid indices through the backend's PhysView - so
 // a warmed-up step() performs zero heap allocations and both
 // decompositions produce the same physics from the same seed.
@@ -203,11 +206,14 @@ class SpectralEngine {
   /// Applies the dealiasing rule dealias_ to one field.
   void apply_dealias(Complex* field);
 
+  /// round_trip's kernel (ctx is the engine): folds the pointwise max
+  /// signal speed into kernel_umax_, then forms the system's products.
+  static void products_kernel(void* ctx, const Real* const* in,
+                              Real* const* out, std::size_t points);
+
   /// The system's exact linear propagator over dt, applied in place to a
   /// full field set (state or an RK stage).
-  void apply_linear(Complex* const* fields, double dt) {
-    system_->apply_linear(view_, fields, dt);
-  }
+  void apply_linear(Complex* const* fields, double dt);
 
   /// y[f] = x[f] + a z[f] over a full field set (y may alias x).
   void axpy(Complex* const* y, const Complex* const* x, double a,
@@ -241,8 +247,10 @@ class SpectralEngine {
                  std::size_t f) const {
     return h.data() + f * spec_;
   }
-  Real* phys_block(std::size_t f) const {
-    return phys_.data() + f * phys_elems_;
+  /// Physical scratch field c < 3 for the initial conditions and
+  /// statistics, borrowed from k_ (dead between steps).
+  Real* phys_scratch(std::size_t c) const {
+    return reinterpret_cast<Real*>(k_.data()) + c * phys_elems_;
   }
 
   comm::Communicator& comm_;
@@ -264,22 +272,21 @@ class SpectralEngine {
   std::int64_t steps_ = 0;
   std::int64_t rhs_evals_ = 0;  // parity selects the Rogallo grid shift
   double last_umax_ = 0.0;
+  double kernel_umax_ = 0.0;  // this rank's running max inside round_trip
 
   // Steady-state scratch: contiguous arena blocks checked out once in the
   // constructor, so a warmed-up step() never touches the heap. stage_ holds
   // one field set; k_ holds the stage RHS, one field set for RK2 and four
-  // (k1..k4) for RK4.
+  // (k1..k4) for RK4, and at least three physical fields (phys_scratch).
   util::WorkspaceArena::Handle<Complex> stage_, k_;
   util::WorkspaceArena::Handle<Complex> shifted_;  // phase shifting only
   util::WorkspaceArena::Handle<Complex> prod_hat_;
-  util::WorkspaceArena::Handle<Real> phys_;  // nf fields, then products
 
   // One reused pointer table per block (Complex** converts to the
   // const Complex* const* the read-only callbacks take). spec_in_ is the
-  // inverse transform's input: the RHS argument, or its shifted copy.
+  // round trip's input: the RHS argument, or its shifted copy.
   std::vector<Complex*> state_ptrs_, stage_ptrs_, k_ptrs_, prod_spec_;
   std::vector<const Complex*> spec_in_;
-  std::vector<Real*> phys_ptrs_;  // nf fields, then the products
 };
 
 /// Collective: rank 0 receives field f of every rank at its global slot

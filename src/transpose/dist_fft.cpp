@@ -1,6 +1,7 @@
 #include "transpose/dist_fft.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/span.hpp"
 #include "util/check.hpp"
@@ -28,6 +29,35 @@ void DistFft3d::inverse(std::span<const Complex> spec, std::span<Real> phys) {
   Real* p = phys.data();
   inverse(std::span<const Complex* const>(&s, 1),
           std::span<Real* const>(&p, 1));
+}
+
+void DistFft3d::round_trip(std::span<const Complex* const> in,
+                           PointKernel kernel, void* ctx,
+                           std::span<Complex* const> out) {
+  const std::size_t m = physical_elems();
+  Real* const* phys = point_scratch(in.size(), out.size(), m);
+  inverse(in, std::span<Real* const>(phys, in.size()));
+  kernel(ctx, phys, phys + in.size(), m);
+  const Real* const* products = phys + in.size();
+  forward(std::span<const Real* const>(products, out.size()), out);
+}
+
+Real* const* DistFft3d::point_scratch(std::size_t nin, std::size_t nout,
+                                      std::size_t points) {
+  points_.ensure((nin + nout) * points);
+  if (point_ptrs_.size() < nin + nout) point_ptrs_.resize(nin + nout);
+  for (std::size_t f = 0; f < nin + nout; ++f) {
+    point_ptrs_[f] = points_.data() + f * points;
+  }
+  return point_ptrs_.data();
+}
+
+std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines) {
+  const std::size_t block = fft::batch_block_lines(n / 2);
+  const std::size_t unit = std::lcm(block, plane_lines);
+  const auto threads =
+      static_cast<std::size_t>(util::ThreadPool::global().threads());
+  return (block * threads + unit - 1) / unit * unit;
 }
 
 const char* to_string(Decomposition d) {
@@ -89,39 +119,60 @@ void SlabFft3d::set_batching(int np, int q) {
   q_ = q;
 }
 
-void SlabFft3d::forward(std::span<const Real* const> phys,
-                        std::span<Complex* const> spec) {
-  PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
-  const std::size_t nv = phys.size();
+void SlabFft3d::ensure_work(std::size_t count) {
+  if (work_.size() < count) work_.resize(count);
+  for (std::size_t v = 0; v < count; ++v) {
+    work_[v].ensure(nxh() * n_ * std::max(my(), mz()));
+  }
+  if (yslab_ptrs_.size() < count) yslab_ptrs_.resize(count);
+  if (zslab_ptrs_.size() < count) zslab_ptrs_.resize(count);
+}
+
+void SlabFft3d::z_pass(fft::Direction dir, Complex* const* yslabs,
+                       std::size_t nv, std::size_t j0,
+                       std::size_t planes) const {
+  // Planes are disjoint: stripe (variable, plane) pairs across the worker
+  // pool (each per-plane transform_batch then runs inline in its stripe).
   const std::size_t h = nxh();
-  if (work_.size() < nv) work_.resize(nv);
+  util::ThreadPool::global().parallel_for(
+      "fft.slab.z", 0, nv * planes, [&](std::size_t idx) {
+        Complex* base = yslabs[idx / planes] + h * n_ * (j0 + idx % planes);
+        plan_yz_->transform_batch(dir, base, base,
+                                  BatchLayout{.count = h, .stride = h,
+                                              .dist = 1});
+      });
+}
 
-  if (yslab_ptrs_.size() < nv) yslab_ptrs_.resize(nv);
-  for (std::size_t v = 0; v < nv; ++v) {
-    auto& w = work_[v];
-    w.ensure(h * n_ * my());
-    yslab_ptrs_[v] = w.data();
-
-    // x: real-to-complex, all my()*n_ unit-stride lines as one batch.
-    {
-      obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
-      plan_x_->forward_batch(phys[v], n_, w.data(), h, n_ * my());
-    }
-    // z: strided lines (stride nxh) inside the Y-slab, one batch per plane.
-    {
-      obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
-      // Planes are disjoint: stripe them across the worker pool (the
-      // per-plane transform_batch then runs inline inside its stripe).
+void SlabFft3d::inverse_to_yslabs(std::span<const Complex* const> spec) {
+  const std::size_t nv = spec.size();
+  const std::size_t h = nxh();
+  ensure_work(2 * nv);
+  // y-inverse out of place, from the const input into scratch Z-slabs.
+  {
+    obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
+    for (std::size_t v = 0; v < nv; ++v) {
+      Complex* wz = work_[v].data();
+      zslab_ptrs_[v] = wz;
+      yslab_ptrs_[v] = work_[nv + v].data();
       util::ThreadPool::global().parallel_for(
-          "fft.slab.z", 0, my(), [&](std::size_t jj) {
-            Complex* base = w.data() + h * n_ * jj;
-            plan_yz_->transform_batch(fft::Direction::Forward, base, base,
+          "fft.slab.y", 0, mz(), [&](std::size_t kk) {
+            plan_yz_->transform_batch(fft::Direction::Inverse,
+                                      spec[v] + h * n_ * kk,
+                                      wz + h * n_ * kk,
                                       BatchLayout{.count = h, .stride = h,
                                                   .dist = 1});
           });
     }
   }
+  transpose_.z_to_y(
+      std::span<const Complex* const>(
+          const_cast<const Complex* const*>(zslab_ptrs_.data()), nv),
+      std::span<Complex* const>(yslab_ptrs_.data(), nv), np_, q_);
+}
 
+void SlabFft3d::yslabs_to_spectral(std::span<Complex* const> spec) {
+  const std::size_t nv = spec.size();
+  const std::size_t h = nxh();
   // Global transpose to Z-slabs, batched as np pencils / q per all-to-all.
   transpose_.y_to_z(
       std::span<const Complex* const>(
@@ -141,60 +192,79 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
       });
 }
 
+void SlabFft3d::forward(std::span<const Real* const> phys,
+                        std::span<Complex* const> spec) {
+  PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
+  const std::size_t nv = phys.size();
+  const std::size_t h = nxh();
+  ensure_work(nv);
+  for (std::size_t v = 0; v < nv; ++v) {
+    Complex* w = work_[v].data();
+    yslab_ptrs_[v] = w;
+    // x: real-to-complex, all my()*n_ unit-stride lines as one batch.
+    {
+      obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
+      plan_x_->forward_batch(phys[v], n_, w, h, n_ * my());
+    }
+    // z: strided lines (stride nxh) inside the Y-slab, one batch per plane.
+    obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
+    z_pass(fft::Direction::Forward, &w, 1, 0, my());
+  }
+  yslabs_to_spectral(spec);
+}
+
 void SlabFft3d::inverse(std::span<const Complex* const> spec,
                         std::span<Real* const> phys) {
   PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
   const std::size_t nv = phys.size();
-  const std::size_t h = nxh();
-  if (work_.size() < 2 * nv) work_.resize(2 * nv);
-
-  // y-inverse out of place, from the const input into scratch Z-slabs.
-  if (zslab_ptrs_.size() < nv) zslab_ptrs_.resize(nv);
-  if (yslab_ptrs_.size() < nv) yslab_ptrs_.resize(nv);
-  {
-    obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
-    for (std::size_t v = 0; v < nv; ++v) {
-      auto& wz = work_[v];
-      wz.ensure(h * n_ * mz());
-      zslab_ptrs_[v] = wz.data();
-      util::ThreadPool::global().parallel_for(
-          "fft.slab.y", 0, mz(), [&](std::size_t kk) {
-            plan_yz_->transform_batch(fft::Direction::Inverse,
-                                      spec[v] + h * n_ * kk,
-                                      wz.data() + h * n_ * kk,
-                                      BatchLayout{.count = h, .stride = h,
-                                                  .dist = 1});
-          });
-      auto& wy = work_[nv + v];
-      wy.ensure(h * n_ * my());
-      yslab_ptrs_[v] = wy.data();
-    }
-  }
-
-  transpose_.z_to_y(
-      std::span<const Complex* const>(
-          const_cast<const Complex* const*>(zslab_ptrs_.data()), nv),
-      std::span<Complex* const>(yslab_ptrs_.data(), nv), np_, q_);
-
+  inverse_to_yslabs(spec);
   for (std::size_t v = 0; v < nv; ++v) {
     Complex* w = yslab_ptrs_[v];
-    // z-inverse.
     {
       obs::TraceSpan span("slab_fft.inverse.z", obs::SpanKind::Compute);
-      util::ThreadPool::global().parallel_for(
-          "fft.slab.z", 0, my(), [&](std::size_t jj) {
-            Complex* base = w + h * n_ * jj;
-            plan_yz_->transform_batch(fft::Direction::Inverse, base, base,
-                                      BatchLayout{.count = h, .stride = h,
-                                                  .dist = 1});
-          });
+      z_pass(fft::Direction::Inverse, &w, 1, 0, my());
     }
     // x: complex-to-real, batched over all lines of the Y-slab.
-    {
-      obs::TraceSpan span("slab_fft.inverse.x", obs::SpanKind::Compute);
-      plan_x_->inverse_batch(w, h, phys[v], n_, n_ * my());
+    obs::TraceSpan span("slab_fft.inverse.x", obs::SpanKind::Compute);
+    plan_x_->inverse_batch(w, nxh(), phys[v], n_, n_ * my());
+  }
+}
+
+void SlabFft3d::round_trip(std::span<const Complex* const> in,
+                           PointKernel kernel, void* ctx,
+                           std::span<Complex* const> out) {
+  const std::size_t nin = in.size(), nout = out.size();
+  const std::size_t h = nxh();
+  ensure_work(std::max(2 * nin, nout));
+  inverse_to_yslabs(in);
+
+  const std::size_t group =
+      std::min(round_trip_group_lines(n_, n_) / n_, my());  // planes
+  Real* const* phys = point_scratch(nin, nout, group * n_ * n_);
+  {
+    obs::TraceSpan span("slab_fft.planes", obs::SpanKind::Compute);
+    // The Z-slab pointer table is free after the transpose: it holds the
+    // outputs' Y-slabs while yslab_ptrs_ holds the inputs'.
+    for (std::size_t t = 0; t < nout; ++t) zslab_ptrs_[t] = work_[t].data();
+    Complex* const* yin = yslab_ptrs_.data();
+    Complex* const* yout = zslab_ptrs_.data();
+    for (std::size_t j0 = 0; j0 < my(); j0 += group) {
+      const std::size_t planes = std::min(group, my() - j0);
+      const std::size_t lines = planes * n_;
+      z_pass(fft::Direction::Inverse, yin, nin, j0, planes);
+      for (std::size_t v = 0; v < nin; ++v) {
+        plan_x_->inverse_batch(yin[v] + h * n_ * j0, h, phys[v], n_, lines);
+      }
+      kernel(ctx, phys, phys + nin, lines * n_);
+      for (std::size_t t = 0; t < nout; ++t) {
+        plan_x_->forward_batch(phys[nin + t], n_, yout[t] + h * n_ * j0, h,
+                               lines);
+      }
+      z_pass(fft::Direction::Forward, yout, nout, j0, planes);
     }
   }
+  for (std::size_t t = 0; t < nout; ++t) yslab_ptrs_[t] = work_[t].data();
+  yslabs_to_spectral(out);
 }
 
 // -------------------------------------------------------------- PencilFft3d
@@ -226,61 +296,23 @@ void PencilFft3d::inverse(std::span<const Complex* const> spec,
   }
 }
 
-void PencilFft3d::forward(std::span<const Real> phys,
-                          std::span<Complex> spec) {
-  const auto& g = grid();
-  const std::size_t h = nxh(), yl = g.yl(), zl = g.zl();
-  const std::size_t w = x_range().width();
-  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
-  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
-
-  px_.ensure(h * yl * zl);
-  py_.ensure(n_ * w * zl);
-
-  // x: real-to-complex, all yl*zl unit-stride lines of the X-pencil at once.
-  {
-    obs::TraceSpan span("pencil_fft.forward.x", obs::SpanKind::Compute);
-    plan_x_->forward_batch(phys.data(), n_, px_.data(), h, yl * zl);
+void PencilFft3d::ensure_pencils(std::size_t count) {
+  if (px_.size() < count) px_.resize(count);
+  for (std::size_t v = 0; v < count; ++v) {
+    px_[v].ensure(nxh() * grid().yl() * grid().zl());
   }
-
-  // Row transpose, then y on the contiguous lines of the Y-pencil (one
-  // arithmetic progression: dist n_, stride 1).
-  transpose_.x_to_y(std::span<const Complex>(px_.data(), h * yl * zl),
-                    std::span<Complex>(py_.data(), n_ * w * zl));
-  {
-    obs::TraceSpan span("pencil_fft.forward.y", obs::SpanKind::Compute);
-    plan_yz_->transform_batch(fft::Direction::Forward, py_.data(), py_.data(),
-                              BatchLayout{.count = w * zl, .stride = 1,
-                                          .dist = n_});
-  }
-
-  // Column transpose, then z on contiguous lines of the Z-pencil.
-  transpose_.y_to_z(std::span<const Complex>(py_.data(), n_ * w * zl), spec);
-  {
-    obs::TraceSpan span("pencil_fft.forward.z", obs::SpanKind::Compute);
-    plan_yz_->transform_batch(fft::Direction::Forward, spec.data(),
-                              spec.data(),
-                              BatchLayout{.count = w * g.yl2(), .stride = 1,
-                                          .dist = n_});
-  }
+  py_.ensure(n_ * x_range().width() * grid().zl());
+  pz_.ensure(spectral_elems());
 }
 
-void PencilFft3d::inverse(std::span<const Complex> spec,
-                          std::span<Real> phys) {
+void PencilFft3d::inverse_to_xpencil(const Complex* spec, Complex* px) {
   const auto& g = grid();
   const std::size_t h = nxh(), yl = g.yl(), zl = g.zl();
   const std::size_t w = x_range().width();
-  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
-  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
-
-  px_.ensure(h * yl * zl);
-  py_.ensure(n_ * w * zl);
-  pz_.ensure(spectral_elems());
-
   // z-inverse out of place, from the const input into the scratch Z-pencil.
   {
     obs::TraceSpan span("pencil_fft.inverse.z", obs::SpanKind::Compute);
-    plan_yz_->transform_batch(fft::Direction::Inverse, spec.data(), pz_.data(),
+    plan_yz_->transform_batch(fft::Direction::Inverse, spec, pz_.data(),
                               BatchLayout{.count = w * g.yl2(), .stride = 1,
                                           .dist = n_});
   }
@@ -295,10 +327,87 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   }
 
   transpose_.y_to_x(std::span<const Complex>(py_.data(), n_ * w * zl),
-                    std::span<Complex>(px_.data(), h * yl * zl));
+                    std::span<Complex>(px, h * yl * zl));
+}
+
+void PencilFft3d::xpencil_to_spectral(const Complex* px, Complex* spec) {
+  const auto& g = grid();
+  const std::size_t h = nxh(), yl = g.yl(), zl = g.zl();
+  const std::size_t w = x_range().width();
+  // Row transpose, then y on the contiguous lines of the Y-pencil (one
+  // arithmetic progression: dist n_, stride 1).
+  transpose_.x_to_y(std::span<const Complex>(px, h * yl * zl),
+                    std::span<Complex>(py_.data(), n_ * w * zl));
   {
-    obs::TraceSpan span("pencil_fft.inverse.x", obs::SpanKind::Compute);
-    plan_x_->inverse_batch(px_.data(), h, phys.data(), n_, yl * zl);
+    obs::TraceSpan span("pencil_fft.forward.y", obs::SpanKind::Compute);
+    plan_yz_->transform_batch(fft::Direction::Forward, py_.data(), py_.data(),
+                              BatchLayout{.count = w * zl, .stride = 1,
+                                          .dist = n_});
+  }
+
+  // Column transpose, then z on contiguous lines of the Z-pencil.
+  transpose_.y_to_z(std::span<const Complex>(py_.data(), n_ * w * zl),
+                    std::span<Complex>(spec, spectral_elems()));
+  obs::TraceSpan span("pencil_fft.forward.z", obs::SpanKind::Compute);
+  plan_yz_->transform_batch(fft::Direction::Forward, spec, spec,
+                            BatchLayout{.count = w * g.yl2(), .stride = 1,
+                                        .dist = n_});
+}
+
+void PencilFft3d::forward(std::span<const Real> phys,
+                          std::span<Complex> spec) {
+  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
+  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
+  ensure_pencils(1);
+  // x: real-to-complex, all yl*zl unit-stride lines of the X-pencil at once.
+  {
+    obs::TraceSpan span("pencil_fft.forward.x", obs::SpanKind::Compute);
+    plan_x_->forward_batch(phys.data(), n_, px_[0].data(), nxh(),
+                           grid().yl() * grid().zl());
+  }
+  xpencil_to_spectral(px_[0].data(), spec.data());
+}
+
+void PencilFft3d::inverse(std::span<const Complex> spec,
+                          std::span<Real> phys) {
+  PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
+  PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
+  ensure_pencils(1);
+  inverse_to_xpencil(spec.data(), px_[0].data());
+  obs::TraceSpan span("pencil_fft.inverse.x", obs::SpanKind::Compute);
+  plan_x_->inverse_batch(px_[0].data(), nxh(), phys.data(), n_,
+                         grid().yl() * grid().zl());
+}
+
+void PencilFft3d::round_trip(std::span<const Complex* const> in,
+                             PointKernel kernel, void* ctx,
+                             std::span<Complex* const> out) {
+  const std::size_t nin = in.size(), nout = out.size();
+  const std::size_t h = nxh(), total = grid().yl() * grid().zl();
+  ensure_pencils(std::max(nin, nout));
+  for (std::size_t v = 0; v < nin; ++v) {
+    inverse_to_xpencil(in[v], px_[v].data());
+  }
+
+  const std::size_t group = std::min(round_trip_group_lines(n_, 1), total);
+  Real* const* phys = point_scratch(nin, nout, group * n_);
+  {
+    obs::TraceSpan span("pencil_fft.lines", obs::SpanKind::Compute);
+    for (std::size_t l0 = 0; l0 < total; l0 += group) {
+      const std::size_t lines = std::min(group, total - l0);
+      for (std::size_t v = 0; v < nin; ++v) {
+        plan_x_->inverse_batch(px_[v].data() + h * l0, h, phys[v], n_,
+                               lines);
+      }
+      kernel(ctx, phys, phys + nin, lines * n_);
+      for (std::size_t t = 0; t < nout; ++t) {
+        plan_x_->forward_batch(phys[nin + t], n_, px_[t].data() + h * l0, h,
+                               lines);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < nout; ++t) {
+    xpencil_to_spectral(px_[t].data(), out[t]);
   }
 }
 

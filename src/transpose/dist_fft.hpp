@@ -8,7 +8,8 @@
 //
 // DistFft3d is the decomposition-agnostic face of both backends: a solver
 // written against it (dns::SpectralEngine) sees only
-//   - batched multi-variable forward/inverse transforms,
+//   - batched multi-variable forward/inverse transforms, and the fused
+//     inverse -> pointwise kernel -> forward round_trip,
 //   - the local physical and spectral extents,
 //   - a ModeView/PhysView describing how local storage maps to global
 //     (kx,ky,kz) / (x,y,z) indices,
@@ -19,8 +20,28 @@
 //
 // SlabFft3d is the one slab backend. set_batching() is the only way to set
 // its np/Q: the pencils chunk the global transpose, so np and Q change how
-// many all-to-alls a transform makes, never a bit of its result; the
-// line-FFT passes always run over the whole slab.
+// many all-to-alls a transform makes, never a bit of its result.
+//
+// round_trip() is the pseudo-spectral RHS in one call: inverse-transform
+// the input fields, apply a pointwise kernel (the products) in physical
+// space, forward-transform the kernel's outputs. Once the last transpose of
+// the inverse has run, every remaining pass is local to a group of x-lines
+// (whole Y-planes for the slab, X-pencil lines for the pencil), so both
+// backends run the local inverse passes, the kernel and the local forward
+// passes group by group while the group is in cache, and never hold a
+// full-size physical field. The paper keeps each pencil batch resident
+// through its stages the same way (Fig. 4).
+//  - Group size: round_trip_group_lines() x-lines, a whole number of planes
+//    that is a multiple of the x pass's r2c block and holds at least one
+//    block per pool thread; the last group takes the remainder. The x
+//    pass's block partition is therefore that of a whole-slab call, and
+//    every output bit equals the unfused path's.
+//  - The kernel is called once per group, in order, with point counts that
+//    sum to physical_elems(). It must be pointwise and must not
+//    communicate; it may fold running state (e.g. a max) into its context.
+//  - The base class's default is the unfused definition: inverse() into
+//    full-size scratch, the kernel over all points at once, forward().
+//    Forwarding decorators that override only forward/inverse inherit it.
 //
 // Both backends are unnormalized: inverse(forward(u)) == N^3 * u.
 
@@ -44,6 +65,18 @@ namespace psdns::transpose {
 
 using fft::Complex;
 using fft::Real;
+
+/// Pointwise physical-space kernel of DistFft3d::round_trip: reads in[f][i]
+/// and writes out[t][i] for i < points. A function pointer plus a context
+/// pointer, as util::ThreadPool's jobs are, so a call allocates nothing.
+using PointKernel = void (*)(void* ctx, const Real* const* in,
+                             Real* const* out, std::size_t points);
+
+/// x-lines per round_trip group for an N = n grid whose planes hold
+/// `plane_lines` x-lines: the smallest whole number of planes that is a
+/// multiple of fft::batch_block_lines(n/2) and holds at least one such
+/// block per pool thread.
+std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines);
 
 /// Decomposition-agnostic distributed 3-D FFT backend.
 class DistFft3d {
@@ -74,10 +107,30 @@ class DistFft3d {
   virtual void inverse(std::span<const Complex* const> spec,
                        std::span<Real* const> phys) = 0;
 
+  /// out = forward(kernel(inverse(in))) for in.size() input and out.size()
+  /// output fields (out must not alias in). The default runs exactly that,
+  /// with full-size physical scratch and one kernel call over all points;
+  /// the backends override it with the grouped schedule described at the
+  /// top of this file, bitwise equal to the default.
+  virtual void round_trip(std::span<const Complex* const> in,
+                          PointKernel kernel, void* ctx,
+                          std::span<Complex* const> out);
+
   /// Single-variable convenience (non-virtual, forwards to the batched
   /// entry points).
   void forward(std::span<const Real> phys, std::span<Complex> spec);
   void inverse(std::span<const Complex> spec, std::span<Real> phys);
+
+ protected:
+  /// Physical scratch of `points` points for nin + nout fields, checked out
+  /// of the workspace arena on first use: the pointer table holds the nin
+  /// inputs, then the nout outputs.
+  Real* const* point_scratch(std::size_t nin, std::size_t nout,
+                             std::size_t points);
+
+ private:
+  util::WorkspaceArena::Handle<Real> points_;
+  std::vector<Real*> point_ptrs_;
 };
 
 /// Slab-decomposed transform (the new GPU code's layout).
@@ -119,14 +172,33 @@ class SlabFft3d final : public DistFft3d {
   void inverse(std::span<const Complex* const> spec,
                std::span<Real* const> phys) override;
 
+  /// y-inverse and z_to_y of the inputs, then per group of Y-planes: the
+  /// z-inverse and x c2r of the inputs, the kernel, the x r2c and z-forward
+  /// of the outputs; then y_to_z and y-forward of the outputs. Output t's
+  /// Y-slab is work_[t]: the Z-slab scratch is dead after the transpose,
+  /// and an input's plane is consumed before any output writes to it.
+  void round_trip(std::span<const Complex* const> in, PointKernel kernel,
+                  void* ctx, std::span<Complex* const> out) override;
+
  private:
+  /// Checks out work_[0, count) as slab scratch.
+  void ensure_work(std::size_t count);
+  /// y-inverse of spec[v] into Z-slab scratch work_[v], then the batched
+  /// z_to_y into the Y-slabs work_[nv + v] (yslab_ptrs_[v]).
+  void inverse_to_yslabs(std::span<const Complex* const> spec);
+  /// y_to_z of the Y-slabs yslab_ptrs_[v] into spec[v], then y-forward.
+  void yslabs_to_spectral(std::span<Complex* const> spec);
+  /// z pass (in place) over Y-planes [j0, j0 + planes) of every Y-slab.
+  void z_pass(fft::Direction dir, Complex* const* yslabs, std::size_t nv,
+              std::size_t j0, std::size_t planes) const;
+
   comm::Communicator& comm_;
   std::size_t n_;
   SlabTranspose transpose_;
   std::shared_ptr<const fft::PlanR2C> plan_x_;
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
   int np_ = 1, q_ = 1;
-  // Per-variable Y-slab scratch, checked out of the workspace arena.
+  // Per-variable slab scratch, checked out of the workspace arena.
   std::vector<util::WorkspaceArena::Handle<Complex>> work_;
   // Reused per-call pointer arrays (forward/inverse are hot-loop calls).
   std::vector<Complex*> yslab_ptrs_, zslab_ptrs_;
@@ -187,15 +259,31 @@ class PencilFft3d final : public DistFft3d {
   void forward(std::span<const Real> phys, std::span<Complex> spec);
   void inverse(std::span<const Complex> spec, std::span<Real> phys);
 
+  /// Each input z -> y -> x into its own spectral X-pencil px_[v], then
+  /// per group of X-pencil lines: x c2r of the inputs, the kernel, x r2c of
+  /// the outputs into px_[t]; then each output x -> y -> z.
+  void round_trip(std::span<const Complex* const> in, PointKernel kernel,
+                  void* ctx, std::span<Complex* const> out) override;
+
  private:
+  /// Checks out px_[0, count) and the Y/Z-pencil scratch.
+  void ensure_pencils(std::size_t count);
+  /// z-inverse (out of place), z_to_y, y-inverse, y_to_x into X-pencil px.
+  void inverse_to_xpencil(const Complex* spec, Complex* px);
+  /// x_to_y, y-forward, y_to_z, z-forward of X-pencil px into spec.
+  void xpencil_to_spectral(const Complex* px, Complex* spec);
+
   std::size_t n_;
   PencilTranspose transpose_;
   std::shared_ptr<const fft::PlanR2C> plan_x_;
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
   int np_ = 1, q_ = 1;
-  // Intermediate layouts (X- and Y-pencils) and the inverse() Z-pencil
-  // scratch, all checked out of the workspace arena.
-  util::WorkspaceArena::Handle<Complex> px_, py_, pz_;
+  // Intermediate layouts and the inverse's Z-pencil scratch, all checked
+  // out of the workspace arena: spectral X-pencils (one per round_trip
+  // field, px_[0] for the single-field transforms), one Y-pencil and one
+  // Z-pencil.
+  std::vector<util::WorkspaceArena::Handle<Complex>> px_;
+  util::WorkspaceArena::Handle<Complex> py_, pz_;
 };
 
 /// Which backend a solver runs on: the paper's slab layout, or the 2-D

@@ -1,11 +1,11 @@
 #pragma once
 // Process-wide workspace arena: a size-bucketed pool of 64-byte aligned
 // blocks with RAII checkout/return handles. Every steady-state scratch
-// buffer in the hot path (the engine's RK stage, stage-RHS, product and
-// physical-space blocks, FFT and transpose scratch) draws from this pool,
-// so a warmed-up solver step performs zero heap allocations and the pool's
-// high-water mark is the measured counterpart of the paper's Table 1
-// memory-footprint model.
+// buffer in the hot path (the engine's RK stage, stage-RHS and product
+// blocks, the backends' transform and round-trip group scratch, FFT
+// scratch) draws from this pool, so a warmed-up solver step performs zero
+// heap allocations and the pool's high-water mark is the measured
+// counterpart of the paper's Table 1 memory-footprint model.
 //
 // Blocks are bucketed by rounding the request up to a power of two (floor
 // 256 bytes), so a returned block satisfies any later request of a similar

@@ -9,8 +9,6 @@
 
 namespace psdns::util {
 
-thread_local int ThreadPool::t_depth = 0;
-
 ThreadPool::ThreadPool(int threads) {
   PSDNS_REQUIRE(threads >= 1 && threads <= kMaxThreads,
                 "thread pool width out of range");

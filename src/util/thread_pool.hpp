@@ -124,7 +124,10 @@ class ThreadPool {
   void stop_workers();
   int stage_index(const char* name);
 
-  static thread_local int t_depth;  // >0 while inside any parallel_for
+  // >0 while inside any parallel_for. Inline with a constant initializer,
+  // so no translation unit reaches it through a TLS init wrapper (GCC 12's
+  // -fsanitize=null reports loads through that wrapper as null loads).
+  static inline thread_local int t_depth = 0;
 
   static constexpr std::size_t kRing = 64;
   static constexpr int kMaxStages = 32;

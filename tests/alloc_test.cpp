@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -284,11 +285,31 @@ TEST(AllocFree, WarmedBluesteinBatchTouchesNoHeap) {
   EXPECT_EQ(arena_after.misses - arena_before.misses, 0u);
 }
 
-/// The engine's steady-state scratch is exactly one RK stage, the
-/// stage-RHS block (one field set for RK2, k1..k4 for RK4), the product
-/// spectra, the physical-space fields and products, and the shifted copies
-/// when phase shifting is on. The backend is built first, so only the
-/// engine constructor's checkouts land in the measured delta.
+/// The engine's named blocks: one RK stage, the stage-RHS block (one field
+/// set for RK2, k1..k4 for RK4, and never less than three physical fields,
+/// which the initial conditions and statistics borrow it for), the product
+/// spectra, and the shifted copies when phase shifting is on. The engine
+/// holds no physical-space block: the products are formed inside the
+/// backend's round trip.
+std::size_t engine_scratch_bytes(const SolverConfig& config,
+                                 const SpectralEngine& engine,
+                                 const transpose::DistFft3d& fft) {
+  const std::size_t nf = engine.field_count();
+  const std::size_t nprod = engine.system().product_count();
+  const std::size_t field = fft.spectral_elems() * sizeof(Complex);
+  const std::size_t phys = fft.physical_elems() * sizeof(Real);
+  const std::size_t stages = config.scheme == TimeScheme::RK4 ? 4 : 1;
+  const auto bucket = util::WorkspaceArena::bucket_bytes;
+  std::size_t expected =
+      bucket(nf * field) +                                // stage_
+      bucket(std::max(stages * nf * field, 3 * phys)) +   // k_
+      bucket(nprod * field);                              // prod_hat_
+  if (config.phase_shift_dealias) expected += bucket(nf * field);
+  return expected;
+}
+
+/// The backend is built first, so only the engine constructor's checkouts
+/// land in the measured delta.
 void expect_engine_scratch(const SolverConfig& config) {
   comm::run_ranks(1, [&](comm::Communicator& comm) {
     auto fft = transpose::make_dist_fft(comm, config.n, config.decomposition);
@@ -296,20 +317,86 @@ void expect_engine_scratch(const SolverConfig& config) {
     const std::size_t before = arena.stats().outstanding_bytes;
     SpectralEngine engine(comm, *fft, config);
     const std::size_t checked_out = arena.stats().outstanding_bytes - before;
-
-    const std::size_t nf = engine.field_count();
-    const std::size_t nprod = engine.system().product_count();
-    const std::size_t field = fft->spectral_elems() * sizeof(Complex);
-    const std::size_t phys = fft->physical_elems() * sizeof(Real);
-    const std::size_t stages = config.scheme == TimeScheme::RK4 ? 4 : 1;
-    const auto bucket = util::WorkspaceArena::bucket_bytes;
-    std::size_t expected = bucket(nf * field) +           // stage_
-                           bucket(stages * nf * field) +  // k_
-                           bucket(nprod * field) +        // prod_hat_
-                           bucket((nf + nprod) * phys);   // phys_
-    if (config.phase_shift_dealias) expected += bucket(nf * field);
-    EXPECT_EQ(checked_out, expected);
+    EXPECT_EQ(checked_out, engine_scratch_bytes(config, engine, *fft));
   });
+}
+
+/// Everything a warmed step holds, engine plus backend, on every rank: the
+/// engine's named blocks; the backend's slab scratch (max(2 nf, nprod)
+/// slabs) or spectral X-pencils (max(nf, nprod), plus one Y- and one
+/// Z-pencil); the round trip's group scratch of nf + nprod physical fields
+/// over one group of x-lines; and this rank thread's FFT staging (the x
+/// pass's two r2c buffers, the c2c batch's ping-pong pair). A full-size
+/// physical block anywhere would break the sum.
+void expect_warmed_step_scratch(const SolverConfig& config, int ranks) {
+  std::size_t before = 0, after = 0, expected = 0;
+  auto& arena = util::WorkspaceArena::global();
+  comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+    comm.barrier();
+    if (comm.rank() == 0) before = arena.stats().outstanding_bytes;
+    comm.barrier();
+    auto fft = transpose::make_dist_fft(comm, config.n, config.decomposition);
+    SpectralEngine engine(comm, *fft, config);
+    engine.init_isotropic(7, 3.0, 0.5);
+    engine.step(1e-3);
+    engine.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) {
+      after = arena.stats().outstanding_bytes;
+      const std::size_t n = config.n;
+      const std::size_t h = n / 2 + 1;
+      const std::size_t nf = engine.field_count();
+      const std::size_t nprod = engine.system().product_count();
+      const auto bucket = util::WorkspaceArena::bucket_bytes;
+      std::size_t backend = 0, lines = 0, plane_lines = 1;
+      if (const auto* slab = dynamic_cast<transpose::SlabFft3d*>(fft.get())) {
+        backend = std::max(2 * nf, nprod) *
+                  bucket(h * n * slab->my() * sizeof(Complex));
+        lines = n * slab->my();
+        plane_lines = n;
+      } else {
+        const auto& pencil = dynamic_cast<transpose::PencilFft3d&>(*fft);
+        const auto& g = pencil.grid();
+        backend = std::max(nf, nprod) *
+                      bucket(h * g.yl() * g.zl() * sizeof(Complex)) +
+                  bucket(n * pencil.x_range().width() * g.zl() *
+                         sizeof(Complex)) +
+                  bucket(fft->spectral_elems() * sizeof(Complex));
+        lines = g.yl() * g.zl();
+      }
+      const std::size_t group =
+          std::min(transpose::round_trip_group_lines(n, plane_lines), lines);
+      const std::size_t staging =
+          2 * bucket(fft::batch_block_lines(n / 2) * (n / 2) *
+                     sizeof(Complex)) +
+          bucket(2 * fft::batch_block_lines(n) * n * sizeof(Complex));
+      expected = engine_scratch_bytes(config, engine, *fft) + backend +
+                 bucket((nf + nprod) * group * n * sizeof(Real)) + staging;
+    }
+    comm.barrier();
+  });
+  EXPECT_EQ(after - before, static_cast<std::size_t>(ranks) * expected);
+}
+
+TEST(WarmedStepScratch, SlabNavierStokesHoldsNoPhysicalField) {
+  SolverConfig config;
+  config.n = 16;
+  expect_warmed_step_scratch(config, 1);
+}
+
+TEST(WarmedStepScratch, SlabMhdHoldsNoPhysicalField) {
+  SolverConfig config;
+  config.n = 16;
+  config.system = SystemType::Mhd;
+  expect_warmed_step_scratch(config, 1);
+}
+
+TEST(WarmedStepScratch, PencilMhdTwoRanksHoldsNoPhysicalField) {
+  SolverConfig config;
+  config.n = 16;
+  config.system = SystemType::Mhd;
+  config.decomposition = transpose::Decomposition::Pencil;  // 1x2
+  expect_warmed_step_scratch(config, 2);
 }
 
 TEST(EngineScratch, NavierStokesRk2HoldsOneStageAndOneRhsBlock) {

@@ -1237,13 +1237,13 @@ std::vector<std::int64_t> warmed_step_deltas(
 TEST(Instrumentation, SlabStepSpanCountsAreExact) {
   // Every obs::TraceSpan feeds the histogram named after it, so the span
   // volume of a warmed step is a deterministic function of the engine's
-  // call structure. RK2 makes two RHS evaluations; each runs one 3-field
-  // inverse (z_to_y: np/q = 4 chunks, one one-copy all-to-all each) and
-  // one 6-product forward (y_to_z: 4 chunks), and a batched slab transform
-  // does each y pass once for all its variables and each x pass once per
-  // variable. The staged pack/unpack primitives are not on this path.
+  // call structure. RK2 makes two RHS evaluations; each is one round trip:
+  // a 3-field y-inverse and z_to_y (np/q = 4 chunks, one one-copy
+  // all-to-all each), the plane-group loop (z and x passes and the
+  // products, one span for all groups), then a 6-product y_to_z (4 chunks)
+  // and y-forward. No x or z pass runs outside the group loop, and the
+  // staged pack/unpack primitives are not on this path.
   constexpr int kRanks = 2, kRhs = 2, kChunks = 4;
-  constexpr int kVelocity = 3, kProducts = 6;
   const std::vector<std::pair<std::string, std::int64_t>> expected = {
       {"transpose.pack_z", 0},
       {"transpose.unpack_y", 0},
@@ -1251,9 +1251,12 @@ TEST(Instrumentation, SlabStepSpanCountsAreExact) {
       {"transpose.unpack_z", 0},
       {"comm.alltoall", kRanks * 2 * kChunks * kRhs},
       {"slab_fft.inverse.y", kRanks * kRhs},
-      {"slab_fft.inverse.x", kRanks * kVelocity * kRhs},
+      {"slab_fft.planes", kRanks * kRhs},
+      {"slab_fft.inverse.z", 0},
+      {"slab_fft.inverse.x", 0},
+      {"slab_fft.forward.x", 0},
+      {"slab_fft.forward.z", 0},
       {"slab_fft.forward.y", kRanks * kRhs},
-      {"slab_fft.forward.x", kRanks * kProducts * kRhs},
   };
   SolverConfig cfg;
   cfg.n = 16;
@@ -1276,14 +1279,16 @@ TEST(Instrumentation, PencilStepSpanCountsAreExact) {
   // 2x2 pencil NS: a pencil transform moves one variable at a time through
   // two exchanges (row and column), so each RHS evaluation makes
   // 2 * (3 fields + 6 products) comm.alltoall calls per rank; none is the
-  // v-variant any more.
+  // v-variant any more. The x passes run inside the round trip's line-group
+  // loop, which carries one span for all its groups.
   constexpr int kRanks = 4, kRhs = 2, kVelocity = 3, kProducts = 6;
   const std::vector<std::pair<std::string, std::int64_t>> expected = {
       {"comm.alltoall", kRanks * 2 * (kVelocity + kProducts) * kRhs},
       {"comm.alltoallv", 0},
       {"pencil_fft.inverse.z", kRanks * kVelocity * kRhs},
-      {"pencil_fft.inverse.x", kRanks * kVelocity * kRhs},
-      {"pencil_fft.forward.x", kRanks * kProducts * kRhs},
+      {"pencil_fft.inverse.x", 0},
+      {"pencil_fft.lines", kRanks * kRhs},
+      {"pencil_fft.forward.x", 0},
       {"pencil_fft.forward.z", kRanks * kProducts * kRhs},
   };
   SolverConfig cfg;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "dns/spectral_core.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
@@ -315,6 +316,58 @@ TEST_F(SpanTest, SlabInverseExchangesProduceCrossRankEdges) {
     ASSERT_GE(dst_rank, 0) << "edge target is not a comm.alltoall span";
     EXPECT_NE(src_rank, dst_rank);
     EXPECT_EQ(src_exchange, dst_exchange);
+  }
+}
+
+TEST_F(SpanTest, EngineStepSpanCountsAreExact) {
+  // One traced, warmed, forced RK2 step. Per rank: two RHS evaluations,
+  // each one round trip (one group-loop span for all its groups), one
+  // allreduce of the CFL max, one epilogue, one RHS assembly and one
+  // forcing; three linear propagators (stage, state, k1) and two RK
+  // combinations. No x pass runs outside a group loop.
+  struct Case {
+    int ranks;
+    transpose::Decomposition decomposition;
+    const char* group_span;
+  };
+  for (const Case& c :
+       {Case{1, transpose::Decomposition::Slab, "slab_fft.planes"},
+        Case{2, transpose::Decomposition::Slab, "slab_fft.planes"},
+        Case{2, transpose::Decomposition::Pencil, "pencil_fft.lines"}}) {
+    obs::set_tracing(false);
+    comm::run_ranks(c.ranks, [&](comm::Communicator& comm) {
+      dns::SolverConfig config;
+      config.n = 16;
+      config.viscosity = 0.02;
+      config.decomposition = c.decomposition;
+      config.forcing.enabled = true;
+      config.forcing.power = 0.05;
+      dns::SpectralEngine engine(comm, config);
+      engine.init_isotropic(7, 3.0, 0.5);
+      engine.step(1e-3);
+      comm.barrier();
+      if (comm.rank() == 0) obs::set_tracing(true);
+      comm.barrier();
+      engine.step(1e-3);
+      comm.barrier();
+    });
+    const auto trace = obs::collect_trace();
+    const std::pair<std::string, int> expected[] = {
+        {"dns.round_trip", 2},   {"dns.cfl_allreduce", 2},
+        {"dns.rhs_epilogue", 2}, {"dns.assemble_rhs", 2},
+        {"dns.forcing", 2},      {"dns.apply_linear", 3},
+        {"dns.rk_update", 2},    {c.group_span, 2},
+        {"slab_fft.inverse.x", 0}, {"slab_fft.forward.x", 0},
+        {"pencil_fft.inverse.x", 0}, {"pencil_fft.forward.x", 0}};
+    for (const auto& [name, per_rank] : expected) {
+      for (int r = 0; r < c.ranks; ++r) {
+        const auto count = std::count_if(
+            trace.spans.begin(), trace.spans.end(),
+            [&](const SpanRecord& s) { return s.name == name && s.rank == r; });
+        EXPECT_EQ(count, per_rank) << name << " rank " << r << " of "
+                                   << c.ranks << " " << c.group_span;
+      }
+    }
   }
 }
 

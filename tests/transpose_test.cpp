@@ -5,11 +5,14 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "fft/fft3d.hpp"
+#include "fft/plan.hpp"
 #include "obs/registry.hpp"
 #include "transpose/dist_fft.hpp"
 #include "transpose/pencil.hpp"
@@ -707,6 +710,142 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GridCase>& pinfo) {
       return "Pr" + std::to_string(pinfo.param.pr) + "Pc" +
              std::to_string(pinfo.param.pc);
+    });
+
+// --- fused round trip ---
+
+/// A product-forming kernel: out[t] = in[a] * in[b] + t over pairs that
+/// cycle through the inputs, plus a running max of |in| - the shape of the
+/// engine's products-and-CFL kernel. Records every call's point count.
+struct ProductKernel {
+  ProductKernel(std::size_t in, std::size_t out) : nin(in), nout(out) {}
+
+  std::size_t nin, nout;
+  double max = 0.0;
+  std::vector<std::size_t> calls;
+
+  static void run(void* ctx, const Real* const* in, Real* const* out,
+                  std::size_t points) {
+    auto& k = *static_cast<ProductKernel*>(ctx);
+    k.calls.push_back(points);
+    for (std::size_t f = 0; f < k.nin; ++f) {
+      for (std::size_t i = 0; i < points; ++i) {
+        k.max = std::max(k.max, std::abs(in[f][i]));
+      }
+    }
+    for (std::size_t t = 0; t < k.nout; ++t) {
+      const Real* a = in[t % k.nin];
+      const Real* b = in[(t / k.nin + t + 1) % k.nin];
+      for (std::size_t i = 0; i < points; ++i) {
+        out[t][i] = a[i] * b[i] + static_cast<double>(t);
+      }
+    }
+  }
+};
+
+struct RoundTripCase {
+  bool pencil;
+  int pr, pc;  // slab: pr ranks, pc unused
+};
+
+class RoundTripP : public ::testing::TestWithParam<RoundTripCase> {};
+
+TEST_P(RoundTripP, OverrideBitwiseEqualsInverseKernelForward) {
+  // Each backend's grouped round trip against the base-class default
+  // (inverse into full-size scratch, one kernel call, forward): every
+  // output bit, the kernel's max and its group sizes, at 1 and 4 pool
+  // threads. At n = 24 and 48 a Y-plane's line count is not a multiple
+  // of the 64-line r2c block, so slab groups span several planes.
+  const auto [pencil, pr, pc] = GetParam();
+  const int ranks = pencil ? pr * pc : pr;
+  const std::pair<std::size_t, std::size_t> counts[] = {{3, 6}, {6, 9},
+                                                        {4, 9}};
+  auto& pool = util::ThreadPool::global();
+  const int prev = pool.threads();
+  for (const int threads : {1, 4}) {
+    pool.set_threads(threads);
+    for (const std::size_t n : {16, 24, 48}) {
+      const auto divides = [n](int p) {
+        return n % static_cast<std::size_t>(p) == 0;
+      };
+      if (!divides(pr) || (pencil && !divides(pc))) continue;
+      const std::size_t block_points = fft::batch_block_lines(n / 2) * n;
+      for (const auto& [nin, nout] : counts) {
+        comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+          std::unique_ptr<DistFft3d> fft3;
+          if (pencil) {
+            fft3 = std::make_unique<PencilFft3d>(comm, n, pr, pc);
+          } else {
+            fft3 = std::make_unique<SlabFft3d>(comm, n);
+          }
+          const std::size_t spec = fft3->spectral_elems();
+          util::Rng rng(n + nin, static_cast<std::uint64_t>(comm.rank()));
+          std::vector<std::vector<Complex>> in(nin, std::vector<Complex>(spec));
+          for (auto& field : in) {
+            for (auto& c : field) c = Complex{rng.gaussian(), rng.gaussian()};
+          }
+          const auto in_copy = in;
+          std::vector<const Complex*> in_ptrs;
+          for (const auto& field : in) in_ptrs.push_back(field.data());
+
+          std::vector<std::vector<Complex>> got(nout), want(nout);
+          std::vector<Complex*> got_ptrs, want_ptrs;
+          for (std::size_t t = 0; t < nout; ++t) {
+            got[t].assign(spec, Complex{-7.0, -7.0});
+            want[t].assign(spec, Complex{-9.0, -9.0});
+            got_ptrs.push_back(got[t].data());
+            want_ptrs.push_back(want[t].data());
+          }
+          ProductKernel kgot(nin, nout), kwant(nin, nout);
+          fft3->round_trip(in_ptrs, &ProductKernel::run, &kgot, got_ptrs);
+          fft3->DistFft3d::round_trip(in_ptrs, &ProductKernel::run, &kwant,
+                                      want_ptrs);
+
+          const std::string where =
+              "n=" + std::to_string(n) + " nin=" + std::to_string(nin) +
+              " nout=" + std::to_string(nout) +
+              " threads=" + std::to_string(threads) +
+              " rank=" + std::to_string(comm.rank());
+          ASSERT_EQ(in, in_copy) << where << ": inputs modified";
+          ASSERT_EQ(kwant.calls.size(), 1u) << where;
+          EXPECT_EQ(kgot.max, kwant.max) << where;
+          std::size_t sum = 0;
+          for (std::size_t c = 0; c < kgot.calls.size(); ++c) {
+            sum += kgot.calls[c];
+            if (c + 1 < kgot.calls.size()) {
+              EXPECT_EQ(kgot.calls[c] % block_points, 0u)
+                  << where << " group " << c;
+            }
+          }
+          EXPECT_EQ(sum, fft3->physical_elems()) << where;
+          for (std::size_t t = 0; t < nout; ++t) {
+            ASSERT_EQ(std::memcmp(got[t].data(), want[t].data(),
+                                  spec * sizeof(Complex)),
+                      0)
+                << where << " output " << t;
+          }
+        });
+      }
+    }
+  }
+  pool.set_threads(prev);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RoundTripP,
+    ::testing::Values(RoundTripCase{false, 1, 1}, RoundTripCase{false, 2, 1},
+                      RoundTripCase{false, 4, 1}, RoundTripCase{true, 1, 1},
+                      RoundTripCase{true, 1, 2}, RoundTripCase{true, 2, 2},
+                      RoundTripCase{true, 1, 4}, RoundTripCase{true, 4, 1},
+                      // The PencilUnevenP row sizes (nxh % pr != 0).
+                      RoundTripCase{true, 2, 1}, RoundTripCase{true, 3, 1},
+                      RoundTripCase{true, 3, 2}, RoundTripCase{true, 2, 3},
+                      RoundTripCase{true, 4, 3}),
+    [](const ::testing::TestParamInfo<RoundTripCase>& pinfo) {
+      const auto& c = pinfo.param;
+      return c.pencil ? "PencilPr" + std::to_string(c.pr) + "Pc" +
+                            std::to_string(c.pc)
+                      : "SlabR" + std::to_string(c.pr);
     });
 
 }  // namespace
