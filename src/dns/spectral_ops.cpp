@@ -164,10 +164,10 @@ void nonlinear_rhs(const ModeView& view, const ProductSet& t, Complex* out_u,
     const double fx = static_cast<double>(kx);
     const double fy = static_cast<double>(ky);
     const double fz = static_cast<double>(kz);
-    // Divergence of the momentum flux: N_i = -i k_m T_im.
-    Complex nu_ = mi * (fx * t.t11[idx] + fy * t.t12[idx] + fz * t.t13[idx]);
-    Complex nv_ = mi * (fx * t.t12[idx] + fy * t.t22[idx] + fz * t.t23[idx]);
-    Complex nw_ = mi * (fx * t.t13[idx] + fy * t.t23[idx] + fz * t.t33[idx]);
+    // Divergence of the momentum flux: N_i = -i k_m T_im (T_33 = 0).
+    Complex nu_ = mi * (fx * t.d11[idx] + fy * t.t12[idx] + fz * t.t13[idx]);
+    Complex nv_ = mi * (fx * t.t12[idx] + fy * t.d22[idx] + fz * t.t23[idx]);
+    Complex nw_ = mi * (fx * t.t13[idx] + fy * t.t23[idx]);
     // Projection perpendicular to k (continuity / pressure, Eq. 2).
     const double k2 = fx * fx + fy * fy + fz * fz;
     if (k2 == 0.0) {

@@ -66,13 +66,14 @@ void dealias_spherical(const ModeView& view, Complex* field, double kmax);
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt);
 
-/// out_i = -P_ij * (i k_m T_jm) from the 6 transformed symmetric products
-/// T = {t11,t22,t33,t12,t13,t23} of the velocity field: the conservative-
-/// form nonlinear term of Eq. 2, projected to the divergence-free plane.
+/// out_i = -P_ij * (i k_m T_jm) from the 5 transformed products of the
+/// trace-shifted velocity tensor T = u_i u_j - t33 delta_ij, i.e.
+/// {t11-t33, t22-t33, t12, t13, t23}: the conservative-form nonlinear term
+/// of Eq. 2, projected to the divergence-free plane. The shift's divergence
+/// is a gradient, so the projection gives the RHS of the full tensor.
 struct ProductSet {
-  const Complex* t11;
-  const Complex* t22;
-  const Complex* t33;
+  const Complex* d11;  // t11 - t33
+  const Complex* d22;  // t22 - t33
   const Complex* t12;
   const Complex* t13;
   const Complex* t23;

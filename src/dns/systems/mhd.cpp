@@ -21,11 +21,15 @@ void IncompressibleMhd::form_products(const Real* const* fields,
                         vel[2][idx] + mag[2][idx]};
     const Real zm[3] = {vel[0][idx] - mag[0][idx], vel[1][idx] - mag[1][idx],
                         vel[2][idx] - mag[2][idx]};
-    for (int i = 0; i < 3; ++i) {
-      for (int mm = 0; mm < 3; ++mm) {
-        products[3 * i + mm][idx] = zp[i] * zm[mm];
-      }
-    }
+    const Real g33 = zp[2] * zm[2];
+    products[0][idx] = zp[0] * zm[0] - g33;
+    products[1][idx] = zp[1] * zm[1] - g33;
+    products[2][idx] = zp[0] * zm[1];
+    products[3][idx] = zp[0] * zm[2];
+    products[4][idx] = zp[1] * zm[0];
+    products[5][idx] = zp[1] * zm[2];
+    products[6][idx] = zp[2] * zm[0];
+    products[7][idx] = zp[2] * zm[1];
   }
 }
 
@@ -37,16 +41,18 @@ void IncompressibleMhd::assemble_rhs(const ModeView& view,
     const double k[3] = {static_cast<double>(kx), static_cast<double>(ky),
                          static_cast<double>(kz)};
     const double k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+    const Complex g[3][3] = {
+        {products[0][idx], products[2][idx], products[3][idx]},
+        {products[4][idx], products[1][idx], products[5][idx]},
+        {products[6][idx], products[7][idx], Complex{0.0, 0.0}}};
     // s_i = -i k_m (G_im + G_mi)/2 (momentum flux divergence, pre-projection)
     // a_i = -i k_m (G_im - G_mi)/2 (induction; exactly divergence-free)
     Complex s[3], a[3];
     for (int i = 0; i < 3; ++i) {
       Complex sym{0.0, 0.0}, asym{0.0, 0.0};
       for (int m = 0; m < 3; ++m) {
-        const Complex gim = products[3 * i + m][idx];
-        const Complex gmi = products[3 * m + i][idx];
-        sym += k[m] * (gim + gmi);
-        asym += k[m] * (gim - gmi);
+        sym += k[m] * (g[i][m] + g[m][i]);
+        asym += k[m] * (g[i][m] - g[m][i]);
       }
       s[i] = Complex{0.0, -0.5} * sym;
       a[i] = Complex{0.0, -0.5} * asym;

@@ -1,7 +1,11 @@
 #pragma once
 // Incompressible Navier-Stokes with passive scalars: the seed physics of
-// the repo, moved verbatim out of the once Navier-Stokes-only engine so the
-// engine refactor stays bit-compatible (pinned by the systems_test digests).
+// the repo (its diagnostics are pinned by systems_test).
+//
+// The momentum flux is transformed trace-free: the five products
+// (t11 - t33, t22 - t33, t12, t13, t23) are T - t33 delta, and the
+// divergence of t33 delta is the gradient -i k t33, which the projection
+// removes, so five products give the RHS of all six (Basdevant 1983).
 
 #include "dns/systems/equation_system.hpp"
 
@@ -14,15 +18,15 @@ class NavierStokes : public EquationSystem {
   const char* name() const override { return "navier_stokes"; }
   std::size_t extra_fields() const override { return config_.scalars.size(); }
   std::size_t product_count() const override {
-    return 6 + 3 * config_.scalars.size();
+    return 5 + 3 * config_.scalars.size();
   }
   double diffusivity(std::size_t f) const override {
     return f < 3 ? config_.viscosity
                  : config_.viscosity / config_.scalars[f - 3].schmidt;
   }
 
-  /// The six symmetric velocity products, then three flux components per
-  /// scalar.
+  /// The five trace-free velocity products (t11 - t33, t22 - t33, t12,
+  /// t13, t23), then three flux components per scalar.
   void form_products(const Real* const* fields, Real* const* products,
                      std::size_t m) const override;
 

@@ -41,7 +41,12 @@ struct PipelineConfig {
                                 // each adds 1 inverse transpose per substep
   int extra_products = 0;       // extra forward product transposes per
                                 // substep (e.g. MHD's 9 Elsasser products
-                                // replace the 6 symmetric ones: 3 extra)
+                                // replace the 6 symmetric ones: 3 extra).
+                                // The DES models the paper code's 6
+                                // symmetric products (9 for MHD); the host
+                                // solver transforms the trace-free 5 (8),
+                                // so a model-vs-solver count comparison
+                                // must map one product set to the other.
   gpu::CopyMethod copy_method = gpu::CopyMethod::Memcpy2DAsync;
   gpu::CopyMethod unpack_method = gpu::CopyMethod::ZeroCopy;
 

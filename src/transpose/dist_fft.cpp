@@ -146,14 +146,11 @@ void SlabFft3d::z_pass(fft::Direction dir, Complex* const* yslabs,
 void SlabFft3d::inverse_to_yslabs(std::span<const Complex* const> spec) {
   const std::size_t nv = spec.size();
   const std::size_t h = nxh();
-  ensure_work(2 * nv);
   // y-inverse out of place, from the const input into scratch Z-slabs.
   {
     obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
     for (std::size_t v = 0; v < nv; ++v) {
-      Complex* wz = work_[v].data();
-      zslab_ptrs_[v] = wz;
-      yslab_ptrs_[v] = work_[nv + v].data();
+      Complex* wz = zslab_ptrs_[v];
       util::ThreadPool::global().parallel_for(
           "fft.slab.y", 0, mz(), [&](std::size_t kk) {
             plan_yz_->transform_batch(fft::Direction::Inverse,
@@ -217,6 +214,11 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
                         std::span<Real* const> phys) {
   PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
   const std::size_t nv = phys.size();
+  ensure_work(2 * nv);
+  for (std::size_t v = 0; v < nv; ++v) {
+    zslab_ptrs_[v] = work_[v].data();
+    yslab_ptrs_[v] = work_[nv + v].data();
+  }
   inverse_to_yslabs(spec);
   for (std::size_t v = 0; v < nv; ++v) {
     Complex* w = yslab_ptrs_[v];
@@ -235,7 +237,15 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
                            std::span<Complex* const> out) {
   const std::size_t nin = in.size(), nout = out.size();
   const std::size_t h = nxh();
-  ensure_work(std::max(2 * nin, nout));
+  // Y-slab v is work_[v] for inputs and outputs alike. Input v's y-inverse
+  // goes to the Z-slab out[v], which nothing reads and y_to_z overwrites
+  // in full; inputs past the last output take work slabs past the Y-slabs.
+  const std::size_t nyslabs = std::max(nin, nout);
+  ensure_work(nyslabs + (nin > nout ? nin - nout : 0));
+  for (std::size_t v = 0; v < nyslabs; ++v) yslab_ptrs_[v] = work_[v].data();
+  for (std::size_t v = 0; v < nin; ++v) {
+    zslab_ptrs_[v] = v < nout ? out[v] : work_[nyslabs + v - nout].data();
+  }
   inverse_to_yslabs(in);
 
   const std::size_t group =
@@ -243,27 +253,23 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
   Real* const* phys = point_scratch(nin, nout, group * n_ * n_);
   {
     obs::TraceSpan span("slab_fft.planes", obs::SpanKind::Compute);
-    // The Z-slab pointer table is free after the transpose: it holds the
-    // outputs' Y-slabs while yslab_ptrs_ holds the inputs'.
-    for (std::size_t t = 0; t < nout; ++t) zslab_ptrs_[t] = work_[t].data();
-    Complex* const* yin = yslab_ptrs_.data();
-    Complex* const* yout = zslab_ptrs_.data();
+    // Output t's planes overwrite input t's, which the group has consumed.
+    Complex* const* y = yslab_ptrs_.data();
     for (std::size_t j0 = 0; j0 < my(); j0 += group) {
       const std::size_t planes = std::min(group, my() - j0);
       const std::size_t lines = planes * n_;
-      z_pass(fft::Direction::Inverse, yin, nin, j0, planes);
+      z_pass(fft::Direction::Inverse, y, nin, j0, planes);
       for (std::size_t v = 0; v < nin; ++v) {
-        plan_x_->inverse_batch(yin[v] + h * n_ * j0, h, phys[v], n_, lines);
+        plan_x_->inverse_batch(y[v] + h * n_ * j0, h, phys[v], n_, lines);
       }
       kernel(ctx, phys, phys + nin, lines * n_);
       for (std::size_t t = 0; t < nout; ++t) {
-        plan_x_->forward_batch(phys[nin + t], n_, yout[t] + h * n_ * j0, h,
+        plan_x_->forward_batch(phys[nin + t], n_, y[t] + h * n_ * j0, h,
                                lines);
       }
-      z_pass(fft::Direction::Forward, yout, nout, j0, planes);
+      z_pass(fft::Direction::Forward, y, nout, j0, planes);
     }
   }
-  for (std::size_t t = 0; t < nout; ++t) yslab_ptrs_[t] = work_[t].data();
   yslabs_to_spectral(out);
 }
 
@@ -302,22 +308,22 @@ void PencilFft3d::ensure_pencils(std::size_t count) {
     px_[v].ensure(nxh() * grid().yl() * grid().zl());
   }
   py_.ensure(n_ * x_range().width() * grid().zl());
-  pz_.ensure(spectral_elems());
 }
 
-void PencilFft3d::inverse_to_xpencil(const Complex* spec, Complex* px) {
+void PencilFft3d::inverse_to_xpencil(const Complex* spec, Complex* pz,
+                                     Complex* px) {
   const auto& g = grid();
   const std::size_t h = nxh(), yl = g.yl(), zl = g.zl();
   const std::size_t w = x_range().width();
   // z-inverse out of place, from the const input into the scratch Z-pencil.
   {
     obs::TraceSpan span("pencil_fft.inverse.z", obs::SpanKind::Compute);
-    plan_yz_->transform_batch(fft::Direction::Inverse, spec, pz_.data(),
+    plan_yz_->transform_batch(fft::Direction::Inverse, spec, pz,
                               BatchLayout{.count = w * g.yl2(), .stride = 1,
                                           .dist = n_});
   }
 
-  transpose_.z_to_y(std::span<const Complex>(pz_.data(), spectral_elems()),
+  transpose_.z_to_y(std::span<const Complex>(pz, spectral_elems()),
                     std::span<Complex>(py_.data(), n_ * w * zl));
   {
     obs::TraceSpan span("pencil_fft.inverse.y", obs::SpanKind::Compute);
@@ -373,7 +379,8 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
   PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
   ensure_pencils(1);
-  inverse_to_xpencil(spec.data(), px_[0].data());
+  pz_.ensure(spectral_elems());
+  inverse_to_xpencil(spec.data(), pz_.data(), px_[0].data());
   obs::TraceSpan span("pencil_fft.inverse.x", obs::SpanKind::Compute);
   plan_x_->inverse_batch(px_[0].data(), nxh(), phys.data(), n_,
                          grid().yl() * grid().zl());
@@ -384,9 +391,12 @@ void PencilFft3d::round_trip(std::span<const Complex* const> in,
                              std::span<Complex* const> out) {
   const std::size_t nin = in.size(), nout = out.size();
   const std::size_t h = nxh(), total = grid().yl() * grid().zl();
+  PSDNS_REQUIRE(nout >= 1, "round_trip needs an output field");
   ensure_pencils(std::max(nin, nout));
+  // out[0] is the inputs' Z-pencil scratch: nothing reads it after the
+  // last input's z_to_y, and output 0's y_to_z writes it in full.
   for (std::size_t v = 0; v < nin; ++v) {
-    inverse_to_xpencil(in[v], px_[v].data());
+    inverse_to_xpencil(in[v], out[0], px_[v].data());
   }
 
   const std::size_t group = std::min(round_trip_group_lines(n_, 1), total);

@@ -39,6 +39,8 @@
 //  - The kernel is called once per group, in order, with point counts that
 //    sum to physical_elems(). It must be pointwise and must not
 //    communicate; it may fold running state (e.g. a max) into its context.
+//  - The outputs double as scratch: before the forward passes write them,
+//    the backends park the inputs' inverse-transform intermediates there.
 //  - The base class's default is the unfused definition: inverse() into
 //    full-size scratch, the kernel over all points at once, forward().
 //    Forwarding decorators that override only forward/inverse inherit it.
@@ -108,7 +110,9 @@ class DistFft3d {
                        std::span<Real* const> phys) = 0;
 
   /// out = forward(kernel(inverse(in))) for in.size() input and out.size()
-  /// output fields (out must not alias in). The default runs exactly that,
+  /// output fields. Each out[t] holds spectral_elems() elements and must
+  /// not alias an input; its contents are unspecified during the call (the
+  /// backends use the outputs as scratch). The default runs exactly that,
   /// with full-size physical scratch and one kernel call over all points;
   /// the backends override it with the grouped schedule described at the
   /// top of this file, bitwise equal to the default.
@@ -174,17 +178,20 @@ class SlabFft3d final : public DistFft3d {
 
   /// y-inverse and z_to_y of the inputs, then per group of Y-planes: the
   /// z-inverse and x c2r of the inputs, the kernel, the x r2c and z-forward
-  /// of the outputs; then y_to_z and y-forward of the outputs. Output t's
-  /// Y-slab is work_[t]: the Z-slab scratch is dead after the transpose,
-  /// and an input's plane is consumed before any output writes to it.
+  /// of the outputs; then y_to_z and y-forward of the outputs. Input v's
+  /// Z-slab scratch is out[v] (dead until y_to_z writes it), and input v
+  /// and output v share the Y-slab work_[v] (an input's plane is consumed
+  /// before the output writes it), so the call holds max(nin, nout) slabs
+  /// of scratch when nout >= nin, and 2 nin - nout when nout < nin.
   void round_trip(std::span<const Complex* const> in, PointKernel kernel,
                   void* ctx, std::span<Complex* const> out) override;
 
  private:
   /// Checks out work_[0, count) as slab scratch.
   void ensure_work(std::size_t count);
-  /// y-inverse of spec[v] into Z-slab scratch work_[v], then the batched
-  /// z_to_y into the Y-slabs work_[nv + v] (yslab_ptrs_[v]).
+  /// y-inverse of spec[v] into the Z-slab scratch zslab_ptrs_[v], then the
+  /// batched z_to_y into the Y-slabs yslab_ptrs_[v]; the caller points
+  /// both tables.
   void inverse_to_yslabs(std::span<const Complex* const> spec);
   /// y_to_z of the Y-slabs yslab_ptrs_[v] into spec[v], then y-forward.
   void yslabs_to_spectral(std::span<Complex* const> spec);
@@ -259,17 +266,20 @@ class PencilFft3d final : public DistFft3d {
   void forward(std::span<const Real> phys, std::span<Complex> spec);
   void inverse(std::span<const Complex> spec, std::span<Real> phys);
 
-  /// Each input z -> y -> x into its own spectral X-pencil px_[v], then
-  /// per group of X-pencil lines: x c2r of the inputs, the kernel, x r2c of
-  /// the outputs into px_[t]; then each output x -> y -> z.
+  /// Each input z -> y -> x into its own spectral X-pencil px_[v], with
+  /// out[0] as the z-inverse's Z-pencil scratch, then per group of X-pencil
+  /// lines: x c2r of the inputs, the kernel, x r2c of the outputs into
+  /// px_[t]; then each output x -> y -> z. Holds max(nin, nout) X-pencils
+  /// and one Y-pencil of scratch.
   void round_trip(std::span<const Complex* const> in, PointKernel kernel,
                   void* ctx, std::span<Complex* const> out) override;
 
  private:
-  /// Checks out px_[0, count) and the Y/Z-pencil scratch.
+  /// Checks out px_[0, count) and the Y-pencil scratch.
   void ensure_pencils(std::size_t count);
-  /// z-inverse (out of place), z_to_y, y-inverse, y_to_x into X-pencil px.
-  void inverse_to_xpencil(const Complex* spec, Complex* px);
+  /// z-inverse (out of place) into the Z-pencil scratch pz, then z_to_y,
+  /// y-inverse, y_to_x into X-pencil px.
+  void inverse_to_xpencil(const Complex* spec, Complex* pz, Complex* px);
   /// x_to_y, y-forward, y_to_z, z-forward of X-pencil px into spec.
   void xpencil_to_spectral(const Complex* px, Complex* spec);
 
@@ -278,10 +288,10 @@ class PencilFft3d final : public DistFft3d {
   std::shared_ptr<const fft::PlanR2C> plan_x_;
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
   int np_ = 1, q_ = 1;
-  // Intermediate layouts and the inverse's Z-pencil scratch, all checked
-  // out of the workspace arena: spectral X-pencils (one per round_trip
-  // field, px_[0] for the single-field transforms), one Y-pencil and one
-  // Z-pencil.
+  // Intermediate layouts, all checked out of the workspace arena: spectral
+  // X-pencils (one per round_trip field, px_[0] for the single-field
+  // transforms), one Y-pencil, and the Z-pencil scratch of the standalone
+  // inverse (round_trip borrows an output instead).
   std::vector<util::WorkspaceArena::Handle<Complex>> px_;
   util::WorkspaceArena::Handle<Complex> py_, pz_;
 };

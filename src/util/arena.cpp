@@ -10,7 +10,12 @@
 namespace psdns::util {
 
 std::size_t WorkspaceArena::bucket_bytes(std::size_t bytes) {
-  return std::bit_ceil(std::max<std::size_t>(bytes, 256));
+  constexpr std::size_t kQuarterClassesAbove = std::size_t{1} << 20;
+  if (bytes <= kQuarterClassesAbove) {
+    return std::bit_ceil(std::max<std::size_t>(bytes, 256));
+  }
+  const std::size_t quarter = std::bit_floor(bytes) / 4;
+  return (bytes + quarter - 1) / quarter * quarter;
 }
 
 void* WorkspaceArena::acquire(std::size_t bytes, std::size_t* bucket_out) {
@@ -25,8 +30,9 @@ void* WorkspaceArena::acquire(std::size_t bytes, std::size_t* bucket_out) {
     stats_.outstanding_bytes += bucket;
     return p;
   }
-  // Bucket sizes are powers of two >= 256, so the aligned_alloc size
-  // requirement (a multiple of the alignment) holds by construction.
+  // Bucket sizes are powers of two >= 256 or multiples of 256 KiB, so the
+  // aligned_alloc size requirement (a multiple of the alignment) holds by
+  // construction.
   void* p = std::aligned_alloc(kAlignment, bucket);
   PSDNS_REQUIRE(p != nullptr, "workspace arena allocation failed");
   ++stats_.misses;

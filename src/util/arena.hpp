@@ -7,9 +7,12 @@
 // heap allocations and the pool's high-water mark is the measured
 // counterpart of the paper's Table 1 memory-footprint model.
 //
-// Blocks are bucketed by rounding the request up to a power of two (floor
-// 256 bytes), so a returned block satisfies any later request of a similar
-// size regardless of which subsystem made it. checkout() takes a mutex;
+// Blocks are bucketed by rounding the request up to a size class, so a
+// returned block satisfies any later request of a similar size regardless
+// of which subsystem made it. Up to 1 MiB the classes are powers of two
+// (floor 256 bytes); above it they are quarter steps between powers of two
+// (2^k, 1.25, 1.5, 1.75 x 2^k), so a large field-sized block wastes at most
+// a quarter of its size instead of nearly half. checkout() takes a mutex;
 // Handle::ensure() rechecks its cached capacity first, so the per-call cost
 // in a warmed-up loop is a branch, not a lock.
 
@@ -126,8 +129,9 @@ class WorkspaceArena {
   /// The process-wide arena all library scratch draws from.
   static WorkspaceArena& global();
 
-  /// Bucket a request of `bytes` lands in: the next power of two, floored
-  /// at 256 bytes.
+  /// Bucket a request of `bytes` lands in: up to 1 MiB the next power of
+  /// two, floored at 256 bytes; above, the next multiple of a quarter of
+  /// the power of two at or below the request.
   static std::size_t bucket_bytes(std::size_t bytes);
 
  private:

@@ -322,12 +322,14 @@ void expect_engine_scratch(const SolverConfig& config) {
 }
 
 /// Everything a warmed step holds, engine plus backend, on every rank: the
-/// engine's named blocks; the backend's slab scratch (max(2 nf, nprod)
-/// slabs) or spectral X-pencils (max(nf, nprod), plus one Y- and one
-/// Z-pencil); the round trip's group scratch of nf + nprod physical fields
-/// over one group of x-lines; and this rank thread's FFT staging (the x
-/// pass's two r2c buffers, the c2c batch's ping-pong pair). A full-size
-/// physical block anywhere would break the sum.
+/// engine's named blocks; the backend's slab scratch (max(nf, nprod)
+/// slabs: the round trip parks the inputs' Z-slabs in its outputs) or
+/// spectral X-pencils (max(nf, nprod), plus one Y-pencil; the inputs'
+/// Z-pencil scratch is an output); the round trip's group scratch of
+/// nf + nprod physical fields over one group of x-lines; and this rank
+/// thread's FFT staging (the x pass's two r2c buffers, the c2c batch's
+/// ping-pong pair). A full-size physical block anywhere would break the
+/// sum.
 void expect_warmed_step_scratch(const SolverConfig& config, int ranks) {
   std::size_t before = 0, after = 0, expected = 0;
   auto& arena = util::WorkspaceArena::global();
@@ -350,7 +352,7 @@ void expect_warmed_step_scratch(const SolverConfig& config, int ranks) {
       const auto bucket = util::WorkspaceArena::bucket_bytes;
       std::size_t backend = 0, lines = 0, plane_lines = 1;
       if (const auto* slab = dynamic_cast<transpose::SlabFft3d*>(fft.get())) {
-        backend = std::max(2 * nf, nprod) *
+        backend = std::max(nf, nprod) *
                   bucket(h * n * slab->my() * sizeof(Complex));
         lines = n * slab->my();
         plane_lines = n;
@@ -360,8 +362,7 @@ void expect_warmed_step_scratch(const SolverConfig& config, int ranks) {
         backend = std::max(nf, nprod) *
                       bucket(h * g.yl() * g.zl() * sizeof(Complex)) +
                   bucket(n * pencil.x_range().width() * g.zl() *
-                         sizeof(Complex)) +
-                  bucket(fft->spectral_elems() * sizeof(Complex));
+                         sizeof(Complex));
         lines = g.yl() * g.zl();
       }
       const std::size_t group =

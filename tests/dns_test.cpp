@@ -315,7 +315,7 @@ TEST(FusedTruncation, NonFiniteTruncatedModesVanishKeptNaNSurvives) {
 TEST_F(OpsFixture, NonlinearRhsIsDivergenceFree) {
   std::vector<Complex> ru(u.size()), rv(u.size()), rw(u.size());
   nonlinear_rhs(view, ProductSet{u.data(), v.data(), w.data(), u.data(),
-                                 v.data(), w.data()},
+                                 v.data()},
                 ru.data(), rv.data(), rw.data());
   for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
     const Complex div = static_cast<double>(kx) * ru[idx] +
@@ -1240,7 +1240,7 @@ TEST(Instrumentation, SlabStepSpanCountsAreExact) {
   // call structure. RK2 makes two RHS evaluations; each is one round trip:
   // a 3-field y-inverse and z_to_y (np/q = 4 chunks, one one-copy
   // all-to-all each), the plane-group loop (z and x passes and the
-  // products, one span for all groups), then a 6-product y_to_z (4 chunks)
+  // products, one span for all groups), then a 5-product y_to_z (4 chunks)
   // and y-forward. No x or z pass runs outside the group loop, and the
   // staged pack/unpack primitives are not on this path.
   constexpr int kRanks = 2, kRhs = 2, kChunks = 4;
@@ -1278,10 +1278,10 @@ TEST(Instrumentation, SlabStepSpanCountsAreExact) {
 TEST(Instrumentation, PencilStepSpanCountsAreExact) {
   // 2x2 pencil NS: a pencil transform moves one variable at a time through
   // two exchanges (row and column), so each RHS evaluation makes
-  // 2 * (3 fields + 6 products) comm.alltoall calls per rank; none is the
+  // 2 * (3 fields + 5 products) comm.alltoall calls per rank; none is the
   // v-variant any more. The x passes run inside the round trip's line-group
   // loop, which carries one span for all its groups.
-  constexpr int kRanks = 4, kRhs = 2, kVelocity = 3, kProducts = 6;
+  constexpr int kRanks = 4, kRhs = 2, kVelocity = 3, kProducts = 5;
   const std::vector<std::pair<std::string, std::int64_t>> expected = {
       {"comm.alltoall", kRanks * 2 * (kVelocity + kProducts) * kRhs},
       {"comm.alltoallv", 0},
@@ -1342,6 +1342,42 @@ TEST(Instrumentation, TransposesCopyEachByteOnce) {
         c.ranks, cfg, {}, {"transpose.copy_bytes", "comm.alltoall.bytes"});
     EXPECT_GT(got[1], 0) << c.name;
     EXPECT_EQ(got[0], got[1]) << c.name;
+  }
+}
+
+TEST(Instrumentation, AlltoallBytesAreTwoTransformsPerFieldAndProduct) {
+  // An RK2 step makes two RHS evaluations, and each transforms the nf
+  // fields inverse and the nprod products forward. Every transform moves
+  // the whole spectral field once per global transpose (one for the slab,
+  // two for the pencil), and the counter sums the bytes each rank
+  // receives. NS: 3 fields + 5 products; MHD: 6 fields + 8 products.
+  struct Case {
+    const char* name;
+    transpose::Decomposition decomposition;
+    SystemType system;
+    std::int64_t fields_and_products, transposes;
+  };
+  const Case cases[] = {
+      {"slab NS 2 ranks", transpose::Decomposition::Slab,
+       SystemType::NavierStokes, 3 + 5, 1},
+      {"pencil MHD 1x2", transpose::Decomposition::Pencil, SystemType::Mhd,
+       6 + 8, 2},
+  };
+  constexpr std::int64_t kRhs = 2;
+  for (const auto& c : cases) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    cfg.scheme = TimeScheme::RK2;
+    cfg.decomposition = c.decomposition;
+    cfg.system = c.system;
+    const std::int64_t field_bytes =
+        static_cast<std::int64_t>((cfg.n / 2 + 1) * cfg.n * cfg.n *
+                                  sizeof(Complex));
+    const auto got = warmed_step_deltas(2, cfg, {}, {"comm.alltoall.bytes"});
+    EXPECT_EQ(got[0],
+              kRhs * c.fields_and_products * c.transposes * field_bytes)
+        << c.name;
   }
 }
 

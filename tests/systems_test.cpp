@@ -1,8 +1,10 @@
 // Tests of the EquationSystem layer (ctest label: equation-systems).
 //
-// Three groups:
+// Four groups:
 //  - construction/validation: system parsing, make_equation_system's
 //    parameter checks, and the typed forcing-band validation;
+//  - reduced product sets: each system's trace-shifted products give the
+//    RHS of the full product tensor to round-off;
 //  - regression: the NavierStokes system must reproduce the pre-refactor
 //    Navier-Stokes engine diagnostics (values pinned from the last commit
 //    before the engine/system split, same configurations the bitwise
@@ -16,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,8 @@
 #include "comm/communicator.hpp"
 #include "dns/spectral_core.hpp"
 #include "dns/systems/equation_system.hpp"
+#include "transpose/dist_fft.hpp"
+#include "util/rng.hpp"
 
 namespace psdns::dns {
 namespace {
@@ -85,7 +91,7 @@ TEST(EquationSystem, FieldInventoryAndNames) {
   const auto ns = make_equation_system(cfg);
   EXPECT_STREQ(ns->name(), "navier_stokes");
   EXPECT_EQ(ns->extra_fields(), 1u);
-  EXPECT_EQ(ns->product_count(), 9u);  // 6 velocity + 3 flux
+  EXPECT_EQ(ns->product_count(), 8u);  // 5 trace-free velocity + 3 flux
   EXPECT_EQ(ns->magnetic_base(), -1);
   EXPECT_EQ(ns->field_name(0), "u");
   EXPECT_EQ(ns->field_name(3), "scalar0");
@@ -95,7 +101,7 @@ TEST(EquationSystem, FieldInventoryAndNames) {
   const auto mhd = make_equation_system(cfg);
   EXPECT_STREQ(mhd->name(), "mhd");
   EXPECT_EQ(mhd->extra_fields(), 3u);
-  EXPECT_EQ(mhd->product_count(), 9u);  // the Elsasser tensor
+  EXPECT_EQ(mhd->product_count(), 8u);  // the Elsasser tensor less G33
   EXPECT_EQ(mhd->magnetic_base(), 3);
   EXPECT_EQ(mhd->field_name(3), "bx");
   EXPECT_EQ(mhd->field_name(5), "bz");
@@ -188,6 +194,240 @@ TEST(SystemsRegression, NavierStokesRk4ForcedScalarMatchesPreRefactorCore) {
     EXPECT_NEAR(sd.variance, 0.19833057681255509, 1e-11);
     EXPECT_NEAR(sd.flux_y, 0.00014199199641968998, 1e-12);
   });
+}
+
+// --- reduced product sets -------------------------------------------------
+
+/// The products the systems transformed before the trace was shifted out:
+/// all six u_i u_j then three fluxes per scalar (NS), or all nine Elsasser
+/// products G_im = z+_i z-_m row-major in (i, m) (MHD).
+std::size_t full_product_count(bool mhd, std::size_t nscalars) {
+  return mhd ? 9 : 6 + 3 * nscalars;
+}
+
+void full_products(bool mhd, std::size_t nscalars, const Real* const* f,
+                   Real* const* p, std::size_t m) {
+  for (std::size_t idx = 0; idx < m; ++idx) {
+    if (mhd) {
+      for (int i = 0; i < 3; ++i) {
+        for (int j = 0; j < 3; ++j) {
+          p[3 * i + j][idx] =
+              (f[i][idx] + f[3 + i][idx]) * (f[j][idx] - f[3 + j][idx]);
+        }
+      }
+      continue;
+    }
+    const int pairs[6][2] = {{0, 0}, {1, 1}, {2, 2}, {0, 1}, {0, 2}, {1, 2}};
+    for (int t = 0; t < 6; ++t) {
+      p[t][idx] = f[pairs[t][0]][idx] * f[pairs[t][1]][idx];
+    }
+    for (std::size_t s = 0; s < nscalars; ++s) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        p[6 + 3 * s + c][idx] = f[c][idx] * f[3 + s][idx];
+      }
+    }
+  }
+}
+
+/// The nonlinear RHS of the full product spectra: -P(i k_m (G_im + G_mi)/2)
+/// for the velocity, -i k_m (G_im - G_mi)/2 for the magnetic field (MHD),
+/// -i k . F per scalar (NS). Linear-in-state terms are not included.
+void full_nonlinear_rhs(const ModeView& view, bool mhd, std::size_t nscalars,
+                        const Complex* const* p, Complex* const* rhs) {
+  const Complex mi{0.0, -1.0};
+  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+    const double k[3] = {static_cast<double>(kx), static_cast<double>(ky),
+                         static_cast<double>(kz)};
+    Complex g[3][3];
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        if (mhd) {
+          g[i][j] = p[3 * i + j][idx];
+        } else {
+          const int lo = std::min(i, j), hi = std::max(i, j);
+          const int t = lo == hi ? lo : 2 + lo + hi;  // 01 -> 3, 02 -> 4, 12 -> 5
+          g[i][j] = p[t][idx];
+        }
+      }
+    }
+    Complex sym[3], asym[3];
+    for (int i = 0; i < 3; ++i) {
+      sym[i] = asym[i] = Complex{0.0, 0.0};
+      for (int m = 0; m < 3; ++m) {
+        sym[i] += 0.5 * mi * k[m] * (g[i][m] + g[m][i]);
+        asym[i] += 0.5 * mi * k[m] * (g[i][m] - g[m][i]);
+      }
+    }
+    const double k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+    const Complex kds =
+        k2 > 0.0 ? (k[0] * sym[0] + k[1] * sym[1] + k[2] * sym[2]) / k2
+                 : Complex{0.0, 0.0};
+    for (int i = 0; i < 3; ++i) {
+      rhs[i][idx] = k2 > 0.0 ? sym[i] - k[i] * kds : Complex{0.0, 0.0};
+      if (mhd) rhs[3 + i][idx] = asym[i];
+    }
+    for (std::size_t s = 0; s < nscalars; ++s) {
+      const Complex* const* flux = p + 6 + 3 * s;
+      rhs[3 + s][idx] = mi * (k[0] * flux[0][idx] + k[1] * flux[1][idx] +
+                              k[2] * flux[2][idx]);
+    }
+  });
+}
+
+/// One RHS evaluation of cfg's system through the public path (form the
+/// products, DistFft3d::forward, undo the phase shift, scale and truncate,
+/// assemble_rhs) against the same path with the full product set and the
+/// reference assembly, on `ranks` ranks of `decomposition`. Asserts every
+/// field's RHS agrees to 1e-13 of its max norm.
+void expect_reduced_products_match_full(SolverConfig cfg, int ranks,
+                                        transpose::Decomposition decomposition,
+                                        bool shift) {
+  cfg.n = 16;
+  cfg.phase_shift_dealias = shift;
+  const bool mhd = cfg.system == SystemType::Mhd;
+  comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+    const auto system = make_equation_system(cfg);
+    auto fft = transpose::make_dist_fft(comm, cfg.n, decomposition);
+    const ModeView view = fft->mode_view();
+    const std::size_t nf = system->field_count();
+    const std::size_t nscalars = cfg.scalars.size();
+    const std::size_t m = fft->physical_elems();
+    const std::size_t spec = fft->spectral_elems();
+    const double n3 = static_cast<double>(cfg.n * cfg.n * cfg.n);
+    const DealiasRule rule =
+        shift ? DealiasRule::sphere(std::sqrt(2.0) * cfg.n / 3.0)
+              : DealiasRule::cube(cfg.n);
+    double delta[3];
+    std::fill(delta, delta + 3, std::numbers::pi / static_cast<double>(cfg.n));
+
+    const auto blocks = [](auto& storage, std::size_t count,
+                           std::size_t size) {
+      storage.assign(count * size, {});
+      std::vector<decltype(storage.data())> ptrs;
+      for (std::size_t b = 0; b < count; ++b) {
+        ptrs.push_back(storage.data() + b * size);
+      }
+      return ptrs;
+    };
+    // A dealiased random state, and its (shifted) physical fields.
+    std::vector<Real> phys_store;
+    std::vector<Complex> in_store, shifted_store;
+    const auto phys = blocks(phys_store, nf, m);
+    const auto in = blocks(in_store, nf, spec);
+    util::Rng rng(2024, static_cast<std::uint64_t>(comm.rank()));
+    for (Real& x : phys_store) x = rng.uniform(-1.0, 1.0);
+    fft->forward(std::vector<const Real*>(phys.begin(), phys.end()), in);
+    for (Complex* f : in) scale_and_truncate(view, f, 1.0 / n3, rule);
+    const auto shifted = blocks(shifted_store, nf, spec);
+    std::copy(in_store.begin(), in_store.end(), shifted_store.begin());
+    if (shift) {
+      for (Complex* f : shifted) phase_shift(view, f, delta, +1);
+    }
+    fft->inverse(std::vector<const Complex*>(shifted.begin(), shifted.end()),
+                 phys);
+    const std::vector<const Real*> fields(phys.begin(), phys.end());
+    const std::vector<const Complex*> in_c(in.begin(), in.end());
+
+    // Physical products -> normalized, dealiased product spectra.
+    const auto transform = [&](std::size_t count, auto&& form,
+                               std::vector<Complex>& spec_store) {
+      std::vector<Real> prod_store;
+      const auto prod = blocks(prod_store, count, m);
+      form(prod.data());
+      const auto hat = blocks(spec_store, count, spec);
+      fft->forward(std::vector<const Real*>(prod.begin(), prod.end()), hat);
+      for (Complex* p : hat) {
+        if (shift) phase_shift(view, p, delta, -1);
+        scale_and_truncate(view, p, 1.0 / n3, rule);
+      }
+      return std::vector<const Complex*>(hat.begin(), hat.end());
+    };
+    std::vector<Complex> reduced_store, full_store, zero_store;
+    const auto reduced =
+        transform(system->product_count(), [&](Real* const* p) {
+          system->form_products(fields.data(), p, m);
+        }, reduced_store);
+    const std::size_t nfull = full_product_count(mhd, nscalars);
+    const auto full = transform(nfull, [&](Real* const* p) {
+      full_products(mhd, nscalars, fields.data(), p, m);
+    }, full_store);
+
+    std::vector<Complex> got_store, want_store, affine_store;
+    const auto got = blocks(got_store, nf, spec);
+    const auto want = blocks(want_store, nf, spec);
+    const auto affine = blocks(affine_store, nf, spec);
+    system->assemble_rhs(view, in_c.data(), reduced.data(), got.data());
+    full_nonlinear_rhs(view, mhd, nscalars, full.data(), want.data());
+    // The product-free (linear-in-state) terms: the system's RHS of zero
+    // product spectra.
+    const auto zeros = blocks(zero_store, system->product_count(), spec);
+    system->assemble_rhs(
+        view, in_c.data(),
+        std::vector<const Complex*>(zeros.begin(), zeros.end()).data(),
+        affine.data());
+    for (std::size_t i = 0; i < want_store.size(); ++i) {
+      want_store[i] += affine_store[i];
+    }
+
+    for (std::size_t f = 0; f < nf; ++f) {
+      double err = 0.0, scale = 0.0;
+      for (std::size_t i = 0; i < spec; ++i) {
+        err = std::max(err, std::abs(got[f][i] - want[f][i]));
+        scale = std::max(scale, std::abs(want[f][i]));
+      }
+      err = comm.allreduce_max(err);
+      scale = comm.allreduce_max(scale);
+      EXPECT_GT(scale, 0.0) << system->field_name(f);
+      EXPECT_LE(err, 1e-13 * scale)
+          << system->name() << " field " << system->field_name(f)
+          << " ranks=" << ranks << " "
+          << transpose::to_string(decomposition) << " shift=" << shift;
+    }
+  });
+}
+
+/// Slab at 1 and 2 ranks and a 1x2 pencil, phase shift off and on.
+void expect_reduced_products_match_full(const SolverConfig& cfg) {
+  for (const bool shift : {false, true}) {
+    expect_reduced_products_match_full(cfg, 1, transpose::Decomposition::Slab,
+                                       shift);
+    expect_reduced_products_match_full(cfg, 2, transpose::Decomposition::Slab,
+                                       shift);
+    expect_reduced_products_match_full(
+        cfg, 2, transpose::Decomposition::Pencil, shift);
+  }
+}
+
+TEST(ReducedProducts, NavierStokesFiveMatchSix) {
+  expect_reduced_products_match_full(SolverConfig{});
+}
+
+TEST(ReducedProducts, NavierStokesTwoScalarsMatchTwelve) {
+  SolverConfig cfg;
+  cfg.scalars.push_back(ScalarConfig{0.7, 1.0});  // with a mean gradient
+  cfg.scalars.push_back(ScalarConfig{2.0, 0.0});
+  expect_reduced_products_match_full(cfg);
+}
+
+TEST(ReducedProducts, RotatingMatchesFullProducts) {
+  SolverConfig cfg;
+  cfg.system = SystemType::RotatingNS;
+  cfg.rotation_omega = 1.5;
+  expect_reduced_products_match_full(cfg);
+}
+
+TEST(ReducedProducts, BoussinesqMatchesFullProducts) {
+  SolverConfig cfg;
+  cfg.system = SystemType::Boussinesq;
+  cfg.brunt_vaisala = 1.5;
+  cfg.scalars.push_back(ScalarConfig{1.0, 0.0});  // the buoyancy field
+  expect_reduced_products_match_full(cfg);
+}
+
+TEST(ReducedProducts, MhdEightMatchNine) {
+  SolverConfig cfg;
+  cfg.system = SystemType::Mhd;
+  expect_reduced_products_match_full(cfg);
 }
 
 // --- analytic wave validations -------------------------------------------
@@ -468,7 +708,7 @@ TEST(Decomposition, MhdSlabMatchesPencil) {
   SolverConfig cfg;
   cfg.n = 16;
   cfg.viscosity = 0.02;
-  cfg.phase_shift_dealias = true;  // exercise the shifted 9-product path
+  cfg.phase_shift_dealias = true;  // exercise the shifted 8-product path
   cfg.system = SystemType::Mhd;
   cfg.resistivity = 0.03;
   check_decomposition_equivalence(cfg);

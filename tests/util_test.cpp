@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "util/aligned.hpp"
+#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
@@ -39,6 +41,41 @@ TEST(Aligned, VectorDataIsAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kAlignment, 0u);
   AlignedVector<char> c(3);  // size not a multiple of alignment
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % kAlignment, 0u);
+}
+
+TEST(WorkspaceArena, BucketSizeClasses) {
+  const auto bucket = WorkspaceArena::bucket_bytes;
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  // The 256-byte floor, then powers of two up to and including 1 MiB.
+  EXPECT_EQ(bucket(0), 256u);
+  EXPECT_EQ(bucket(1), 256u);
+  EXPECT_EQ(bucket(256), 256u);
+  EXPECT_EQ(bucket(257), 512u);
+  EXPECT_EQ(bucket(1000), 1024u);
+  EXPECT_EQ(bucket(kMiB / 2 + 1), kMiB);
+  EXPECT_EQ(bucket(kMiB), kMiB);
+  // Above 1 MiB: quarter steps between powers of two.
+  EXPECT_EQ(bucket(kMiB + 1), kMiB + kMiB / 4);
+  EXPECT_EQ(bucket(2 * kMiB), 2 * kMiB);
+  EXPECT_EQ(bucket(2 * kMiB + 1), 2 * kMiB + kMiB / 2);
+  EXPECT_EQ(bucket(4 * kMiB - 1), 4 * kMiB);
+  // One 128^3 spectral field (65 * 128 * 128 complex doubles) and five.
+  EXPECT_EQ(bucket(17'039'360), 20 * kMiB);
+  EXPECT_EQ(bucket(5 * 17'039'360), 96 * kMiB);
+  // Every class holds the request, is a multiple of the 64-byte alignment,
+  // grows monotonically, and above 1 MiB wastes under a quarter of the
+  // power of two at or below the request.
+  std::size_t prev = 0;
+  for (std::size_t b = 1; b < (std::size_t{1} << 36); b += b / 7 + 1) {
+    const std::size_t got = bucket(b);
+    EXPECT_GE(got, b) << b;
+    EXPECT_EQ(got % 64, 0u) << b;
+    EXPECT_GE(got, prev) << b;
+    if (b > kMiB) {
+      EXPECT_LT(got - b, std::bit_floor(b) / 4) << b;
+    }
+    prev = got;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
