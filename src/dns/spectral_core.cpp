@@ -94,30 +94,31 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
   phys_elems_ = fft_.physical_elems();
   const std::size_t nf = field_count();
   nprod_ = system_->product_count();
+  PSDNS_REQUIRE(nprod_ >= nf, "the RHS must fit in the product spectra");
 
   state_.resize(nf);
   for (auto& c : state_) c.assign(spec_, Complex{0.0, 0.0});
 
   // Check out every steady-state scratch block now: step() only reuses.
-  // RK2's second RHS reuses k_'s one field set: N(u) is dead once the
-  // midpoint stage is formed. k_ is dead between steps, so it also serves
-  // as the physical scratch of up to three fields (phys_scratch).
-  const std::size_t stages = config_.scheme == TimeScheme::RK4 ? 4 : 1;
+  // Each RHS lands in prod_hat_ over its own consumed products, so RK2
+  // keeps no RHS block and RK4 keeps k1..k3 (k4 is the last RHS). prod_hat_
+  // is dead between steps, so it also serves as the physical scratch of up
+  // to three fields (phys_scratch); on an uneven pencil split a rank's
+  // spectral field can hold fewer reals than its physical field.
   stage_.ensure(nf * spec_);
-  k_.ensure(std::max(stages * nf * spec_,
-                     (3 * phys_elems_ * sizeof(Real) + sizeof(Complex) - 1) /
-                         sizeof(Complex)));
-  if (config_.phase_shift_dealias) shifted_.ensure(nf * spec_);
-  prod_hat_.ensure(nprod_ * spec_);
+  if (config_.scheme == TimeScheme::RK4) k_.ensure(3 * nf * spec_);
+  prod_hat_.ensure(
+      std::max(nprod_ * spec_,
+               (3 * phys_elems_ * sizeof(Real) + sizeof(Complex) - 1) /
+                   sizeof(Complex)));
 
   state_ptrs_.resize(nf);
   stage_ptrs_.resize(nf);
-  spec_in_.resize(nf);
   for (std::size_t f = 0; f < nf; ++f) {
     state_ptrs_[f] = state_[f].data();
     stage_ptrs_[f] = block(stage_, f);
   }
-  k_ptrs_.resize(stages * nf);
+  k_ptrs_.resize(k_.empty() ? 0 : 3 * nf);
   for (std::size_t f = 0; f < k_ptrs_.size(); ++f) k_ptrs_[f] = block(k_, f);
   prod_spec_.resize(nprod_);
   for (std::size_t t = 0; t < nprod_; ++t) prod_spec_[t] = block(prod_hat_, t);
@@ -325,21 +326,20 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   //    the production code amortizes message size over variables): all
   //    fields to physical space, then per group of points the max signal
   //    speed and the system's products, then the products back to spectral
-  //    space.
+  //    space. Shifted copies of the inputs go into the product spectra,
+  //    which round_trip lets each input share with its output.
   {
     obs::TraceSpan span("dns.round_trip", obs::SpanKind::Compute);
+    const Complex* const* spec_in = in;
     if (shift) {
       for (std::size_t f = 0; f < nf; ++f) {
-        Complex* sh = block(shifted_, f);
-        std::copy(in[f], in[f] + spec_, sh);
-        phase_shift(view_, sh, delta, +1);
-        spec_in_[f] = sh;
+        std::copy(in[f], in[f] + spec_, prod_spec_[f]);
+        phase_shift(view_, prod_spec_[f], delta, +1);
       }
-    } else {
-      for (std::size_t f = 0; f < nf; ++f) spec_in_[f] = in[f];
+      spec_in = prod_spec_.data();
     }
     kernel_umax_ = 0.0;
-    fft_.round_trip(std::span<const Complex* const>(spec_in_.data(), nf),
+    fft_.round_trip(std::span<const Complex* const>(spec_in, nf),
                     &SpectralEngine::products_kernel, this,
                     std::span<Complex* const>(prod_spec_.data(), nprod_));
   }
@@ -358,7 +358,8 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
     }
   }
 
-  // 3. The system's spectral RHS from the dealiased product spectra.
+  // 3. The system's spectral RHS from the dealiased product spectra (rhs
+  //    may be prod_spec_ itself: EquationSystem::assemble_rhs allows it).
   {
     obs::TraceSpan span("dns.assemble_rhs", obs::SpanKind::Compute);
     system_->assemble_rhs(view_, in, prod_spec_.data(), rhs);
@@ -409,20 +410,23 @@ void SpectralEngine::step(double dt) {
   // such as the Coriolis rotation) is applied to whole field *sets* so
   // systems whose linear operator couples components stay exact. Both
   // schemes open with k1 = N(u) and the midpoint stage u1 = E_h (u + h k1).
+  // The last RHS of each scheme stays in the product spectra it lands in.
+  const bool rk4 = config_.scheme == TimeScheme::RK4;
   Complex* const* state = state_ptrs_.data();
   Complex* const* stage = stage_ptrs_.data();
-  Complex* const* k1 = k_ptrs_.data();
+  Complex* const* last = prod_spec_.data();
+  Complex* const* k1 = rk4 ? k_ptrs_.data() : last;
   compute_rhs(state, k1);
   axpy(stage, state, h, k1);
   apply_linear(stage, h);
-  if (config_.scheme == TimeScheme::RK2) {
+  if (!rk4) {
     // Midpoint RK2 with exact linear terms:
     //   u_new = E_f u + dt E_h N(u1).
     // N(u1) overwrites k1, which the update no longer needs.
-    compute_rhs(stage, k1);
+    compute_rhs(stage, last);
     apply_linear(state, dt);  // E_f u
-    apply_linear(k1, h);      // E_h N(u1)
-    axpy(state, state, dt, k1);
+    apply_linear(last, h);    // E_h N(u1)
+    axpy(state, state, dt, last);
   } else {
     // Integrating-factor RK4 (classical RK4 on v = E(-t) u):
     //   k2 = N(u1)
@@ -431,7 +435,7 @@ void SpectralEngine::step(double dt) {
     //   u+ = E_f u + dt/6 (E_f k1 + 2 E_h (k2 + k3) + k4)
     Complex* const* k2 = k1 + nf;
     Complex* const* k3 = k1 + 2 * nf;
-    Complex* const* k4 = k1 + 3 * nf;
+    Complex* const* k4 = last;
     compute_rhs(stage, k2);
     copy_fields(stage, state);
     apply_linear(stage, h);  // E_h u
@@ -462,7 +466,7 @@ void SpectralEngine::step(double dt) {
 double SpectralEngine::cfl_dt(double cfl) {
   if (last_umax_ <= 0.0) {
     // No RHS evaluated yet: measure once via a throwaway evaluation.
-    compute_rhs(state_ptrs_.data(), k_ptrs_.data());
+    compute_rhs(state_ptrs_.data(), prod_spec_.data());
   }
   const double dx = kTwoPi / static_cast<double>(config_.n);
   return last_umax_ > 0.0 ? cfl * dx / last_umax_ : 1e9;
@@ -541,7 +545,7 @@ SpectralEngine::named_spectra() {
 }
 
 std::vector<double> SpectralEngine::transfer_spectrum() {
-  compute_rhs(state_ptrs_.data(), k_ptrs_.data(), /*with_forcing=*/false);
+  compute_rhs(state_ptrs_.data(), prod_spec_.data(), /*with_forcing=*/false);
   std::vector<double> shells(config_.n / 2 + 1, 0.0);
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
@@ -553,7 +557,7 @@ std::vector<double> SpectralEngine::transfer_spectrum() {
     double rate = 0.0;
     for (int c = 0; c < 3; ++c) {
       const auto ci = static_cast<std::size_t>(c);
-      rate += (std::conj(state_[ci][idx]) * k_ptrs_[ci][idx]).real();
+      rate += (std::conj(state_[ci][idx]) * prod_spec_[ci][idx]).real();
     }
     shells[shell] += mode_weight(kx, view_.n) * rate;
   });
@@ -564,23 +568,21 @@ std::vector<double> SpectralEngine::transfer_spectrum() {
 DerivativeMoments SpectralEngine::derivative_moments() {
   // Longitudinal derivatives via spectral differentiation (du/dx needs
   // i*kx, dv/dy i*ky, dw/dz i*kz), then pointwise moments in physical
-  // space. The stage block doubles as gradient scratch and k_ as physical
-  // scratch (neither is live between steps).
+  // space. The stage block doubles as gradient scratch and the product
+  // block as physical scratch (neither is live between steps). One gradient
+  // is transformed at a time, so the backend needs no more scratch than a
+  // step's round trip holds.
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
     const Complex iu{0.0, 1.0};
     block(stage_, 0)[idx] = iu * static_cast<double>(kx) * state_[0][idx];
     block(stage_, 1)[idx] = iu * static_cast<double>(ky) * state_[1][idx];
     block(stage_, 2)[idx] = iu * static_cast<double>(kz) * state_[2][idx];
   });
-  const Complex* spec3[3] = {block(stage_, 0), block(stage_, 1),
-                             block(stage_, 2)};
-  Real* phys3[3] = {phys_scratch(0), phys_scratch(1), phys_scratch(2)};
-  fft_.inverse(std::span<const Complex* const>(spec3, 3),
-               std::span<Real* const>(phys3, 3));
-
+  Real* p = phys_scratch(0);
   double m2 = 0.0, m3 = 0.0, m4 = 0.0;
-  for (int c = 0; c < 3; ++c) {
-    const Real* p = phys3[c];
+  for (std::size_t c = 0; c < 3; ++c) {
+    fft_.inverse(std::span<const Complex>(block(stage_, c), spec_),
+                 std::span<Real>(p, phys_elems_));
     for (std::size_t idx = 0; idx < phys_elems_; ++idx) {
       const double g2 = p[idx] * p[idx];
       m2 += g2;

@@ -24,8 +24,8 @@
 // products are formed group by group inside the transform and the engine
 // holds no physical-space field.
 //
-// All substage scratch (one RK stage, the stage-RHS block, product
-// spectra, optional shifted copies) is checked out of
+// All substage scratch (one RK stage, the product spectra that every RHS
+// lands in, RK4's three earlier stage RHS) is checked out of
 // util::WorkspaceArena once at construction, and initial conditions
 // are keyed on *global* grid indices through the backend's PhysView - so
 // a warmed-up step() performs zero heap allocations and both
@@ -199,7 +199,9 @@ class SpectralEngine {
 
   /// rhs[f] = nonlinear terms of the fields in[f] (+ forcing unless
   /// disabled); updates u_max. Pointer-based so RK stages address
-  /// contiguous arena blocks without per-call containers.
+  /// contiguous arena blocks without per-call containers. rhs may be
+  /// prod_spec_ itself, and in must not be: the evaluation uses the
+  /// product spectra as its scratch.
   void compute_rhs(const Complex* const* in, Complex* const* rhs,
                    bool with_forcing = true);
 
@@ -248,9 +250,9 @@ class SpectralEngine {
     return h.data() + f * spec_;
   }
   /// Physical scratch field c < 3 for the initial conditions and
-  /// statistics, borrowed from k_ (dead between steps).
+  /// statistics, borrowed from prod_hat_ (dead between steps).
   Real* phys_scratch(std::size_t c) const {
-    return reinterpret_cast<Real*>(k_.data()) + c * phys_elems_;
+    return reinterpret_cast<Real*>(prod_hat_.data()) + c * phys_elems_;
   }
 
   comm::Communicator& comm_;
@@ -276,17 +278,16 @@ class SpectralEngine {
 
   // Steady-state scratch: contiguous arena blocks checked out once in the
   // constructor, so a warmed-up step() never touches the heap. stage_ holds
-  // one field set; k_ holds the stage RHS, one field set for RK2 and four
-  // (k1..k4) for RK4, and at least three physical fields (phys_scratch).
-  util::WorkspaceArena::Handle<Complex> stage_, k_;
-  util::WorkspaceArena::Handle<Complex> shifted_;  // phase shifting only
-  util::WorkspaceArena::Handle<Complex> prod_hat_;
+  // one field set. prod_hat_ is the one spectral scratch of an RHS
+  // evaluation: the phase-shifted inputs, then the round trip's products,
+  // then the RHS assembled over them; it is also at least three physical
+  // fields (phys_scratch). k_ holds the RK4 stage RHS k1..k3 (empty for
+  // RK2): the last RHS of either scheme is read straight from prod_hat_.
+  util::WorkspaceArena::Handle<Complex> stage_, k_, prod_hat_;
 
   // One reused pointer table per block (Complex** converts to the
-  // const Complex* const* the read-only callbacks take). spec_in_ is the
-  // round trip's input: the RHS argument, or its shifted copy.
+  // const Complex* const* the read-only callbacks take).
   std::vector<Complex*> state_ptrs_, stage_ptrs_, k_ptrs_, prod_spec_;
-  std::vector<const Complex*> spec_in_;
 };
 
 /// Collective: rank 0 receives field f of every rank at its global slot

@@ -92,6 +92,12 @@ class EquationSystem {
   /// Spectral RHS of every field from the dealiased, normalized product
   /// spectra; `in` is the stage state the products were formed from (for
   /// linear-in-state couplings such as mean-gradient or buoyancy terms).
+  /// rhs may alias the products: the engine passes rhs[f] == products[f]
+  /// for f < field_count() <= product_count() and keeps no other RHS
+  /// block. So whatever an implementation needs of products[f] at a mode
+  /// it must read before it writes rhs[f] at that mode (NS writes a
+  /// scalar's RHS into a momentum or earlier scalar product slot it has
+  /// already consumed). `in` never aliases either block.
   virtual void assemble_rhs(const ModeView& view, const Complex* const* in,
                             const Complex* const* products,
                             Complex* const* rhs) const = 0;

@@ -146,7 +146,8 @@ void SlabFft3d::z_pass(fft::Direction dir, Complex* const* yslabs,
 void SlabFft3d::inverse_to_yslabs(std::span<const Complex* const> spec) {
   const std::size_t nv = spec.size();
   const std::size_t h = nxh();
-  // y-inverse out of place, from the const input into scratch Z-slabs.
+  // y-inverse from the input into the Z-slab scratch (in place when the
+  // caller's input is its own scratch).
   {
     obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
     for (std::size_t v = 0; v < nv; ++v) {
@@ -238,8 +239,9 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
   const std::size_t nin = in.size(), nout = out.size();
   const std::size_t h = nxh();
   // Y-slab v is work_[v] for inputs and outputs alike. Input v's y-inverse
-  // goes to the Z-slab out[v], which nothing reads and y_to_z overwrites
-  // in full; inputs past the last output take work slabs past the Y-slabs.
+  // goes to the Z-slab out[v] (in place when in[v] is out[v]), which
+  // nothing reads after z_to_y and y_to_z overwrites in full; inputs past
+  // the last output take work slabs past the Y-slabs.
   const std::size_t nyslabs = std::max(nin, nout);
   ensure_work(nyslabs + (nin > nout ? nin - nout : 0));
   for (std::size_t v = 0; v < nyslabs; ++v) yslab_ptrs_[v] = work_[v].data();
@@ -315,7 +317,8 @@ void PencilFft3d::inverse_to_xpencil(const Complex* spec, Complex* pz,
   const auto& g = grid();
   const std::size_t h = nxh(), yl = g.yl(), zl = g.zl();
   const std::size_t w = x_range().width();
-  // z-inverse out of place, from the const input into the scratch Z-pencil.
+  // z-inverse from the input into the Z-pencil scratch (in place when
+  // spec is pz).
   {
     obs::TraceSpan span("pencil_fft.inverse.z", obs::SpanKind::Compute);
     plan_yz_->transform_batch(fft::Direction::Inverse, spec, pz,
@@ -378,9 +381,12 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
                           std::span<Real> phys) {
   PSDNS_REQUIRE(phys.size() >= physical_elems(), "phys too small");
   PSDNS_REQUIRE(spec.size() >= spectral_elems(), "spec too small");
-  ensure_pencils(1);
-  pz_.ensure(spectral_elems());
-  inverse_to_xpencil(spec.data(), pz_.data(), px_[0].data());
+  // The second X-pencil is the z-inverse's Z-pencil scratch: a round trip
+  // holds at least two, so a step-warmed backend checks nothing out here.
+  // An uneven x split can make a rank's Z-pencil the larger block.
+  ensure_pencils(2);
+  px_[1].ensure(spectral_elems());
+  inverse_to_xpencil(spec.data(), px_[1].data(), px_[0].data());
   obs::TraceSpan span("pencil_fft.inverse.x", obs::SpanKind::Compute);
   plan_x_->inverse_batch(px_[0].data(), nxh(), phys.data(), n_,
                          grid().yl() * grid().zl());
@@ -394,7 +400,9 @@ void PencilFft3d::round_trip(std::span<const Complex* const> in,
   PSDNS_REQUIRE(nout >= 1, "round_trip needs an output field");
   ensure_pencils(std::max(nin, nout));
   // out[0] is the inputs' Z-pencil scratch: nothing reads it after the
-  // last input's z_to_y, and output 0's y_to_z writes it in full.
+  // last input's z_to_y, and output 0's y_to_z writes it in full. Input 0's
+  // z-inverse runs in place when in[0] is out[0]; input v >= 1 may alias
+  // only out[v], which is written after every input has been read.
   for (std::size_t v = 0; v < nin; ++v) {
     inverse_to_xpencil(in[v], out[0], px_[v].data());
   }

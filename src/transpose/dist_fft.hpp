@@ -41,6 +41,8 @@
 //    communicate; it may fold running state (e.g. a max) into its context.
 //  - The outputs double as scratch: before the forward passes write them,
 //    the backends park the inputs' inverse-transform intermediates there.
+//    Output v may be input v's own buffer (the intermediate then replaces
+//    the input in place).
 //  - The base class's default is the unfused definition: inverse() into
 //    full-size scratch, the kernel over all points at once, forward().
 //    Forwarding decorators that override only forward/inverse inherit it.
@@ -110,12 +112,16 @@ class DistFft3d {
                        std::span<Real* const> phys) = 0;
 
   /// out = forward(kernel(inverse(in))) for in.size() input and out.size()
-  /// output fields. Each out[t] holds spectral_elems() elements and must
-  /// not alias an input; its contents are unspecified during the call (the
-  /// backends use the outputs as scratch). The default runs exactly that,
-  /// with full-size physical scratch and one kernel call over all points;
-  /// the backends override it with the grouped schedule described at the
-  /// top of this file, bitwise equal to the default.
+  /// output fields. Each out[t] holds spectral_elems() elements; its
+  /// contents are unspecified during the call (the backends use the outputs
+  /// as scratch). out[v] may alias in[v], the same index only: the call
+  /// then consumes that input, and the result is bitwise the same as with
+  /// separate buffers (the engine round-trips phase-shifted copies that
+  /// live in its outputs). No other output may alias an input. The
+  /// default runs exactly that, with full-size physical scratch and one
+  /// kernel call over all points; the backends override it with the
+  /// grouped schedule described at the top of this file, bitwise equal to
+  /// the default.
   virtual void round_trip(std::span<const Complex* const> in,
                           PointKernel kernel, void* ctx,
                           std::span<Complex* const> out);
@@ -277,7 +283,7 @@ class PencilFft3d final : public DistFft3d {
  private:
   /// Checks out px_[0, count) and the Y-pencil scratch.
   void ensure_pencils(std::size_t count);
-  /// z-inverse (out of place) into the Z-pencil scratch pz, then z_to_y,
+  /// z-inverse into the Z-pencil scratch pz (spec may be pz), then z_to_y,
   /// y-inverse, y_to_x into X-pencil px.
   void inverse_to_xpencil(const Complex* spec, Complex* pz, Complex* px);
   /// x_to_y, y-forward, y_to_z, z-forward of X-pencil px into spec.
@@ -289,11 +295,11 @@ class PencilFft3d final : public DistFft3d {
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
   int np_ = 1, q_ = 1;
   // Intermediate layouts, all checked out of the workspace arena: spectral
-  // X-pencils (one per round_trip field, px_[0] for the single-field
-  // transforms), one Y-pencil, and the Z-pencil scratch of the standalone
-  // inverse (round_trip borrows an output instead).
+  // X-pencils (one per round_trip field; px_[0] for the single-field
+  // transforms, and px_[1] as the standalone inverse's Z-pencil scratch,
+  // where round_trip borrows an output instead) and one Y-pencil.
   std::vector<util::WorkspaceArena::Handle<Complex>> px_;
-  util::WorkspaceArena::Handle<Complex> py_, pz_;
+  util::WorkspaceArena::Handle<Complex> py_;
 };
 
 /// Which backend a solver runs on: the paper's slab layout, or the 2-D

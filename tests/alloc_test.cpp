@@ -285,12 +285,14 @@ TEST(AllocFree, WarmedBluesteinBatchTouchesNoHeap) {
   EXPECT_EQ(arena_after.misses - arena_before.misses, 0u);
 }
 
-/// The engine's named blocks: one RK stage, the stage-RHS block (one field
-/// set for RK2, k1..k4 for RK4, and never less than three physical fields,
-/// which the initial conditions and statistics borrow it for), the product
-/// spectra, and the shifted copies when phase shifting is on. The engine
-/// holds no physical-space block: the products are formed inside the
-/// backend's round trip.
+/// The engine's named blocks: one RK stage, the product spectra (never
+/// less than three physical fields, which the initial conditions and
+/// statistics borrow them for), and RK4's k1..k3. Every RHS, the last one
+/// of each scheme included, lands over its own products, and the
+/// phase-shifted inputs are round-tripped from the product spectra too, so
+/// RK2 holds no stage-RHS block and phase shifting no shifted copy. The
+/// engine holds no physical-space block: the products are formed inside
+/// the backend's round trip.
 std::size_t engine_scratch_bytes(const SolverConfig& config,
                                  const SpectralEngine& engine,
                                  const transpose::DistFft3d& fft) {
@@ -298,13 +300,13 @@ std::size_t engine_scratch_bytes(const SolverConfig& config,
   const std::size_t nprod = engine.system().product_count();
   const std::size_t field = fft.spectral_elems() * sizeof(Complex);
   const std::size_t phys = fft.physical_elems() * sizeof(Real);
-  const std::size_t stages = config.scheme == TimeScheme::RK4 ? 4 : 1;
   const auto bucket = util::WorkspaceArena::bucket_bytes;
   std::size_t expected =
-      bucket(nf * field) +                                // stage_
-      bucket(std::max(stages * nf * field, 3 * phys)) +   // k_
-      bucket(nprod * field);                              // prod_hat_
-  if (config.phase_shift_dealias) expected += bucket(nf * field);
+      bucket(nf * field) +                          // stage_
+      bucket(std::max(nprod * field, 3 * phys));    // prod_hat_
+  if (config.scheme == TimeScheme::RK4) {
+    expected += bucket(3 * nf * field);             // k_
+  }
   return expected;
 }
 
@@ -400,13 +402,52 @@ TEST(WarmedStepScratch, PencilMhdTwoRanksHoldsNoPhysicalField) {
   expect_warmed_step_scratch(config, 2);
 }
 
-TEST(EngineScratch, NavierStokesRk2HoldsOneStageAndOneRhsBlock) {
+/// A derivative_moments() call between warmed steps, on every rank: it
+/// inverse-transforms one gradient at a time into the product block, and a
+/// standalone inverse of one field needs no backend scratch that a step's
+/// round trip does not already hold, so the statistics leave the arena's
+/// checked-out bytes and its peak where two plain steps left them.
+void expect_moments_add_no_scratch(const SolverConfig& config, int ranks) {
+  auto& arena = util::WorkspaceArena::global();
+  util::WorkspaceArena::Stats steps, moments;
+  comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+    SpectralEngine engine(comm, config);
+    engine.init_isotropic(7, 3.0, 0.5);
+    engine.step(1e-3);
+    engine.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) steps = arena.stats();
+    comm.barrier();
+    engine.derivative_moments();
+    engine.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) moments = arena.stats();
+    comm.barrier();
+  });
+  EXPECT_EQ(moments.outstanding_bytes, steps.outstanding_bytes);
+  EXPECT_EQ(moments.peak_bytes, steps.peak_bytes);
+}
+
+TEST(WarmedStepScratch, SlabDerivativeMomentsAddNoScratch) {
+  SolverConfig config;
+  config.n = 16;
+  expect_moments_add_no_scratch(config, 1);
+}
+
+TEST(WarmedStepScratch, PencilTwoRanksDerivativeMomentsAddNoScratch) {
+  SolverConfig config;
+  config.n = 16;
+  config.decomposition = transpose::Decomposition::Pencil;  // 1x2
+  expect_moments_add_no_scratch(config, 2);
+}
+
+TEST(EngineScratch, NavierStokesRk2HoldsOneStageAndNoRhsBlock) {
   SolverConfig config;
   config.n = 16;
   expect_engine_scratch(config);
 }
 
-TEST(EngineScratch, NavierStokesRk4PhaseShiftHoldsFourRhsBlocks) {
+TEST(EngineScratch, NavierStokesRk4PhaseShiftHoldsThreeRhsBlocks) {
   SolverConfig config;
   config.n = 16;
   config.scheme = TimeScheme::RK4;
@@ -414,7 +455,7 @@ TEST(EngineScratch, NavierStokesRk4PhaseShiftHoldsFourRhsBlocks) {
   expect_engine_scratch(config);
 }
 
-TEST(EngineScratch, MhdRk2HoldsOneStageAndOneRhsBlock) {
+TEST(EngineScratch, MhdRk2HoldsOneStageAndNoRhsBlock) {
   SolverConfig config;
   config.n = 16;
   config.system = SystemType::Mhd;

@@ -1,10 +1,12 @@
 // Tests of the EquationSystem layer (ctest label: equation-systems).
 //
-// Four groups:
+// Five groups:
 //  - construction/validation: system parsing, make_equation_system's
 //    parameter checks, and the typed forcing-band validation;
 //  - reduced product sets: each system's trace-shifted products give the
 //    RHS of the full product tensor to round-off;
+//  - in-place assembly: each system's RHS written over its own product
+//    spectra is bitwise the RHS written to a separate block;
 //  - regression: the NavierStokes system must reproduce the pre-refactor
 //    Navier-Stokes engine diagnostics (values pinned from the last commit
 //    before the engine/system split, same configurations the bitwise
@@ -20,6 +22,7 @@
 #include <array>
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -428,6 +431,82 @@ TEST(ReducedProducts, MhdEightMatchNine) {
   SolverConfig cfg;
   cfg.system = SystemType::Mhd;
   expect_reduced_products_match_full(cfg);
+}
+
+// --- RHS over the product spectra -----------------------------------------
+
+/// The engine assembles the RHS in place over the product spectra
+/// (rhs[f] == products[f] for f < nf). Against a separate output block, on
+/// random stage and product spectra, every RHS bit must agree: NS's scalar
+/// RHS lands in a product slot the momentum pass or an earlier scalar has
+/// consumed, MHD reads a mode's eight products before it writes the mode.
+void expect_in_place_rhs_bitwise(const SolverConfig& cfg) {
+  for (const auto decomposition :
+       {transpose::Decomposition::Slab, transpose::Decomposition::Pencil}) {
+    const int ranks = decomposition == transpose::Decomposition::Slab ? 1 : 2;
+    comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+      const auto system = make_equation_system(cfg);
+      auto fft = transpose::make_dist_fft(comm, cfg.n, decomposition);
+      const ModeView view = fft->mode_view();
+      const std::size_t nf = system->field_count();
+      const std::size_t nprod = system->product_count();
+      const std::size_t spec = fft->spectral_elems();
+      ASSERT_GE(nprod, nf) << system->name();
+
+      util::Rng rng(77, static_cast<std::uint64_t>(comm.rank()));
+      const auto random_blocks = [&](std::vector<Complex>& store,
+                                     std::size_t count) {
+        store.resize(count * spec);
+        for (Complex& c : store) c = Complex{rng.gaussian(), rng.gaussian()};
+        std::vector<Complex*> ptrs;
+        for (std::size_t b = 0; b < count; ++b) {
+          ptrs.push_back(store.data() + b * spec);
+        }
+        return ptrs;
+      };
+      std::vector<Complex> in_store, prod_store, want_store;
+      const auto in = random_blocks(in_store, nf);
+      const auto prod = random_blocks(prod_store, nprod);
+      const auto want = random_blocks(want_store, nf);
+      const std::vector<const Complex*> in_c(in.begin(), in.end());
+      const std::vector<const Complex*> prod_c(prod.begin(), prod.end());
+
+      system->assemble_rhs(view, in_c.data(), prod_c.data(), want.data());
+      system->assemble_rhs(view, in_c.data(), prod_c.data(), prod.data());
+      for (std::size_t f = 0; f < nf; ++f) {
+        EXPECT_EQ(std::memcmp(prod[f], want[f], spec * sizeof(Complex)), 0)
+            << system->name() << " field " << system->field_name(f) << " "
+            << transpose::to_string(decomposition) << " rank "
+            << comm.rank();
+      }
+    });
+  }
+}
+
+TEST(AssembleRhs, InPlaceOverProductsIsBitwise) {
+  SolverConfig ns;
+  ns.n = 16;
+  expect_in_place_rhs_bitwise(ns);
+
+  SolverConfig scalars = ns;
+  scalars.scalars.push_back(ScalarConfig{0.7, 1.0});  // with a mean gradient
+  scalars.scalars.push_back(ScalarConfig{2.0, 0.5});
+  expect_in_place_rhs_bitwise(scalars);
+
+  SolverConfig rotating = ns;
+  rotating.system = SystemType::RotatingNS;
+  rotating.rotation_omega = 1.5;
+  expect_in_place_rhs_bitwise(rotating);
+
+  SolverConfig boussinesq = ns;
+  boussinesq.system = SystemType::Boussinesq;
+  boussinesq.brunt_vaisala = 1.5;
+  boussinesq.scalars.push_back(ScalarConfig{1.0, 0.0});  // buoyancy
+  expect_in_place_rhs_bitwise(boussinesq);
+
+  SolverConfig mhd = ns;
+  mhd.system = SystemType::Mhd;
+  expect_in_place_rhs_bitwise(mhd);
 }
 
 // --- analytic wave validations -------------------------------------------
