@@ -86,6 +86,8 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
                  ? DealiasRule::sphere(std::sqrt(2.0) *
                                        static_cast<double>(config_.n) / 3.0)
                  : DealiasRule::cube(config_.n);
+  band_ = transpose::SpectralBand::of_radius(
+      config_.n, static_cast<std::size_t>(axis_kmax(dealias_)));
 
   fft_.set_batching(config_.pencils, config_.pencils_per_a2a);
   view_ = fft_.mode_view();
@@ -171,7 +173,7 @@ void SpectralEngine::fill_fields(std::size_t base, std::size_t count,
     for (std::size_t c = 0; c < count; ++c) phys[c][idx] = v[c];
   });
   fft_.forward(std::span<const Real* const>(phys, count),
-               std::span<Complex* const>(spec, count));
+               std::span<Complex* const>(spec, count), band_);
   const std::size_t n = config_.n;
   const double scale = 1.0 / (static_cast<double>(n) * n * n);
   for (std::size_t c = 0; c < count; ++c) {
@@ -297,8 +299,12 @@ void SpectralEngine::restore(std::span<const Complex* const> fields, double t,
                              std::int64_t steps) {
   PSDNS_REQUIRE(fields.size() == field_count(),
                 "restore needs 3 velocity components plus every extra field");
+  // A checkpoint written under the other dealiasing rule, or built by
+  // hand, may hold modes outside this rule's band: truncate them, as every
+  // step's state is, so the banded transforms see zeros there.
   for (std::size_t f = 0; f < field_count(); ++f) {
     std::copy(fields[f], fields[f] + spec_, state_[f].begin());
+    apply_dealias(state_[f].data());
   }
   time_ = t;
   steps_ = steps;
@@ -341,7 +347,8 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
     kernel_umax_ = 0.0;
     fft_.round_trip(std::span<const Complex* const>(spec_in, nf),
                     &SpectralEngine::products_kernel, this,
-                    std::span<Complex* const>(prod_spec_.data(), nprod_));
+                    std::span<Complex* const>(prod_spec_.data(), nprod_),
+                    band_);
   }
   {
     obs::TraceSpan span("dns.cfl_allreduce", obs::SpanKind::Comm);
@@ -581,8 +588,9 @@ DerivativeMoments SpectralEngine::derivative_moments() {
   Real* p = phys_scratch(0);
   double m2 = 0.0, m3 = 0.0, m4 = 0.0;
   for (std::size_t c = 0; c < 3; ++c) {
-    fft_.inverse(std::span<const Complex>(block(stage_, c), spec_),
-                 std::span<Real>(p, phys_elems_));
+    const Complex* g = block(stage_, c);
+    fft_.inverse(std::span<const Complex* const>(&g, 1),
+                 std::span<Real* const>(&p, 1), band_);
     for (std::size_t idx = 0; idx < phys_elems_; ++idx) {
       const double g2 = p[idx] * p[idx];
       m2 += g2;

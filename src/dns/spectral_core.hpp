@@ -22,7 +22,9 @@
 // the Coriolis rotation). The inverse transform, the products (with the
 // CFL max) and the forward transform are one DistFft3d::round_trip, so the
 // products are formed group by group inside the transform and the engine
-// holds no physical-space field.
+// holds no physical-space field. Every transform is told the band the
+// dealiasing rule keeps (transpose::SpectralBand), so the slab backend
+// transforms and exchanges only those modes.
 //
 // All substage scratch (one RK stage, the product spectra that every RHS
 // lands in, RK4's three earlier stage RHS) is checked out of
@@ -268,6 +270,10 @@ class SpectralEngine {
   // Cubic 2/3 truncation, or the larger spherical sqrt(2)/3 N radius when
   // phase shifting is active (Rogallo's scheme).
   DealiasRule dealias_;
+  // The modes dealias_ keeps, as the band every transform is told: the
+  // slab backend transforms and exchanges only those (DistFft3d's band
+  // contract), and each banded output ends in a truncation by dealias_.
+  transpose::SpectralBand band_;
 
   std::vector<Field> state_;  // [u, v, w, <system extra fields>]
   double time_ = 0.0;

@@ -110,6 +110,10 @@ long kept_half_width(const DealiasRule& rule, int k1, int k2) {
 
 }  // namespace
 
+int axis_kmax(const DealiasRule& rule) {
+  return static_cast<int>(kept_half_width(rule, 0, 0));
+}
+
 void scale_and_truncate(const ModeView& view, Complex* field, double scale,
                         const DealiasRule& rule) {
   const auto n = static_cast<long>(view.n);

@@ -39,6 +39,10 @@ struct DealiasRule {
   static DealiasRule sphere(double kmax) { return {true, 0, kmax * kmax}; }
 };
 
+/// The largest |k| `rule` keeps on a wavenumber axis: the cube's kmax, or
+/// the largest integer inside the sphere.
+int axis_kmax(const DealiasRule& rule);
+
 /// field = scale * field on every mode `rule` keeps, and exactly zero on
 /// every other mode: truncated modes are assigned zero, never multiplied,
 /// so a NaN or Inf there vanishes while one in a kept mode survives. One

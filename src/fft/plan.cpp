@@ -92,6 +92,8 @@ void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
                               const BatchLayout& layout) const {
   PSDNS_REQUIRE(layout.count >= 1, "batch count must be positive");
   const std::size_t dist = layout.dist == 0 ? n_ * layout.stride : layout.dist;
+  const std::size_t ostride =
+      layout.out_stride == 0 ? layout.stride : layout.out_stride;
 
   if (!impl_->stockham) {
     // Non-smooth lengths: Bluestein per line into contiguous scratch, then
@@ -102,7 +104,7 @@ void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
                                 static_cast<std::ptrdiff_t>(layout.stride),
                                 tmp.data());
       Complex* line = out + b * dist;
-      for (std::size_t k = 0; k < n_; ++k) line[k * layout.stride] = tmp[k];
+      for (std::size_t k = 0; k < n_; ++k) line[k * ostride] = tmp[k];
     }
     return;
   }
@@ -128,7 +130,7 @@ void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
           // first and last Stockham stages can stream directly — neither a
           // gather nor a scatter pass touches the block.
           eng.execute_batch_plane(dir, in + b0, layout.stride, out + b0,
-                                  layout.stride, stage0, stage1, nb);
+                                  ostride, stage0, stage1, nb);
           return;
         }
         // Blocked gather: column j of the staging buffer holds element j
@@ -144,7 +146,7 @@ void PlanC2C::transform_batch(Direction dir, const Complex* in, Complex* out,
         Complex* obase = out + b0 * dist;
         for (std::size_t j = 0; j < n_; ++j) {
           const Complex* srcj = stage0 + j * nb;
-          Complex* col = obase + j * layout.stride;
+          Complex* col = obase + j * ostride;
           for (std::size_t b = 0; b < nb; ++b) col[b * dist] = srcj[b];
         }
       });

@@ -14,10 +14,13 @@ namespace psdns::fft {
 class StockhamEngine;
 
 /// Batched layout: element k of batch b lives at data[b*dist + k*stride].
+/// The output may use its own element stride (out_stride; 0 = stride), so a
+/// pass can read one pitched plane and write another.
 struct BatchLayout {
   std::size_t count = 1;   // number of transforms
   std::size_t stride = 1;  // distance between successive elements of one line
   std::size_t dist = 0;    // distance between first elements of lines
+  std::size_t out_stride = 0;  // stride of the output lines (0 = stride)
 };
 
 /// Cache-block width of the batched path: how many lines of length n are
@@ -41,13 +44,13 @@ class PlanC2C {
   /// unnormalized (as with FFTW/cuFFT).
   void transform(Direction dir, const Complex* in, Complex* out) const;
 
-  /// Batched transform with identical input and output layout. For smooth
-  /// lengths this is the fast path: blocks of batch_block_lines(n) strided
-  /// lines are gathered into contiguous scratch (batch-innermost), run
-  /// through the iterative Stockham engine in one streaming pass per stage,
-  /// and scattered back. Non-smooth lengths run each line through the
+  /// Batched transform; the output layout differs from the input's only
+  /// in layout.out_stride. For smooth lengths this is the fast path: blocks
+  /// of batch_block_lines(n) strided lines are gathered into contiguous
+  /// scratch (batch-innermost), run through the iterative Stockham engine
+  /// in one streaming pass per stage, and scattered back. Non-smooth lengths run each line through the
   /// Bluestein engine into per-thread scratch and scatter it back. in ==
-  /// out (fully in-place) is allowed.
+  /// out (fully in-place) is allowed when the two strides are equal.
   void transform_batch(Direction dir, const Complex* in, Complex* out,
                        const BatchLayout& layout) const;
 

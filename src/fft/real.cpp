@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "fft/stockham.hpp"
@@ -56,16 +57,23 @@ void PlanR2C::inverse(const Complex* in, Real* out) const {
   inverse_batch(in, spectrum_size(), out, n_, 1);
 }
 
+std::size_t PlanR2C::kept_count(std::size_t kept) const {
+  PSDNS_REQUIRE(kept <= spectrum_size(), "kept count exceeds the spectrum");
+  return kept == 0 ? spectrum_size() : kept;
+}
+
 void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
-                            std::size_t out_dist, std::size_t count) const {
+                            std::size_t out_dist, std::size_t count,
+                            std::size_t kept) const {
+  kept = kept_count(kept);
   if (!half_) {
-    // Full-length complex transform of each line, keeping n/2+1 outputs.
+    // Full-length complex transform of each line, keeping `kept` outputs.
     Complex* z = scratch(0, n_).data();
     for (std::size_t b = 0; b < count; ++b) {
       const Real* line = in + b * in_dist;
       for (std::size_t j = 0; j < n_; ++j) z[j] = Complex{line[j], 0.0};
       full_->transform(Direction::Forward, z, z);
-      std::copy(z, z + spectrum_size(), out + b * out_dist);
+      std::copy(z, z + kept, out + b * out_dist);
     }
     return;
   }
@@ -98,7 +106,7 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
         eng->execute_batch(Direction::Forward, stage0, stage1, nb);
         // Unravel X[k] = A[k] + w^k B[k] across the batch; the zk/zmk
         // columns are contiguous nb-wide runs of the staging buffer.
-        for (std::size_t k = 0; k <= h; ++k) {
+        for (std::size_t k = 0; k < kept; ++k) {
           const Complex w = omega_[k];
           const Complex* zkc = stage0 + (k == h ? 0 : k) * nb;
           const Complex* zmc = stage0 + ((h - k) % h) * nb;
@@ -117,16 +125,22 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
 }
 
 void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
-                            std::size_t out_dist, std::size_t count) const {
+                            std::size_t out_dist, std::size_t count,
+                            std::size_t kept) const {
+  kept = kept_count(kept);
+  static constexpr Complex kZero{0.0, 0.0};
   if (!half_) {
-    // Expand the conjugate-symmetric spectrum of each line and take the
-    // full-length complex inverse.
+    // Expand the conjugate-symmetric spectrum of each line, zero from
+    // `kept` on, and take the full-length complex inverse.
     Complex* z = scratch(0, n_).data();
     for (std::size_t b = 0; b < count; ++b) {
       const Complex* spec = in + b * in_dist;
-      std::copy(spec, spec + spectrum_size(), z);
+      const auto coef = [&](std::size_t k) {
+        return k < kept ? spec[k] : kZero;
+      };
+      for (std::size_t k = 0; k < spectrum_size(); ++k) z[k] = coef(k);
       for (std::size_t k = spectrum_size(); k < n_; ++k) {
-        z[k] = std::conj(spec[n_ - k]);
+        z[k] = std::conj(coef(n_ - k));
       }
       full_->transform(Direction::Inverse, z, z);
       Real* line = out + b * out_dist;
@@ -148,18 +162,23 @@ void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
             scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
         Complex* stage1 =
             scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
-        // Recover the packed half-length spectrum Z[k] = A[k] + i*B[k].
+        // Recover the packed half-length spectrum Z[k] = A[k] + i*B[k]. A
+        // coefficient from `kept` on is read as kZero at line distance 0.
         Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
+        const auto column = [&](std::size_t k) {
+          return k < kept ? std::pair{in + b0 * in_dist + k, in_dist}
+                          : std::pair{&kZero, std::size_t{0}};
+        };
         for (std::size_t k = 0; k < h; ++k) {
           const Complex wb = std::conj(omega_[k]);
-          const Complex* xkc = in + b0 * in_dist + k;
-          const Complex* xmc = in + b0 * in_dist + (h - k);
+          const auto [xkc, kd] = column(k);
+          const auto [xmc, md] = column(h - k);
           Complex* dst = gbuf + k * nb;
           for (std::size_t b = 0; b < nb; ++b) {
-            const double xkr = xkc[b * in_dist].real();
-            const double xki = xkc[b * in_dist].imag();
-            const double xmr = xmc[b * in_dist].real();
-            const double xmi = -xmc[b * in_dist].imag();
+            const double xkr = xkc[b * kd].real();
+            const double xki = xkc[b * kd].imag();
+            const double xmr = xmc[b * md].real();
+            const double xmi = -xmc[b * md].imag();
             const double ar = 0.5 * (xkr + xmr), ai = 0.5 * (xki + xmi);
             const double dr = 0.5 * (xkr - xmr), di = 0.5 * (xki - xmi);
             const double br = dr * wb.real() - di * wb.imag();

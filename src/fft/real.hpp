@@ -33,19 +33,28 @@ class PlanR2C {
   void inverse(const Complex* in, Real* out) const;
 
   /// Batched forward over `count` lines: line b reads n reals starting at
-  /// in[b*in_dist] and writes spectrum_size() coefficients starting at
-  /// out[b*out_dist]. Even lengths with a smooth half run blocks of lines
-  /// through the batched Stockham half-length engine (pack, transform,
-  /// unravel all vectorize across the batch); other lengths take one
-  /// full-length complex transform per line.
+  /// in[b*in_dist] and writes its first `kept` coefficients (0, the
+  /// default, means spectrum_size()) starting at out[b*out_dist]. Even
+  /// lengths with a smooth half run blocks of lines through the batched
+  /// Stockham half-length engine (pack, transform, unravel all vectorize
+  /// across the batch); other lengths take one full-length complex
+  /// transform per line. Every written coefficient is bitwise the same at
+  /// any `kept`.
   void forward_batch(const Real* in, std::size_t in_dist, Complex* out,
-                     std::size_t out_dist, std::size_t count) const;
+                     std::size_t out_dist, std::size_t count,
+                     std::size_t kept = 0) const;
 
-  /// Batched inverse, same layout contract as forward_batch.
+  /// Batched inverse, same layout contract as forward_batch: line b reads
+  /// its first `kept` coefficients and takes the rest as zero, bitwise the
+  /// inverse of the spectrum zeroed from `kept` on.
   void inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
-                     std::size_t out_dist, std::size_t count) const;
+                     std::size_t out_dist, std::size_t count,
+                     std::size_t kept = 0) const;
 
  private:
+  /// `kept`, or spectrum_size() for 0; rejects a count past the spectrum.
+  std::size_t kept_count(std::size_t kept) const;
+
   std::size_t n_;
   std::shared_ptr<const PlanC2C> half_;  // length n/2 plan (smooth n/2)
   std::shared_ptr<const PlanC2C> full_;  // length n plan (all other n)

@@ -47,6 +47,12 @@ struct PipelineConfig {
                                 // solver transforms the trace-free 5 (8),
                                 // so a model-vs-solver count comparison
                                 // must map one product set to the other.
+                                // Each modelled transpose also moves all
+                                // N/2+1 kx columns, while the host slab
+                                // moves only the 2/3 band's W of them
+                                // (transpose::SpectralBand): byte counts
+                                // compared with the solver's scale by
+                                // W/(N/2+1) as well.
   gpu::CopyMethod copy_method = gpu::CopyMethod::Memcpy2DAsync;
   gpu::CopyMethod unpack_method = gpu::CopyMethod::ZeroCopy;
 

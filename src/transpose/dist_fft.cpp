@@ -31,15 +31,26 @@ void DistFft3d::inverse(std::span<const Complex> spec, std::span<Real> phys) {
           std::span<Real* const>(&p, 1));
 }
 
+void DistFft3d::forward(std::span<const Real* const> phys,
+                        std::span<Complex* const> spec, const SpectralBand&) {
+  forward(phys, spec);
+}
+
+void DistFft3d::inverse(std::span<const Complex* const> spec,
+                        std::span<Real* const> phys, const SpectralBand&) {
+  inverse(spec, phys);
+}
+
 void DistFft3d::round_trip(std::span<const Complex* const> in,
                            PointKernel kernel, void* ctx,
-                           std::span<Complex* const> out) {
+                           std::span<Complex* const> out,
+                           const SpectralBand& band) {
   const std::size_t m = physical_elems();
   Real* const* phys = point_scratch(in.size(), out.size(), m);
-  inverse(in, std::span<Real* const>(phys, in.size()));
+  inverse(in, std::span<Real* const>(phys, in.size()), band);
   kernel(ctx, phys, phys + in.size(), m);
   const Real* const* products = phys + in.size();
-  forward(std::span<const Real* const>(products, out.size()), out);
+  forward(std::span<const Real* const>(products, out.size()), out, band);
 }
 
 Real* const* DistFft3d::point_scratch(std::size_t nin, std::size_t nout,
@@ -50,6 +61,11 @@ Real* const* DistFft3d::point_scratch(std::size_t nin, std::size_t nout,
     point_ptrs_[f] = points_.data() + f * points;
   }
   return point_ptrs_.data();
+}
+
+SpectralBand SpectralBand::of_radius(std::size_t n, std::size_t k) {
+  return {std::min(n / 2 + 1, (k + 2) / 2 * 2), std::min(k, n / 2),
+          std::min(k, n / 2)};
 }
 
 std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines) {
@@ -119,136 +135,177 @@ void SlabFft3d::set_batching(int np, int q) {
   q_ = q;
 }
 
-void SlabFft3d::ensure_work(std::size_t count) {
+void SlabFft3d::ensure_work(std::size_t count, std::size_t width) {
   if (work_.size() < count) work_.resize(count);
   for (std::size_t v = 0; v < count; ++v) {
-    work_[v].ensure(nxh() * n_ * std::max(my(), mz()));
+    work_[v].ensure(width * n_ * std::max(my(), mz()));
   }
   if (yslab_ptrs_.size() < count) yslab_ptrs_.resize(count);
   if (zslab_ptrs_.size() < count) zslab_ptrs_.resize(count);
 }
 
+bool SlabFft3d::keeps_plane(const SpectralBand& band, std::size_t kk) const {
+  const std::size_t k = static_cast<std::size_t>(comm_.rank()) * mz() + kk;
+  return band.keeps_kz(wrap_wavenumber(k, n_));
+}
+
 void SlabFft3d::z_pass(fft::Direction dir, Complex* const* yslabs,
-                       std::size_t nv, std::size_t j0,
-                       std::size_t planes) const {
+                       std::size_t nv, std::size_t j0, std::size_t planes,
+                       std::size_t width) const {
   // Planes are disjoint: stripe (variable, plane) pairs across the worker
   // pool (each per-plane transform_batch then runs inline in its stripe).
-  const std::size_t h = nxh();
   util::ThreadPool::global().parallel_for(
       "fft.slab.z", 0, nv * planes, [&](std::size_t idx) {
-        Complex* base = yslabs[idx / planes] + h * n_ * (j0 + idx % planes);
+        Complex* base =
+            yslabs[idx / planes] + width * n_ * (j0 + idx % planes);
         plan_yz_->transform_batch(dir, base, base,
-                                  BatchLayout{.count = h, .stride = h,
+                                  BatchLayout{.count = width, .stride = width,
                                               .dist = 1});
       });
 }
 
-void SlabFft3d::inverse_to_yslabs(std::span<const Complex* const> spec) {
+void SlabFft3d::inverse_to_yslabs(std::span<const Complex* const> spec,
+                                  const SpectralBand& band,
+                                  std::size_t zpitch) {
   const std::size_t nv = spec.size();
-  const std::size_t h = nxh();
-  // y-inverse from the input into the Z-slab scratch (in place when the
-  // caller's input is its own scratch).
+  const std::size_t h = nxh(), w = band.width;
+  // y-inverse of the band's columns from the input into the Z-slab scratch
+  // (in place when the caller's input is its own scratch). A plane outside
+  // the band transforms to zero: in place it already is, elsewhere its
+  // columns are zero-filled.
   {
     obs::TraceSpan span("slab_fft.inverse.y", obs::SpanKind::Compute);
     for (std::size_t v = 0; v < nv; ++v) {
       Complex* wz = zslab_ptrs_[v];
       util::ThreadPool::global().parallel_for(
           "fft.slab.y", 0, mz(), [&](std::size_t kk) {
-            plan_yz_->transform_batch(fft::Direction::Inverse,
-                                      spec[v] + h * n_ * kk,
-                                      wz + h * n_ * kk,
-                                      BatchLayout{.count = h, .stride = h,
-                                                  .dist = 1});
+            Complex* plane = wz + zpitch * n_ * kk;
+            if (keeps_plane(band, kk)) {
+              plan_yz_->transform_batch(
+                  fft::Direction::Inverse, spec[v] + h * n_ * kk, plane,
+                  BatchLayout{.count = w, .stride = h, .dist = 1,
+                              .out_stride = zpitch});
+            } else if (plane != spec[v] + h * n_ * kk) {
+              for (std::size_t j = 0; j < n_; ++j) {
+                std::fill_n(plane + zpitch * j, w, Complex{0.0, 0.0});
+              }
+            }
           });
     }
   }
   transpose_.z_to_y(
       std::span<const Complex* const>(
           const_cast<const Complex* const*>(zslab_ptrs_.data()), nv),
-      std::span<Complex* const>(yslab_ptrs_.data(), nv), np_, q_);
+      std::span<Complex* const>(yslab_ptrs_.data(), nv), np_, q_,
+      SlabColumns{.width = w, .a_pitch = zpitch, .b_pitch = w});
 }
 
-void SlabFft3d::yslabs_to_spectral(std::span<Complex* const> spec) {
+void SlabFft3d::yslabs_to_spectral(std::span<Complex* const> spec,
+                                   const SpectralBand& band) {
   const std::size_t nv = spec.size();
-  const std::size_t h = nxh();
-  // Global transpose to Z-slabs, batched as np pencils / q per all-to-all.
+  const std::size_t h = nxh(), w = band.width;
+  // Global transpose of the band's columns to Z-slabs, batched as np
+  // pencils / q per all-to-all.
   transpose_.y_to_z(
       std::span<const Complex* const>(
           const_cast<const Complex* const*>(yslab_ptrs_.data()), nv),
-      spec, np_, q_);
+      spec, np_, q_, SlabColumns{.width = w, .a_pitch = h, .b_pitch = w});
 
-  // y: strided lines (stride nxh) inside the Z-slab.
+  // y: strided lines (stride nxh) inside the Z-slab, on the band's planes.
   obs::TraceSpan span("slab_fft.forward.y", obs::SpanKind::Compute);
   util::ThreadPool::global().parallel_for(
       "fft.slab.y", 0, nv * mz(), [&](std::size_t idx) {
         const std::size_t v = idx / mz();
         const std::size_t kk = idx % mz();
+        if (!keeps_plane(band, kk)) return;
         Complex* base = spec[v] + h * n_ * kk;
         plan_yz_->transform_batch(fft::Direction::Forward, base, base,
-                                  BatchLayout{.count = h, .stride = h,
+                                  BatchLayout{.count = w, .stride = h,
                                               .dist = 1});
       });
 }
 
 void SlabFft3d::forward(std::span<const Real* const> phys,
                         std::span<Complex* const> spec) {
-  PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
-  const std::size_t nv = phys.size();
-  const std::size_t h = nxh();
-  ensure_work(nv);
-  for (std::size_t v = 0; v < nv; ++v) {
-    Complex* w = work_[v].data();
-    yslab_ptrs_[v] = w;
-    // x: real-to-complex, all my()*n_ unit-stride lines as one batch.
-    {
-      obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
-      plan_x_->forward_batch(phys[v], n_, w, h, n_ * my());
-    }
-    // z: strided lines (stride nxh) inside the Y-slab, one batch per plane.
-    obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
-    z_pass(fft::Direction::Forward, &w, 1, 0, my());
-  }
-  yslabs_to_spectral(spec);
+  forward(phys, spec, SpectralBand::full(n_));
 }
 
 void SlabFft3d::inverse(std::span<const Complex* const> spec,
                         std::span<Real* const> phys) {
+  inverse(spec, phys, SpectralBand::full(n_));
+}
+
+void SlabFft3d::forward(std::span<const Real* const> phys,
+                        std::span<Complex* const> spec,
+                        const SpectralBand& band) {
   PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
   const std::size_t nv = phys.size();
-  ensure_work(2 * nv);
+  const std::size_t w = band.width;
+  ensure_work(nv, w);
+  for (std::size_t v = 0; v < nv; ++v) {
+    Complex* y = work_[v].data();
+    yslab_ptrs_[v] = y;
+    // x: real-to-complex, all my()*n_ unit-stride lines as one batch,
+    // keeping the band's w coefficients.
+    {
+      obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
+      plan_x_->forward_batch(phys[v], n_, y, w, n_ * my(), w);
+    }
+    // z: strided lines (stride w) inside the Y-slab, one batch per plane.
+    obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
+    z_pass(fft::Direction::Forward, &y, 1, 0, my(), w);
+  }
+  yslabs_to_spectral(spec, band);
+}
+
+void SlabFft3d::inverse(std::span<const Complex* const> spec,
+                        std::span<Real* const> phys,
+                        const SpectralBand& band) {
+  PSDNS_REQUIRE(phys.size() == spec.size(), "variable count mismatch");
+  const std::size_t nv = phys.size();
+  const std::size_t w = band.width;
+  ensure_work(2 * nv, w);
   for (std::size_t v = 0; v < nv; ++v) {
     zslab_ptrs_[v] = work_[v].data();
     yslab_ptrs_[v] = work_[nv + v].data();
   }
-  inverse_to_yslabs(spec);
+  inverse_to_yslabs(spec, band, w);
   for (std::size_t v = 0; v < nv; ++v) {
-    Complex* w = yslab_ptrs_[v];
+    Complex* y = yslab_ptrs_[v];
     {
       obs::TraceSpan span("slab_fft.inverse.z", obs::SpanKind::Compute);
-      z_pass(fft::Direction::Inverse, &w, 1, 0, my());
+      z_pass(fft::Direction::Inverse, &y, 1, 0, my(), w);
     }
     // x: complex-to-real, batched over all lines of the Y-slab.
     obs::TraceSpan span("slab_fft.inverse.x", obs::SpanKind::Compute);
-    plan_x_->inverse_batch(w, nxh(), phys[v], n_, n_ * my());
+    plan_x_->inverse_batch(y, w, phys[v], n_, n_ * my(), w);
   }
 }
 
 void SlabFft3d::round_trip(std::span<const Complex* const> in,
                            PointKernel kernel, void* ctx,
-                           std::span<Complex* const> out) {
+                           std::span<Complex* const> out,
+                           const SpectralBand& band) {
   const std::size_t nin = in.size(), nout = out.size();
-  const std::size_t h = nxh();
+  const std::size_t w = band.width;
   // Y-slab v is work_[v] for inputs and outputs alike. Input v's y-inverse
   // goes to the Z-slab out[v] (in place when in[v] is out[v]), which
-  // nothing reads after z_to_y and y_to_z overwrites in full; inputs past
-  // the last output take work slabs past the Y-slabs.
+  // nothing reads after z_to_y and y_to_z overwrites in the band; inputs
+  // past the last output take full-size work slabs past the Y-slabs. The
+  // Z-slabs are nxh-pitched, as the caller's spectra.
   const std::size_t nyslabs = std::max(nin, nout);
-  ensure_work(nyslabs + (nin > nout ? nin - nout : 0));
+  ensure_work(nyslabs + (nin > nout ? nin - nout : 0), w);
   for (std::size_t v = 0; v < nyslabs; ++v) yslab_ptrs_[v] = work_[v].data();
   for (std::size_t v = 0; v < nin; ++v) {
-    zslab_ptrs_[v] = v < nout ? out[v] : work_[nyslabs + v - nout].data();
+    if (v < nout) {
+      zslab_ptrs_[v] = out[v];
+    } else {
+      auto& zs = work_[nyslabs + v - nout];
+      zs.ensure(spectral_elems());
+      zslab_ptrs_[v] = zs.data();
+    }
   }
-  inverse_to_yslabs(in);
+  inverse_to_yslabs(in, band, nxh());
 
   const std::size_t group =
       std::min(round_trip_group_lines(n_, n_) / n_, my());  // planes
@@ -260,19 +317,19 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
     for (std::size_t j0 = 0; j0 < my(); j0 += group) {
       const std::size_t planes = std::min(group, my() - j0);
       const std::size_t lines = planes * n_;
-      z_pass(fft::Direction::Inverse, y, nin, j0, planes);
+      z_pass(fft::Direction::Inverse, y, nin, j0, planes, w);
       for (std::size_t v = 0; v < nin; ++v) {
-        plan_x_->inverse_batch(y[v] + h * n_ * j0, h, phys[v], n_, lines);
+        plan_x_->inverse_batch(y[v] + w * n_ * j0, w, phys[v], n_, lines, w);
       }
       kernel(ctx, phys, phys + nin, lines * n_);
       for (std::size_t t = 0; t < nout; ++t) {
-        plan_x_->forward_batch(phys[nin + t], n_, y[t] + h * n_ * j0, h,
-                               lines);
+        plan_x_->forward_batch(phys[nin + t], n_, y[t] + w * n_ * j0, w,
+                               lines, w);
       }
-      z_pass(fft::Direction::Forward, y, nout, j0, planes);
+      z_pass(fft::Direction::Forward, y, nout, j0, planes, w);
     }
   }
-  yslabs_to_spectral(out);
+  yslabs_to_spectral(out, band);
 }
 
 // -------------------------------------------------------------- PencilFft3d
@@ -394,7 +451,8 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
 
 void PencilFft3d::round_trip(std::span<const Complex* const> in,
                              PointKernel kernel, void* ctx,
-                             std::span<Complex* const> out) {
+                             std::span<Complex* const> out,
+                             const SpectralBand&) {
   const std::size_t nin = in.size(), nout = out.size();
   const std::size_t h = nxh(), total = grid().yl() * grid().zl();
   PSDNS_REQUIRE(nout >= 1, "round_trip needs an output field");

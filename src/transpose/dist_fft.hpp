@@ -47,6 +47,26 @@
 //    full-size scratch, the kernel over all points at once, forward().
 //    Forwarding decorators that override only forward/inverse inherit it.
 //
+// Band-limited transforms. A solver that truncates its spectra (the 2/3
+// rule) passes the modes it keeps as a SpectralBand: kx < width,
+// |ky| <= ky, |kz| <= kz. The contract of every banded call:
+//  - spectral inputs are zero outside the band;
+//  - spectral outputs are unspecified outside the band (the caller's
+//    truncation overwrites them); every output inside it is bitwise the
+//    unbanded call's.
+// A backend may ignore the band. SlabFft3d honours it: its Y-slabs are
+// width columns wide, its x/z passes and transposes touch only those
+// columns, and its y passes run only on Z-slab planes with |kz| <= kz.
+// The width is even (SpectralBand::of_radius) because the Stockham kernels
+// pair adjacent lines into AVX2-FMA lanes and run an odd remainder line in
+// scalar code without FMA: an odd width would move its last line out of
+// the lane it has in the unbanded pass and change its bits. This relies on
+// every batch block starting on an even line: fft::batch_block_lines(N)
+// is 64 up to N = 512.
+// The banded forward/inverse are non-pure: the base versions call the
+// unbanded forms, so a forwarding decorator that overrides only those
+// (perfbench's TimedFft) runs unbanded, with every kept bit the same.
+//
 // Both backends are unnormalized: inverse(forward(u)) == N^3 * u.
 
 #include <cstddef>
@@ -75,6 +95,23 @@ using fft::Real;
 /// pointer, as util::ThreadPool's jobs are, so a call allocates nothing.
 using PointKernel = void (*)(void* ctx, const Real* const* in,
                              Real* const* out, std::size_t points);
+
+/// The spectral modes a banded transform keeps: kx in [0, width),
+/// |ky| <= ky, |kz| <= kz.
+struct SpectralBand {
+  std::size_t width = 0;
+  std::size_t ky = 0, kz = 0;
+
+  /// Every mode of an N = n grid.
+  static SpectralBand full(std::size_t n) { return {n / 2 + 1, n / 2, n / 2}; }
+  /// The box |kx|, |ky|, |kz| <= k on an N = n grid, its width k + 1
+  /// rounded up to even (see the top of this file) and capped at N/2+1.
+  static SpectralBand of_radius(std::size_t n, std::size_t k);
+  /// Whether the plane of signed wavenumber kz = k holds a kept mode.
+  bool keeps_kz(int k) const {
+    return static_cast<std::size_t>(k < 0 ? -k : k) <= kz;
+  }
+};
 
 /// x-lines per round_trip group for an N = n grid whose planes hold
 /// `plane_lines` x-lines: the smallest whole number of planes that is a
@@ -111,20 +148,30 @@ class DistFft3d {
   virtual void inverse(std::span<const Complex* const> spec,
                        std::span<Real* const> phys) = 0;
 
+  /// Banded forms (contract at the top of this file). The defaults call
+  /// the unbanded forms above.
+  virtual void forward(std::span<const Real* const> phys,
+                       std::span<Complex* const> spec,
+                       const SpectralBand& band);
+  virtual void inverse(std::span<const Complex* const> spec,
+                       std::span<Real* const> phys, const SpectralBand& band);
+
   /// out = forward(kernel(inverse(in))) for in.size() input and out.size()
   /// output fields. Each out[t] holds spectral_elems() elements; its
   /// contents are unspecified during the call (the backends use the outputs
   /// as scratch). out[v] may alias in[v], the same index only: the call
   /// then consumes that input, and the result is bitwise the same as with
   /// separate buffers (the engine round-trips phase-shifted copies that
-  /// live in its outputs). No other output may alias an input. The
-  /// default runs exactly that, with full-size physical scratch and one
-  /// kernel call over all points; the backends override it with the
-  /// grouped schedule described at the top of this file, bitwise equal to
-  /// the default.
+  /// live in its outputs). No other output may alias an input. Inputs
+  /// and outputs are banded by `band`. The default runs exactly that, with
+  /// full-size physical scratch and one kernel call over all points
+  /// (through the banded forward/inverse); the backends override it with
+  /// the grouped schedule described at the top of this file, bitwise equal
+  /// to the default inside the band.
   virtual void round_trip(std::span<const Complex* const> in,
                           PointKernel kernel, void* ctx,
-                          std::span<Complex* const> out);
+                          std::span<Complex* const> out,
+                          const SpectralBand& band);
 
   /// Single-variable convenience (non-virtual, forwards to the batched
   /// entry points).
@@ -147,6 +194,8 @@ class DistFft3d {
 ///
 /// Physical layout (Y-slabs): r[x + n*(k + n*jj)], y = rank*my + jj.
 /// Spectral layout (Z-slabs): a[i + nxh*(j + n*kk)], k = rank*mz + kk.
+/// Its own spectral Y-slabs hold the band's width columns per x-row
+/// (pitch W = band.width, nxh unbanded): w[i + W*(k + n*jj)].
 class SlabFft3d final : public DistFft3d {
  public:
   SlabFft3d(comm::Communicator& comm, std::size_t n);
@@ -169,8 +218,10 @@ class SlabFft3d final : public DistFft3d {
                            static_cast<std::size_t>(comm_.rank()) * my());
   }
 
-  /// Rejects a batching that leaves an x-chunk empty (np > N/2+1 with
-  /// q < np), so a bad config fails when the engine is built.
+  /// Rejects a batching that leaves an x-chunk of the unbanded field empty
+  /// (np > N/2+1 with q < np), so a bad config fails when the engine is
+  /// built. A band narrower than np may leave chunks empty: those make no
+  /// exchange.
   void set_batching(int np, int q) override;
   int pencils() const override { return np_; }
   int pencils_per_alltoall() const override { return q_; }
@@ -181,6 +232,13 @@ class SlabFft3d final : public DistFft3d {
                std::span<Complex* const> spec) override;
   void inverse(std::span<const Complex* const> spec,
                std::span<Real* const> phys) override;
+  void forward(std::span<const Real* const> phys,
+               std::span<Complex* const> spec,
+               const SpectralBand& band) override;
+  /// The Z-slab scratch between the y-inverse and z_to_y is W-pitched
+  /// too, so the call holds 2 nv slabs of W columns.
+  void inverse(std::span<const Complex* const> spec,
+               std::span<Real* const> phys, const SpectralBand& band) override;
 
   /// y-inverse and z_to_y of the inputs, then per group of Y-planes: the
   /// z-inverse and x c2r of the inputs, the kernel, the x r2c and z-forward
@@ -189,21 +247,29 @@ class SlabFft3d final : public DistFft3d {
   /// and output v share the Y-slab work_[v] (an input's plane is consumed
   /// before the output writes it), so the call holds max(nin, nout) slabs
   /// of scratch when nout >= nin, and 2 nin - nout when nout < nin.
+  /// Inputs past the last output park their Z-slabs in nxh-pitched work
+  /// slabs.
   void round_trip(std::span<const Complex* const> in, PointKernel kernel,
-                  void* ctx, std::span<Complex* const> out) override;
+                  void* ctx, std::span<Complex* const> out,
+                  const SpectralBand& band) override;
 
  private:
-  /// Checks out work_[0, count) as slab scratch.
-  void ensure_work(std::size_t count);
-  /// y-inverse of spec[v] into the Z-slab scratch zslab_ptrs_[v], then the
-  /// batched z_to_y into the Y-slabs yslab_ptrs_[v]; the caller points
-  /// both tables.
-  void inverse_to_yslabs(std::span<const Complex* const> spec);
+  /// Checks out work_[0, count) as slab scratch of `width` columns.
+  void ensure_work(std::size_t count, std::size_t width);
+  /// Whether local Z-slab plane kk holds a mode of the band.
+  bool keeps_plane(const SpectralBand& band, std::size_t kk) const;
+  /// y-inverse of spec[v] into the Z-slab scratch zslab_ptrs_[v] (row
+  /// pitch zpitch), then the batched z_to_y into the Y-slabs
+  /// yslab_ptrs_[v]; the caller points both tables.
+  void inverse_to_yslabs(std::span<const Complex* const> spec,
+                         const SpectralBand& band, std::size_t zpitch);
   /// y_to_z of the Y-slabs yslab_ptrs_[v] into spec[v], then y-forward.
-  void yslabs_to_spectral(std::span<Complex* const> spec);
-  /// z pass (in place) over Y-planes [j0, j0 + planes) of every Y-slab.
+  void yslabs_to_spectral(std::span<Complex* const> spec,
+                          const SpectralBand& band);
+  /// z pass (in place) over Y-planes [j0, j0 + planes) of every Y-slab of
+  /// `width` columns.
   void z_pass(fft::Direction dir, Complex* const* yslabs, std::size_t nv,
-              std::size_t j0, std::size_t planes) const;
+              std::size_t j0, std::size_t planes, std::size_t width) const;
 
   comm::Communicator& comm_;
   std::size_t n_;
@@ -264,6 +330,8 @@ class PencilFft3d final : public DistFft3d {
 
   /// Batched multi-variable entry points (variables transform one after
   /// the other; the pencil transposes are single-field).
+  using DistFft3d::forward;
+  using DistFft3d::inverse;
   void forward(std::span<const Real* const> phys,
                std::span<Complex* const> spec) override;
   void inverse(std::span<const Complex* const> spec,
@@ -276,9 +344,10 @@ class PencilFft3d final : public DistFft3d {
   /// out[0] as the z-inverse's Z-pencil scratch, then per group of X-pencil
   /// lines: x c2r of the inputs, the kernel, x r2c of the outputs into
   /// px_[t]; then each output x -> y -> z. Holds max(nin, nout) X-pencils
-  /// and one Y-pencil of scratch.
+  /// and one Y-pencil of scratch. Ignores the band.
   void round_trip(std::span<const Complex* const> in, PointKernel kernel,
-                  void* ctx, std::span<Complex* const> out) override;
+                  void* ctx, std::span<Complex* const> out,
+                  const SpectralBand& band) override;
 
  private:
   /// Checks out px_[0, count) and the Y-pencil scratch.

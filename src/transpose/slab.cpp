@@ -151,24 +151,37 @@ void SlabTranspose::unpack_z(std::span<const Complex> recv, std::size_t x0,
       });
 }
 
+SlabColumns SlabTranspose::resolve(SlabColumns cols) const {
+  for (std::size_t* m : {&cols.width, &cols.a_pitch, &cols.b_pitch}) {
+    if (*m == 0) *m = grid_.nxh;
+  }
+  PSDNS_REQUIRE(cols.width <= cols.a_pitch && cols.width <= cols.b_pitch &&
+                    cols.width <= grid_.nxh,
+                "slab columns wider than a row");
+  return cols;
+}
+
 void SlabTranspose::z_to_y_chunk(std::span<const Complex* const> vars_a,
                                  std::span<Complex* const> vars_b,
-                                 std::size_t x0, std::size_t x1) {
-  PSDNS_REQUIRE(x1 > x0 && x1 <= grid_.nxh, "bad x-chunk");
+                                 std::size_t x0, std::size_t x1,
+                                 SlabColumns cols) {
+  cols = resolve(cols);
+  PSDNS_REQUIRE(x1 > x0 && x1 <= cols.width, "bad x-chunk");
   PSDNS_REQUIRE(vars_a.size() == vars_b.size(), "variable count mismatch");
-  const std::size_t nxh = grid_.nxh, my = grid_.my(), mz = grid_.mz();
+  const std::size_t ap = cols.a_pitch, bp = cols.b_pitch;
+  const std::size_t my = grid_.my(), mz = grid_.mz();
   const std::size_t y0 = static_cast<std::size_t>(comm_.rank()) * my;
   // Peer p's Z-slab holds z in [p*mz, (p+1)*mz). Per local y plane jj
   // (repeat), its mz rows of my y range land as consecutive z rows.
   comm_.alltoall_strided(
-      vars_a, grid_.zslab_elems(), vars_b, grid_.yslab_elems(),
+      vars_a, ap * grid_.ny * mz, vars_b, bp * grid_.nz * my,
       [&](int p, std::size_t) {
         return comm::StridedBlock{
             .width = x1 - x0, .rows = mz, .reps = my,
-            .src = x0 + nxh * y0, .src_pitch = nxh * grid_.ny,
-            .src_rep_pitch = nxh,
-            .dst = x0 + nxh * static_cast<std::size_t>(p) * mz,
-            .dst_pitch = nxh, .dst_rep_pitch = nxh * grid_.nz};
+            .src = x0 + ap * y0, .src_pitch = ap * grid_.ny,
+            .src_rep_pitch = ap,
+            .dst = x0 + bp * static_cast<std::size_t>(p) * mz,
+            .dst_pitch = bp, .dst_rep_pitch = bp * grid_.nz};
       });
   count_copy(block_elems(x1 - x0, vars_a.size()) *
              static_cast<std::size_t>(comm_.size()));
@@ -176,44 +189,51 @@ void SlabTranspose::z_to_y_chunk(std::span<const Complex* const> vars_a,
 
 void SlabTranspose::y_to_z_chunk(std::span<const Complex* const> vars_b,
                                  std::span<Complex* const> vars_a,
-                                 std::size_t x0, std::size_t x1) {
-  PSDNS_REQUIRE(x1 > x0 && x1 <= grid_.nxh, "bad x-chunk");
+                                 std::size_t x0, std::size_t x1,
+                                 SlabColumns cols) {
+  cols = resolve(cols);
+  PSDNS_REQUIRE(x1 > x0 && x1 <= cols.width, "bad x-chunk");
   PSDNS_REQUIRE(vars_a.size() == vars_b.size(), "variable count mismatch");
-  const std::size_t nxh = grid_.nxh, my = grid_.my(), mz = grid_.mz();
+  const std::size_t ap = cols.a_pitch, bp = cols.b_pitch;
+  const std::size_t my = grid_.my(), mz = grid_.mz();
   const std::size_t z0 = static_cast<std::size_t>(comm_.rank()) * mz;
   // Peer p's Y-slab holds y in [p*my, (p+1)*my). Per local z plane kk
   // (repeat), its my rows of my z range land as consecutive y rows.
   comm_.alltoall_strided(
-      vars_b, grid_.yslab_elems(), vars_a, grid_.zslab_elems(),
+      vars_b, bp * grid_.nz * my, vars_a, ap * grid_.ny * mz,
       [&](int p, std::size_t) {
         return comm::StridedBlock{
             .width = x1 - x0, .rows = my, .reps = mz,
-            .src = x0 + nxh * z0, .src_pitch = nxh * grid_.nz,
-            .src_rep_pitch = nxh,
-            .dst = x0 + nxh * static_cast<std::size_t>(p) * my,
-            .dst_pitch = nxh, .dst_rep_pitch = nxh * grid_.ny};
+            .src = x0 + bp * z0, .src_pitch = bp * grid_.nz,
+            .src_rep_pitch = bp,
+            .dst = x0 + ap * static_cast<std::size_t>(p) * my,
+            .dst_pitch = ap, .dst_rep_pitch = ap * grid_.ny};
       });
   count_copy(block_elems(x1 - x0, vars_b.size()) *
              static_cast<std::size_t>(comm_.size()));
 }
 
 void SlabTranspose::z_to_y(std::span<const Complex* const> vars_a,
-                           std::span<Complex* const> vars_b, int np, int q) {
+                           std::span<Complex* const> vars_b, int np, int q,
+                           SlabColumns cols) {
   PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
+  cols = resolve(cols);
   for (int ip = 0; ip < np; ip += q) {
-    const auto lo = pencil_range(grid_.nxh, np, ip);
-    const auto hi = pencil_range(grid_.nxh, np, std::min(ip + q, np) - 1);
-    z_to_y_chunk(vars_a, vars_b, lo.x0, hi.x1);
+    const auto lo = pencil_range(cols.width, np, ip);
+    const auto hi = pencil_range(cols.width, np, std::min(ip + q, np) - 1);
+    if (hi.x1 > lo.x0) z_to_y_chunk(vars_a, vars_b, lo.x0, hi.x1, cols);
   }
 }
 
 void SlabTranspose::y_to_z(std::span<const Complex* const> vars_b,
-                           std::span<Complex* const> vars_a, int np, int q) {
+                           std::span<Complex* const> vars_a, int np, int q,
+                           SlabColumns cols) {
   PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
+  cols = resolve(cols);
   for (int ip = 0; ip < np; ip += q) {
-    const auto lo = pencil_range(grid_.nxh, np, ip);
-    const auto hi = pencil_range(grid_.nxh, np, std::min(ip + q, np) - 1);
-    y_to_z_chunk(vars_b, vars_a, lo.x0, hi.x1);
+    const auto lo = pencil_range(cols.width, np, ip);
+    const auto hi = pencil_range(cols.width, np, std::min(ip + q, np) - 1);
+    if (hi.x1 > lo.x0) y_to_z_chunk(vars_b, vars_a, lo.x0, hi.x1, cols);
   }
 }
 

@@ -17,6 +17,12 @@
 // (Fig. 6) so that GPU-sized pieces can be processed and communicated
 // independently; Q pencils can be aggregated per all-to-all (Sec. 4.1).
 //
+// A transpose may move only the x-columns [0, width) of a field, and each
+// side may store its x-rows at its own pitch (SlabColumns): the slab
+// backend keeps its Y-slabs W columns wide, W the band a dealiasing rule
+// keeps (transpose::SpectralBand), while the caller's Z-slabs stay nxh
+// wide. The pencils then split [0, width) instead of [0, nxh).
+//
 // Each chunk is one comm::Communicator::alltoall_strided: every rank copies
 // its rows straight out of its peers' source slabs into its own destination
 // slab, so every byte moves once and no staging buffer exists. The pack_* /
@@ -51,6 +57,14 @@ struct SlabGrid {
   void validate() const;
 };
 
+/// The x-columns [0, width) a slab transpose moves, and the row pitch
+/// (elements from one x-row to the next) of its Z-slab side (a) and its
+/// Y-slab side (b), each at least width. A zero member means nxh, so {} is
+/// the whole field with both sides nxh-pitched.
+struct SlabColumns {
+  std::size_t width = 0, a_pitch = 0, b_pitch = 0;
+};
+
 /// The x-chunk [x0, x1) covered by pencil `ip` of `np` when splitting a
 /// dimension of extent nxh (last pencil absorbs the remainder).
 struct PencilRange {
@@ -72,25 +86,28 @@ class SlabTranspose {
 
   const SlabGrid& grid() const { return grid_; }
 
-  /// Z-slabs -> Y-slabs for the x-chunk [x0, x1). vars_a[v] points at the
-  /// v-th variable's Z-slab, vars_b[v] at its Y-slab (written only in the
-  /// chunk). Collective.
+  /// Z-slabs -> Y-slabs for the x-chunk [x0, x1) of cols.width. vars_a[v]
+  /// points at the v-th variable's Z-slab, vars_b[v] at its Y-slab
+  /// (written only in the chunk). Collective.
   void z_to_y_chunk(std::span<const Complex* const> vars_a,
                     std::span<Complex* const> vars_b, std::size_t x0,
-                    std::size_t x1);
+                    std::size_t x1, SlabColumns cols = {});
 
   /// Y-slabs -> Z-slabs for the x-chunk [x0, x1). Collective.
   void y_to_z_chunk(std::span<const Complex* const> vars_b,
                     std::span<Complex* const> vars_a, std::size_t x0,
-                    std::size_t x1);
+                    std::size_t x1, SlabColumns cols = {});
 
-  /// Whole-field transposes, optionally batched as `np` pencils with Q
-  /// pencils aggregated per all-to-all (np % q == 0 not required; the last
-  /// group may be smaller).
+  /// Transposes of the columns [0, cols.width), optionally batched as `np`
+  /// pencils of that width with Q pencils aggregated per all-to-all
+  /// (np % q == 0 not required; the last group may be smaller). A group
+  /// whose pencils are all empty (np > cols.width) makes no exchange.
   void z_to_y(std::span<const Complex* const> vars_a,
-              std::span<Complex* const> vars_b, int np = 1, int q = 1);
+              std::span<Complex* const> vars_b, int np = 1, int q = 1,
+              SlabColumns cols = {});
   void y_to_z(std::span<const Complex* const> vars_b,
-              std::span<Complex* const> vars_a, int np = 1, int q = 1);
+              std::span<Complex* const> vars_a, int np = 1, int q = 1,
+              SlabColumns cols = {});
 
   // -- staged pack/unpack primitives, for the benchmarks and the
   //    equivalence tests (these are exactly the strided-copy patterns of
@@ -121,6 +138,9 @@ class SlabTranspose {
                 std::span<Complex* const> vars_a) const;
 
  private:
+  /// cols with every zero member replaced by nxh, checked against the grid.
+  SlabColumns resolve(SlabColumns cols) const;
+
   comm::Communicator& comm_;
   SlabGrid grid_;
 };

@@ -325,7 +325,8 @@ void expect_engine_scratch(const SolverConfig& config) {
 
 /// Everything a warmed step holds, engine plus backend, on every rank: the
 /// engine's named blocks; the backend's slab scratch (max(nf, nprod)
-/// slabs: the round trip parks the inputs' Z-slabs in its outputs) or
+/// slabs of the 2/3 band's W columns, W·n·max(my, mz) elements each: the
+/// round trip parks the inputs' Z-slabs in its outputs) or
 /// spectral X-pencils (max(nf, nprod), plus one Y-pencil; the inputs'
 /// Z-pencil scratch is an output); the round trip's group scratch of
 /// nf + nprod physical fields over one group of x-lines; and this rank
@@ -354,8 +355,11 @@ void expect_warmed_step_scratch(const SolverConfig& config, int ranks) {
       const auto bucket = util::WorkspaceArena::bucket_bytes;
       std::size_t backend = 0, lines = 0, plane_lines = 1;
       if (const auto* slab = dynamic_cast<transpose::SlabFft3d*>(fft.get())) {
+        const std::size_t w =  // 6 of the 9 kx columns at n = 16
+            transpose::SpectralBand::of_radius(n, (n - 1) / 3).width;
         backend = std::max(nf, nprod) *
-                  bucket(h * n * slab->my() * sizeof(Complex));
+                  bucket(w * n * std::max(slab->my(), slab->mz()) *
+                         sizeof(Complex));
         lines = n * slab->my();
         plane_lines = n;
       } else {

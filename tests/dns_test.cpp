@@ -1348,20 +1348,22 @@ TEST(Instrumentation, TransposesCopyEachByteOnce) {
 TEST(Instrumentation, AlltoallBytesAreTwoTransformsPerFieldAndProduct) {
   // An RK2 step makes two RHS evaluations, and each transforms the nf
   // fields inverse and the nprod products forward. Every transform moves
-  // the whole spectral field once per global transpose (one for the slab,
-  // two for the pencil), and the counter sums the bytes each rank
-  // receives. NS: 3 fields + 5 products; MHD: 6 fields + 8 products.
+  // the spectral field once per global transpose (one for the slab, two
+  // for the pencil), and the counter sums the bytes each rank receives.
+  // The slab moves only the 2/3 band's W = 6 of the nxh = 9 kx columns;
+  // the pencil ignores the band and moves all of them. NS: 3 fields + 5
+  // products; MHD: 6 fields + 8 products.
   struct Case {
     const char* name;
     transpose::Decomposition decomposition;
     SystemType system;
-    std::int64_t fields_and_products, transposes;
+    std::int64_t fields_and_products, transposes, columns;
   };
   const Case cases[] = {
       {"slab NS 2 ranks", transpose::Decomposition::Slab,
-       SystemType::NavierStokes, 3 + 5, 1},
+       SystemType::NavierStokes, 3 + 5, 1, 6},
       {"pencil MHD 1x2", transpose::Decomposition::Pencil, SystemType::Mhd,
-       6 + 8, 2},
+       6 + 8, 2, 9},
   };
   constexpr std::int64_t kRhs = 2;
   for (const auto& c : cases) {
@@ -1372,8 +1374,7 @@ TEST(Instrumentation, AlltoallBytesAreTwoTransformsPerFieldAndProduct) {
     cfg.decomposition = c.decomposition;
     cfg.system = c.system;
     const std::int64_t field_bytes =
-        static_cast<std::int64_t>((cfg.n / 2 + 1) * cfg.n * cfg.n *
-                                  sizeof(Complex));
+        c.columns * static_cast<std::int64_t>(cfg.n * cfg.n * sizeof(Complex));
     const auto got = warmed_step_deltas(2, cfg, {}, {"comm.alltoall.bytes"});
     EXPECT_EQ(got[0],
               kRhs * c.fields_and_products * c.transposes * field_bytes)

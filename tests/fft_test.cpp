@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "fft/bluestein.hpp"
@@ -194,6 +197,42 @@ TEST(C2C, BatchedStridedLayout) {
   EXPECT_LT(max_abs_diff(want, x), 1e-12);
 }
 
+TEST(C2C, OutStrideWritesAnotherPitchBitwise) {
+  // Lines read at one pitch and written at a narrower one equal, bitwise,
+  // the same-pitch transform's lines: the plane path (dist 1), the
+  // gathered path (dist > 1) and the Bluestein path (n = 23).
+  for (const std::size_t n : {16, 24, 23}) {
+    const std::size_t count = 6, in_pitch = 9, out_pitch = 6;
+    const auto plan = get_plan(n);
+    for (const bool plane : {true, false}) {
+      // Line b's element k sits at b*dist + k*pitch: interleaved lines
+      // (dist 1) or lines n*in_pitch apart.
+      const auto layout = [&](std::size_t pitch, std::size_t out) {
+        return BatchLayout{.count = count, .stride = pitch,
+                           .dist = plane ? 1 : n * in_pitch,
+                           .out_stride = out};
+      };
+      const std::size_t elems = plane ? n * in_pitch : count * n * in_pitch;
+      const auto src = random_signal(elems, 50 + n);
+      std::vector<Complex> same(elems), narrow(elems, Complex{-1.0, 2.0});
+      plan->transform_batch(Direction::Inverse, src.data(), same.data(),
+                            layout(in_pitch, 0));
+      plan->transform_batch(Direction::Inverse, src.data(), narrow.data(),
+                            layout(in_pitch, out_pitch));
+      const std::size_t dist = plane ? 1 : n * in_pitch;
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t k = 0; k < n; ++k) {
+          const Complex& want = same[b * dist + k * in_pitch];
+          const Complex& got = narrow[b * dist + k * out_pitch];
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(Complex)), 0)
+              << "n=" << n << " plane=" << plane << " line " << b << " k "
+              << k;
+        }
+      }
+    }
+  }
+}
+
 // --- batched Stockham engine ---
 
 // Engine-level check against the naive DFT: every supported radix alone and
@@ -361,6 +400,56 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 7, 9, 15,
                       46, 194),
     [](const ::testing::TestParamInfo<std::size_t>& pinfo) { return "n" + std::to_string(pinfo.param); });
+
+TEST(R2C, KeptCountIsBitwiseTheFullSpectrum) {
+  // A batched forward keeping `kept` coefficients writes exactly the first
+  // `kept` of the full forward, bitwise, and nothing past them; a batched
+  // inverse reading `kept` equals, bitwise, the full inverse of the
+  // spectrum zeroed from `kept` on. 70 lines span two r2c blocks; the
+  // spectra sit at a pitch past spectrum_size(). 46 = 2*23 and 97 take the
+  // full-length fallback.
+  constexpr std::size_t kLines = 70;
+  for (const std::size_t n : {16, 24, 46, 97, 128}) {
+    const auto plan = get_plan_r2c(n);
+    const std::size_t h = plan->spectrum_size(), pitch = h + 3;
+    util::Rng rng(900 + n);
+    std::vector<Real> x(kLines * n);
+    for (auto& v : x) v = rng.gaussian();
+    std::vector<Complex> full(kLines * pitch);
+    plan->forward_batch(x.data(), n, full.data(), pitch, kLines);
+    for (const std::size_t kept : {std::size_t{1}, h / 2, h - 1, h}) {
+      const std::string where =
+          "n=" + std::to_string(n) + " kept=" + std::to_string(kept);
+      const Complex garbage{-7.0, 3.0};
+      std::vector<Complex> got(kLines * pitch, garbage);
+      plan->forward_batch(x.data(), n, got.data(), pitch, kLines, kept);
+      for (std::size_t b = 0; b < kLines; ++b) {
+        for (std::size_t k = 0; k < pitch; ++k) {
+          const Complex& want = k < kept ? full[b * pitch + k] : garbage;
+          ASSERT_EQ(std::memcmp(&got[b * pitch + k], &want, sizeof(Complex)),
+                    0)
+              << where << " line " << b << " k " << k;
+        }
+      }
+
+      std::vector<Complex> zeroed = full;
+      for (std::size_t b = 0; b < kLines; ++b) {
+        std::fill(zeroed.begin() + static_cast<std::ptrdiff_t>(b * pitch + kept),
+                  zeroed.begin() + static_cast<std::ptrdiff_t>((b + 1) * pitch),
+                  Complex{0.0, 0.0});
+      }
+      std::vector<Real> back_kept(kLines * n), back_zeroed(kLines * n);
+      plan->inverse_batch(full.data(), pitch, back_kept.data(), n, kLines,
+                          kept);
+      plan->inverse_batch(zeroed.data(), pitch, back_zeroed.data(), n,
+                          kLines);
+      ASSERT_EQ(std::memcmp(back_kept.data(), back_zeroed.data(),
+                            back_kept.size() * sizeof(Real)),
+                0)
+          << where;
+    }
+  }
+}
 
 TEST(R2C, NyquistAndMeanAreReal) {
   const std::size_t n = 32;

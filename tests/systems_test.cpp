@@ -877,5 +877,207 @@ TEST(Systems, MhdStateSurvivesTheExtraFieldSlots) {
   });
 }
 
+// --- band-limited transforms ---------------------------------------------
+
+/// Forwarding backend that overrides only the unbanded transforms, as
+/// perfbench's timing decorator does: the banded forms and the round trip
+/// take the base-class defaults, so an engine over it runs unbanded.
+class UnbandedFft final : public transpose::DistFft3d {
+ public:
+  explicit UnbandedFft(transpose::DistFft3d& inner) : inner_(inner) {}
+
+  std::size_t n() const override { return inner_.n(); }
+  std::size_t physical_elems() const override {
+    return inner_.physical_elems();
+  }
+  std::size_t spectral_elems() const override {
+    return inner_.spectral_elems();
+  }
+  ModeView mode_view() const override { return inner_.mode_view(); }
+  PhysView phys_view() const override { return inner_.phys_view(); }
+  void set_batching(int np, int q) override { inner_.set_batching(np, q); }
+  int pencils() const override { return inner_.pencils(); }
+  int pencils_per_alltoall() const override {
+    return inner_.pencils_per_alltoall();
+  }
+
+  using DistFft3d::forward;
+  using DistFft3d::inverse;
+  void forward(std::span<const Real* const> phys,
+               std::span<Complex* const> spec) override {
+    inner_.forward(phys, spec);
+  }
+  void inverse(std::span<const Complex* const> spec,
+               std::span<Real* const> phys) override {
+    inner_.inverse(spec, phys);
+  }
+
+ private:
+  transpose::DistFft3d& inner_;
+};
+
+/// Whether `cfg`'s dealiasing rule keeps mode (kx, ky, kz): the strict 2/3
+/// cube, or the sqrt(2)/3 N sphere under phase shifting.
+bool rule_keeps(const SolverConfig& cfg, int kx, int ky, int kz) {
+  if (!cfg.phase_shift_dealias) {
+    const int kmax = (static_cast<int>(cfg.n) - 1) / 3;
+    return std::max({std::abs(kx), std::abs(ky), std::abs(kz)}) <= kmax;
+  }
+  const double k2max =
+      DealiasRule::sphere(std::sqrt(2.0) * static_cast<double>(cfg.n) / 3.0)
+          .k2max;
+  return static_cast<double>(kx * kx + ky * ky + kz * kz) <= k2max;
+}
+
+/// Every rank's state after `steps` steps from the same initial condition,
+/// on the bare backend (banded transforms) or over UnbandedFft.
+std::vector<std::vector<Complex>> run_states(const SolverConfig& cfg,
+                                             int ranks, bool unbanded,
+                                             int steps) {
+  std::vector<std::vector<Complex>> states(static_cast<std::size_t>(ranks));
+  comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+    auto backend = transpose::make_dist_fft(comm, cfg.n, cfg.decomposition);
+    UnbandedFft decorated(*backend);
+    SpectralEngine engine(comm,
+                          unbanded ? static_cast<transpose::DistFft3d&>(
+                                         decorated)
+                                   : *backend,
+                          cfg);
+    engine.init_isotropic(11, 3.0, 0.5);
+    for (int s = 0; s < engine.scalar_count(); ++s) {
+      engine.init_scalar_isotropic(s, 12 + static_cast<std::uint64_t>(s),
+                                   3.0, 0.3);
+    }
+    if (engine.magnetic_base() >= 0) {
+      engine.init_magnetic_isotropic(13, 3.0, 0.25);
+      engine.set_uniform_magnetic_field({0.1, 0.2, 0.3});
+    }
+    for (int s = 0; s < steps; ++s) engine.step(0.01);
+    auto& mine = states[static_cast<std::size_t>(comm.rank())];
+    const std::size_t spec = engine.modes().local_modes();
+    for (std::size_t f = 0; f < engine.field_count(); ++f) {
+      mine.insert(mine.end(), engine.field(f), engine.field(f) + spec);
+    }
+    // Every mode outside the rule is exactly zero in every field.
+    std::size_t nonzero = 0;
+    for (std::size_t f = 0; f < engine.field_count(); ++f) {
+      for_each_mode(engine.modes(),
+                    [&](std::size_t idx, int kx, int ky, int kz) {
+                      if (!rule_keeps(cfg, kx, ky, kz) &&
+                          engine.field(f)[idx] != Complex{0.0, 0.0}) {
+                        ++nonzero;
+                      }
+                    });
+    }
+    EXPECT_EQ(nonzero, 0u) << "rank " << comm.rank()
+                           << (unbanded ? " unbanded" : " banded");
+  });
+  return states;
+}
+
+TEST(BandedTransforms, StepsAreBitwiseTheUnbandedSteps) {
+  // The engine tells its backend the band its dealiasing rule keeps; the
+  // slab then transforms and exchanges only that band. Three steps of every
+  // system, scheme and rule, forced, on the slab at 1 and 2 ranks and the
+  // 1x2 pencil (which ignores the band), must leave the state bitwise
+  // equal to the same steps over a decorator that runs every transform
+  // unbanded, with every mode outside the rule exactly zero.
+  SolverConfig scalars;
+  scalars.scalars.push_back(ScalarConfig{0.7, 1.0});  // with a mean gradient
+  scalars.scalars.push_back(ScalarConfig{2.0, 0.0});
+  SolverConfig rotating;
+  rotating.system = SystemType::RotatingNS;
+  rotating.rotation_omega = 1.5;
+  SolverConfig boussinesq;
+  boussinesq.system = SystemType::Boussinesq;
+  boussinesq.brunt_vaisala = 1.5;
+  SolverConfig mhd;
+  mhd.system = SystemType::Mhd;
+  const std::pair<transpose::Decomposition, int> layouts[] = {
+      {transpose::Decomposition::Slab, 1},
+      {transpose::Decomposition::Slab, 2},
+      {transpose::Decomposition::Pencil, 2}};
+  for (SolverConfig cfg : {scalars, rotating, boussinesq, mhd}) {
+    cfg.viscosity = 0.02;
+    cfg.forcing.enabled = true;
+    for (const std::size_t n : {16, 24}) {
+      for (const auto scheme : {TimeScheme::RK2, TimeScheme::RK4}) {
+        for (const bool shift : {false, true}) {
+          for (const auto& [decomposition, ranks] : layouts) {
+            cfg.n = n;
+            cfg.scheme = scheme;
+            cfg.phase_shift_dealias = shift;
+            cfg.decomposition = decomposition;
+            const auto banded = run_states(cfg, ranks, false, 3);
+            const auto unbanded = run_states(cfg, ranks, true, 3);
+            for (std::size_t r = 0; r < banded.size(); ++r) {
+              ASSERT_EQ(banded[r].size(), unbanded[r].size());
+              EXPECT_EQ(std::memcmp(banded[r].data(), unbanded[r].data(),
+                                    banded[r].size() * sizeof(Complex)),
+                        0)
+                  << to_string(cfg.system) << " scalars "
+                  << cfg.scalars.size() << " n=" << n << " "
+                  << (scheme == TimeScheme::RK4 ? "RK4" : "RK2")
+                  << " shift=" << shift << " "
+                  << transpose::to_string(decomposition) << " ranks "
+                  << ranks << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BandedTransforms, RestoreTruncatesModesOutsideTheRule) {
+  // A checkpoint written under the other rule, or built by hand, can hold
+  // modes outside this engine's rule. restore() truncates them, as every
+  // step's state is truncated, so the banded transforms (which never see
+  // kx >= W) and an unbanded backend step the same state bitwise.
+  SolverConfig cfg;
+  cfg.n = 16;
+  cfg.viscosity = 0.02;
+  std::vector<std::vector<Complex>> after(2);
+  for (const bool unbanded : {false, true}) {
+    comm::run_ranks(2, [&](comm::Communicator& comm) {
+      auto backend = transpose::make_dist_fft(comm, cfg.n, cfg.decomposition);
+      UnbandedFft decorated(*backend);
+      SpectralEngine source(comm, cfg);
+      source.init_isotropic(5, 3.0, 0.5);
+      const std::size_t spec = source.modes().local_modes();
+      std::vector<std::vector<Complex>> fields(3);
+      std::vector<const Complex*> ptrs;
+      std::size_t planted = spec;
+      for (std::size_t c = 0; c < 3; ++c) {
+        fields[c].assign(source.field(c), source.field(c) + spec);
+        ptrs.push_back(fields[c].data());
+      }
+      // kx = 7 lies past the banded width W = 6 (kmax = 5 at n = 16).
+      for_each_mode(source.modes(),
+                    [&](std::size_t idx, int kx, int ky, int kz) {
+                      if (kx == 7 && ky == 1 && kz == 2) planted = idx;
+                    });
+      if (planted < spec) fields[0][planted] = Complex{0.25, -0.5};
+
+      SpectralEngine engine(comm,
+                            unbanded ? static_cast<transpose::DistFft3d&>(
+                                           decorated)
+                                     : *backend,
+                            cfg);
+      engine.restore(ptrs, 0.0, 0);
+      if (planted < spec) {
+        EXPECT_EQ(engine.field(0)[planted], Complex(0.0, 0.0));
+      }
+      engine.step(0.01);
+      if (comm.rank() == 0) {
+        after[unbanded].assign(engine.field(0), engine.field(0) + spec);
+      }
+    });
+  }
+  EXPECT_EQ(std::memcmp(after[0].data(), after[1].data(),
+                        after[0].size() * sizeof(Complex)),
+            0);
+}
+
 }  // namespace
 }  // namespace psdns::dns

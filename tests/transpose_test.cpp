@@ -803,9 +803,11 @@ TEST_P(RoundTripP, OverrideBitwiseEqualsInverseKernelForward) {
             want_ptrs.push_back(want[t].data());
           }
           ProductKernel kgot(nin, nout), kwant(nin, nout);
-          fft3->round_trip(in_ptrs, &ProductKernel::run, &kgot, got_ptrs);
+          const auto full = SpectralBand::full(n);
+          fft3->round_trip(in_ptrs, &ProductKernel::run, &kgot, got_ptrs,
+                           full);
           fft3->DistFft3d::round_trip(in_ptrs, &ProductKernel::run, &kwant,
-                                      want_ptrs);
+                                      want_ptrs, full);
 
           const std::string where =
               "n=" + std::to_string(n) + " nin=" + std::to_string(nin) +
@@ -850,10 +852,10 @@ TEST_P(RoundTripP, OverrideBitwiseEqualsInverseKernelForward) {
             ProductKernel kshared(nin, nout);
             if (base) {
               fft3->DistFft3d::round_trip(shared_in, &ProductKernel::run,
-                                          &kshared, shared_out);
+                                          &kshared, shared_out, full);
             } else {
               fft3->round_trip(shared_in, &ProductKernel::run, &kshared,
-                               shared_out);
+                               shared_out, full);
             }
             const auto& ref = base ? want : got;
             EXPECT_EQ(kshared.max, base ? kwant.max : kgot.max) << where;
@@ -891,6 +893,194 @@ INSTANTIATE_TEST_SUITE_P(
       return c.pencil ? "PencilPr" + std::to_string(c.pr) + "Pc" +
                             std::to_string(c.pc)
                       : "SlabR" + std::to_string(c.pr);
+    });
+
+// --- band-limited transforms ---------------------------------------------
+
+/// Whether mode (kx, ky, kz) lies in `band`.
+bool in_band(const SpectralBand& band, int kx, int ky, int kz) {
+  return static_cast<std::size_t>(kx) < band.width &&
+         static_cast<std::size_t>(std::abs(ky)) <= band.ky &&
+         band.keeps_kz(kz);
+}
+
+/// Every in-band mode of `got` and `want` (spectral blocks of `view`)
+/// bitwise equal.
+void expect_band_equal(const ModeView& view, const SpectralBand& band,
+                       const Complex* got, const Complex* want,
+                       const std::string& where) {
+  std::size_t differ = 0;
+  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+    if (in_band(band, kx, ky, kz) &&
+        std::memcmp(got + idx, want + idx, sizeof(Complex)) != 0) {
+      ++differ;
+    }
+  });
+  EXPECT_EQ(differ, 0u) << where;
+}
+
+struct BandedCase {
+  bool pencil;
+  int ranks;
+};
+
+class BandedP : public ::testing::TestWithParam<BandedCase> {};
+
+TEST_P(BandedP, BandedTransformsBitwiseEqualUnbandedInBand) {
+  // The banded round trip, forward and inverse against the unbanded ones
+  // (the round trip against the base-class default run unbanded), for the
+  // strict 2/3 cube and the phase-shift sphere: every in-band output bit,
+  // and every physical bit of the inverse. Inputs are zero outside the
+  // band, outputs prefilled with garbage. The slab chunks the transposes
+  // as np pencils of the band's width, so np = 9 at n = 16 (W = 6 or 8)
+  // leaves empty chunks, which make no exchange; the pencil ignores the
+  // band. {3, 5} is the NS engine shape, also run with each output sharing
+  // its input's buffer; {6, 3} parks inputs 3..5 in work slabs.
+  const auto [pencil, ranks] = GetParam();
+  for (const std::size_t n : {16, 24, 48}) {
+    if (n % static_cast<std::size_t>(ranks) != 0) continue;
+    const auto sphere_k = static_cast<std::size_t>(
+        std::sqrt(2.0) * static_cast<double>(n) / 3.0);
+    for (const auto& band : {SpectralBand::of_radius(n, (n - 1) / 3),
+                             SpectralBand::of_radius(n, sphere_k)}) {
+      std::vector<std::pair<int, int>> batchings = {{1, 1}, {2, 1}, {4, 2}};
+      if (n == 16) batchings.emplace_back(9, 1);
+      for (const auto& [np, q] : batchings) {
+        const std::string where =
+            "n=" + std::to_string(n) + " W=" + std::to_string(band.width) +
+            " np=" + std::to_string(np) + " q=" + std::to_string(q);
+        comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+          std::unique_ptr<DistFft3d> fft3;
+          if (pencil) {
+            fft3 = std::make_unique<PencilFft3d>(comm, n, 1, ranks);
+          } else {
+            fft3 = std::make_unique<SlabFft3d>(comm, n);
+          }
+          fft3->set_batching(np, q);
+          const auto full = SpectralBand::full(n);
+          const ModeView view = fft3->mode_view();
+          const std::size_t spec = fft3->spectral_elems();
+          const std::size_t phys = fft3->physical_elems();
+          util::Rng rng(n + static_cast<std::size_t>(np),
+                        static_cast<std::uint64_t>(comm.rank()));
+          const auto banded_field = [&] {
+            std::vector<Complex> f(spec, Complex{0.0, 0.0});
+            for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+              if (in_band(band, kx, ky, kz)) {
+                f[idx] = Complex{rng.gaussian(), rng.gaussian()};
+              }
+            });
+            return f;
+          };
+          // All-to-alls this rank made in `transform` (the counter is
+          // process-wide).
+          const auto alltoalls = [&](const auto& transform) {
+            comm.barrier();
+            const auto c0 = obs::registry().counter("comm.alltoall.calls");
+            comm.barrier();
+            transform();
+            comm.barrier();
+            const auto c1 = obs::registry().counter("comm.alltoall.calls");
+            comm.barrier();
+            return (c1 - c0) / ranks;
+          };
+
+          const std::pair<std::size_t, std::size_t> shapes[] = {{3, 5},
+                                                                {6, 3}};
+          for (const auto& [nin, nout] : shapes) {
+            std::vector<std::vector<Complex>> in(nin);
+            for (auto& f : in) f = banded_field();
+            std::vector<const Complex*> in_ptrs;
+            for (const auto& f : in) in_ptrs.push_back(f.data());
+            std::vector<std::vector<Complex>> got(
+                nout, std::vector<Complex>(spec, Complex{-7.0, -7.0}));
+            std::vector<std::vector<Complex>> want(
+                nout, std::vector<Complex>(spec, Complex{-9.0, -9.0}));
+            ProductKernel kgot(nin, nout), kwant(nin, nout);
+            fft3->round_trip(in_ptrs, &ProductKernel::run, &kgot,
+                             data_ptrs(got), band);
+            fft3->DistFft3d::round_trip(in_ptrs, &ProductKernel::run, &kwant,
+                                        data_ptrs(want), full);
+            EXPECT_EQ(kgot.max, kwant.max) << where;
+            for (std::size_t t = 0; t < nout; ++t) {
+              expect_band_equal(view, band, got[t].data(), want[t].data(),
+                                where + " round trip nin=" +
+                                    std::to_string(nin) + " output " +
+                                    std::to_string(t));
+            }
+            if (nin > nout) continue;
+            std::vector<std::vector<Complex>> shared(nout);
+            for (std::size_t v = 0; v < nout; ++v) {
+              shared[v] = v < nin ? in[v]
+                                  : std::vector<Complex>(spec, Complex{5, 5});
+            }
+            const auto shared_ptrs = data_ptrs(shared);
+            const std::vector<const Complex*> shared_in(
+                shared_ptrs.begin(),
+                shared_ptrs.begin() + static_cast<std::ptrdiff_t>(nin));
+            ProductKernel kshared(nin, nout);
+            fft3->round_trip(shared_in, &ProductKernel::run, &kshared,
+                             shared_ptrs, band);
+            for (std::size_t t = 0; t < nout; ++t) {
+              expect_band_equal(view, band, shared[t].data(), want[t].data(),
+                                where + " aliased output " +
+                                    std::to_string(t));
+            }
+          }
+
+          // Two variables per call, so every transpose moves both.
+          constexpr std::size_t kVars = 2;
+          std::vector<std::vector<Real>> fields(kVars, std::vector<Real>(phys));
+          for (auto& f : fields) {
+            for (auto& x : f) x = rng.gaussian();
+          }
+          const auto field_ptrs = data_ptrs(fields);
+          const std::vector<const Real*> fin(field_ptrs.begin(),
+                                             field_ptrs.end());
+          std::vector<std::vector<Complex>> fgot(
+              kVars, std::vector<Complex>(spec, Complex{-3.0, -3.0}));
+          std::vector<std::vector<Complex>> fwant(kVars,
+                                                  std::vector<Complex>(spec));
+          // np <= W pencils make one all-to-all per group of q; past W
+          // only the last group holds columns.
+          const int chunks =
+              np <= static_cast<int>(band.width) ? (np + q - 1) / q : 1;
+          const int made = alltoalls(
+              [&] { fft3->forward(fin, data_ptrs(fgot), band); });
+          if (!pencil) {
+            EXPECT_EQ(made, chunks) << where << " banded forward";
+          }
+          fft3->forward(fin, data_ptrs(fwant));
+          for (std::size_t v = 0; v < kVars; ++v) {
+            expect_band_equal(view, band, fgot[v].data(), fwant[v].data(),
+                              where + " forward " + std::to_string(v));
+          }
+
+          std::vector<std::vector<Complex>> spectra(kVars);
+          for (auto& f : spectra) f = banded_field();
+          const auto spectra_copy = spectra;
+          const auto spectra_ptrs = data_ptrs(spectra);
+          const std::vector<const Complex*> sc(spectra_ptrs.begin(),
+                                               spectra_ptrs.end());
+          std::vector<std::vector<Real>> igot(kVars, std::vector<Real>(phys));
+          auto iwant = igot;
+          fft3->inverse(sc, data_ptrs(igot), band);
+          fft3->inverse(sc, data_ptrs(iwant));
+          EXPECT_TRUE(bitwise_equal(igot, iwant)) << where << " inverse";
+          EXPECT_EQ(spectra, spectra_copy) << where << " inverse input";
+        });
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, BandedP,
+    ::testing::Values(BandedCase{false, 1}, BandedCase{false, 2},
+                      BandedCase{false, 4}, BandedCase{true, 2}),
+    [](const ::testing::TestParamInfo<BandedCase>& pinfo) {
+      return (pinfo.param.pencil ? "PencilPr1Pc" : "SlabR") +
+             std::to_string(pinfo.param.ranks);
     });
 
 }  // namespace
