@@ -11,6 +11,9 @@ namespace psdns::dns {
 
 using transpose::ModeView;
 using transpose::PhysView;
+using transpose::SpectralBand;
+using transpose::for_each_band_block;
+using transpose::for_each_band_mode;
 using transpose::for_each_mode;
 using transpose::for_each_point;
 using transpose::mode_weight;

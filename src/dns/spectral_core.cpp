@@ -107,8 +107,14 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
   // is dead between steps, so it also serves as the physical scratch of up
   // to three fields (phys_scratch); on an uneven pencil split a rank's
   // spectral field can hold fewer reals than its physical field.
+  // The spectral pass never writes stage or k outside the band: zero them
+  // once here.
   stage_.ensure(nf * spec_);
-  if (config_.scheme == TimeScheme::RK4) k_.ensure(3 * nf * spec_);
+  std::fill_n(stage_.data(), nf * spec_, Complex{0.0, 0.0});
+  if (config_.scheme == TimeScheme::RK4) {
+    k_.ensure(3 * nf * spec_);
+    std::fill_n(k_.data(), 3 * nf * spec_, Complex{0.0, 0.0});
+  }
   prod_hat_.ensure(
       std::max(nprod_ * spec_,
                (3 * phys_elems_ * sizeof(Real) + sizeof(Complex) - 1) /
@@ -120,35 +126,14 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
     state_ptrs_[f] = state_[f].data();
     stage_ptrs_[f] = block(stage_, f);
   }
-  k_ptrs_.resize(k_.empty() ? 0 : 3 * nf);
-  for (std::size_t f = 0; f < k_ptrs_.size(); ++f) k_ptrs_[f] = block(k_, f);
-  prod_spec_.resize(nprod_);
-  for (std::size_t t = 0; t < nprod_; ++t) prod_spec_[t] = block(prod_hat_, t);
-}
-
-void SpectralEngine::apply_dealias(Complex* field) {
-  scale_and_truncate(view_, field, 1.0, dealias_);
-}
-
-void SpectralEngine::apply_linear(Complex* const* fields, double dt) {
-  obs::TraceSpan span("dns.apply_linear", obs::SpanKind::Compute);
-  system_->apply_linear(view_, fields, dt);
-}
-
-void SpectralEngine::axpy(Complex* const* y, const Complex* const* x,
-                          double a, const Complex* const* z) const {
-  obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
-  for (std::size_t f = 0; f < field_count(); ++f) {
-    for (std::size_t i = 0; i < spec_; ++i) y[f][i] = x[f][i] + a * z[f][i];
+  const std::size_t nk = k_.empty() ? 0 : 3 * nf;
+  scratch_ptrs_.resize(nprod_ + nk);
+  for (std::size_t t = 0; t < nprod_; ++t) {
+    scratch_ptrs_[t] = block(prod_hat_, t);
   }
-}
-
-void SpectralEngine::copy_fields(Complex* const* dst,
-                                 const Complex* const* src) const {
-  obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
-  for (std::size_t f = 0; f < field_count(); ++f) {
-    std::copy(src[f], src[f] + spec_, dst[f]);
-  }
+  for (std::size_t f = 0; f < nk; ++f) scratch_ptrs_[nprod_ + f] = block(k_, f);
+  pass_in_.resize(nf);
+  pass_out_.resize(nprod_ + 3 * nf + nk);
 }
 
 std::size_t SpectralEngine::zero_mode() const {
@@ -177,10 +162,9 @@ void SpectralEngine::fill_fields(std::size_t base, std::size_t count,
   const std::size_t n = config_.n;
   const double scale = 1.0 / (static_cast<double>(n) * n * n);
   for (std::size_t c = 0; c < count; ++c) {
-    for (std::size_t i = 0; i < spec_; ++i) spec[c][i] *= scale;
+    scale_and_truncate(view_, spec[c], scale, dealias_);
   }
   if (count == 3) project(view_, spec[0], spec[1], spec[2]);
-  for (std::size_t c = 0; c < count; ++c) apply_dealias(spec[c]);
 }
 
 void SpectralEngine::shape_spectrum(std::size_t base, std::size_t count,
@@ -196,10 +180,7 @@ void SpectralEngine::shape_spectrum(std::size_t base, std::size_t count,
   }
   const double norm = std::sqrt(total / target_total);
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
+    const std::size_t shell = shell_of(kx, ky, kz);
     const double g = shell < gain.size() ? gain[shell] * norm : 0.0;
     for (std::size_t c = 0; c < count; ++c) state_[base + c][idx] *= g;
   });
@@ -304,7 +285,7 @@ void SpectralEngine::restore(std::span<const Complex* const> fields, double t,
   // step's state is, so the banded transforms see zeros there.
   for (std::size_t f = 0; f < field_count(); ++f) {
     std::copy(fields[f], fields[f] + spec_, state_[f].begin());
-    apply_dealias(state_[f].data());
+    scale_and_truncate(view_, state_[f].data(), 1.0, dealias_);
   }
   time_ = t;
   steps_ = steps;
@@ -312,10 +293,10 @@ void SpectralEngine::restore(std::span<const Complex* const> fields, double t,
 }
 
 void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
-                                 bool with_forcing) {
+                                 Update update, double dt) {
   const std::size_t n = config_.n;
   const std::size_t nf = field_count();
-  const double inv_n3 = 1.0 / (static_cast<double>(n) * n * n);
+  Complex* const* prod = prod_spec();
 
   // Optional Rogallo phase shift: alternate RK substages between the
   // unshifted grid and a grid shifted by half a cell, so the leading
@@ -328,62 +309,143 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
     delta[0] = delta[1] = delta[2] = half_cell;
   }
 
-  // 1. The round trip (one multi-variable transform each way, exactly how
+  // 1. Velocity-proportional band forcing with fixed injection power: its
+  //    coefficient needs the input's energy in the forcing shells, reduced
+  //    now so the pass can add the forcing block by block.
+  double forcing = 0.0;
+  if (update != Update::Rhs && config_.forcing.enabled) {
+    obs::TraceSpan span("dns.band_energy", obs::SpanKind::Comm);
+    const double eband =
+        band_energy(view_, comm_, in[0], in[1], in[2], config_.forcing.klo,
+                    config_.forcing.khi);
+    if (eband > 1e-12) forcing = config_.forcing.power / (2.0 * eband);
+  }
+
+  // 2. The round trip (one multi-variable transform each way, exactly how
   //    the production code amortizes message size over variables): all
   //    fields to physical space, then per group of points the max signal
   //    speed and the system's products, then the products back to spectral
   //    space. Shifted copies of the inputs go into the product spectra,
-  //    which round_trip lets each input share with its output.
+  //    which round_trip lets each input share with its output. The copy
+  //    is whole, so the copies are zero outside the band, as the inputs
+  //    are: a backend that ignores the band reads every mode.
   {
     obs::TraceSpan span("dns.round_trip", obs::SpanKind::Compute);
     const Complex* const* spec_in = in;
     if (shift) {
       for (std::size_t f = 0; f < nf; ++f) {
-        std::copy(in[f], in[f] + spec_, prod_spec_[f]);
-        phase_shift(view_, prod_spec_[f], delta, +1);
+        std::copy(in[f], in[f] + spec_, prod[f]);
       }
-      spec_in = prod_spec_.data();
+      for_each_band_block(view_, band_, [&](const ModeView& b,
+                                            std::size_t o) {
+        for (std::size_t f = 0; f < nf; ++f) {
+          phase_shift(b, prod[f] + o, delta, +1);
+        }
+      });
+      spec_in = prod;
     }
     kernel_umax_ = 0.0;
     fft_.round_trip(std::span<const Complex* const>(spec_in, nf),
                     &SpectralEngine::products_kernel, this,
-                    std::span<Complex* const>(prod_spec_.data(), nprod_),
-                    band_);
+                    std::span<Complex* const>(prod, nprod_), band_);
   }
   {
     obs::TraceSpan span("dns.cfl_allreduce", obs::SpanKind::Comm);
     last_umax_ = comm_.allreduce_max(kernel_umax_);
   }
 
-  // 2. Undo the shift, then normalize and dealias in one pass.
-  {
-    obs::TraceSpan span("dns.rhs_epilogue", obs::SpanKind::Compute);
+  // 3. Everything else in one pass over the band's blocks: shift back,
+  //    normalize and dealias the products, assemble the RHS, force it, and
+  //    write the update. Per-block pointer tables: the inputs, then the
+  //    products, the RHS, state, stage and k.
+  obs::TraceSpan span("dns.spectral_pass", obs::SpanKind::Compute);
+  const double inv_n3 = 1.0 / (static_cast<double>(n) * n * n);
+  const double h = dt / 2.0;
+  const int klo = config_.forcing.klo, khi = config_.forcing.khi;
+  const Complex** bin = pass_in_.data();
+  Complex** bp = pass_out_.data();
+  Complex** br = bp + nprod_;
+  Complex** bu = br + nf;
+  Complex** bs = bu + nf;
+  Complex** bk = bs + nf;
+  const std::size_t nk = update == Update::Rk4Final ? 3 * nf : 0;
+
+  for_each_band_block(view_, band_, [&](const ModeView& b, std::size_t o) {
     for (std::size_t t = 0; t < nprod_; ++t) {
-      Complex* p = block(prod_hat_, t);
-      if (shift) phase_shift(view_, p, delta, -1);
-      scale_and_truncate(view_, p, inv_n3, dealias_);
+      bp[t] = prod[t] + o;
+      if (shift) phase_shift(b, bp[t], delta, -1);
+      scale_and_truncate(b, bp[t], inv_n3, dealias_);
     }
-  }
-
-  // 3. The system's spectral RHS from the dealiased product spectra (rhs
-  //    may be prod_spec_ itself: EquationSystem::assemble_rhs allows it).
-  {
-    obs::TraceSpan span("dns.assemble_rhs", obs::SpanKind::Compute);
-    system_->assemble_rhs(view_, in, prod_spec_.data(), rhs);
-  }
-
-  // 4. Velocity-proportional band forcing with fixed injection power.
-  if (with_forcing && config_.forcing.enabled) {
-    obs::TraceSpan span("dns.forcing", obs::SpanKind::Compute);
-    const double eband =
-        band_energy(view_, comm_, in[0], in[1], in[2], config_.forcing.klo,
-                    config_.forcing.khi);
-    if (eband > 1e-12) {
-      const double coeff = config_.forcing.power / (2.0 * eband);
-      add_band_forcing(view_, rhs[0], rhs[1], rhs[2], in[0], in[1], in[2],
-                       config_.forcing.klo, config_.forcing.khi, coeff);
+    for (std::size_t f = 0; f < nf; ++f) {
+      bin[f] = in[f] + o;
+      br[f] = rhs[f] + o;
+      bu[f] = state_ptrs_[f] + o;
+      bs[f] = stage_ptrs_[f] + o;
     }
-  }
+    for (std::size_t f = 0; f < nk; ++f) bk[f] = k_ptrs()[f] + o;
+    // The system's RHS (br may be bp: assemble_rhs allows it), forced.
+    system_->assemble_rhs(b, bin, bp, br);
+    if (forcing > 0.0) {
+      add_band_forcing(b, br[0], br[1], br[2], bin[0], bin[1], bin[2], klo,
+                       khi, forcing);
+    }
+    // y = x + a z over the block's field set (y may be x).
+    const auto combine = [&](Complex* const* y, const Complex* const* x,
+                             double a, const Complex* const* z) {
+      for (std::size_t f = 0; f < nf; ++f) {
+        for_each_mode(b, [&](std::size_t i, int, int, int) {
+          y[f][i] = x[f][i] + a * z[f][i];
+        });
+      }
+    };
+    const auto copy_state_to_stage = [&] {
+      for (std::size_t f = 0; f < nf; ++f) {
+        for_each_mode(b, [&](std::size_t i, int, int, int) {
+          bs[f][i] = bu[f][i];
+        });
+      }
+    };
+    switch (update) {
+      case Update::Rhs:
+        break;
+      case Update::Stage:
+        combine(bs, bu, h, br);
+        system_->apply_linear(b, bs, h);
+        break;
+      case Update::Rk2Final:
+        system_->apply_linear(b, bu, dt);
+        system_->apply_linear(b, br, h);
+        combine(bu, bu, dt, br);
+        break;
+      case Update::Rk4Stage2:
+        copy_state_to_stage();
+        system_->apply_linear(b, bs, h);
+        combine(bs, bs, h, br);
+        break;
+      case Update::Rk4Stage3:
+        copy_state_to_stage();
+        system_->apply_linear(b, bs, dt);
+        system_->apply_linear(b, br, h);
+        combine(bs, bs, dt, br);
+        break;
+      case Update::Rk4Final: {
+        Complex* const* k1 = bk;
+        Complex* const* k2 = bk + nf;
+        Complex* const* k3 = bk + 2 * nf;
+        system_->apply_linear(b, k1, dt);
+        system_->apply_linear(b, k2, h);
+        system_->apply_linear(b, bu, dt);
+        for (std::size_t f = 0; f < nf; ++f) {
+          Complex* s = bu[f];
+          for_each_mode(b, [&](std::size_t i, int, int, int) {
+            s[i] += dt / 6.0 *
+                    (k1[f][i] + 2.0 * k2[f][i] + 2.0 * k3[f][i] + br[f][i]);
+          });
+        }
+        break;
+      }
+    }
+  });
 }
 
 void SpectralEngine::products_kernel(void* ctx, const Real* const* in,
@@ -410,60 +472,35 @@ void SpectralEngine::products_kernel(void* ctx, const Real* const* in,
 
 void SpectralEngine::step(double dt) {
   PSDNS_REQUIRE(dt > 0.0, "dt must be positive");
-  const double h = dt / 2.0;
   const std::size_t nf = field_count();
 
   // The linear propagator E (viscous/diffusive decay plus any system terms
   // such as the Coriolis rotation) is applied to whole field *sets* so
   // systems whose linear operator couples components stay exact. Both
-  // schemes open with k1 = N(u) and the midpoint stage u1 = E_h (u + h k1).
-  // The last RHS of each scheme stays in the product spectra it lands in.
-  const bool rk4 = config_.scheme == TimeScheme::RK4;
+  // schemes open with k1 = N(u) and the midpoint stage u1 = E_h (u + h k1),
+  // h = dt/2. Each RHS evaluation's pass writes the next stage or the
+  // update (see Update); the last RHS of each scheme stays in the product
+  // spectra it lands in.
   Complex* const* state = state_ptrs_.data();
   Complex* const* stage = stage_ptrs_.data();
-  Complex* const* last = prod_spec_.data();
-  Complex* const* k1 = rk4 ? k_ptrs_.data() : last;
-  compute_rhs(state, k1);
-  axpy(stage, state, h, k1);
-  apply_linear(stage, h);
-  if (!rk4) {
+  Complex* const* last = prod_spec();
+  if (config_.scheme != TimeScheme::RK4) {
     // Midpoint RK2 with exact linear terms:
     //   u_new = E_f u + dt E_h N(u1).
     // N(u1) overwrites k1, which the update no longer needs.
-    compute_rhs(stage, last);
-    apply_linear(state, dt);  // E_f u
-    apply_linear(last, h);    // E_h N(u1)
-    axpy(state, state, dt, last);
+    compute_rhs(state, last, Update::Stage, dt);
+    compute_rhs(stage, last, Update::Rk2Final, dt);
   } else {
     // Integrating-factor RK4 (classical RK4 on v = E(-t) u):
     //   k2 = N(u1)
     //   u2 = E_h u + dt/2 k2;        k3 = N(u2)
     //   u3 = E_f u + dt E_h k3;      k4 = N(u3)
     //   u+ = E_f u + dt/6 (E_f k1 + 2 E_h (k2 + k3) + k4)
-    Complex* const* k2 = k1 + nf;
-    Complex* const* k3 = k1 + 2 * nf;
-    Complex* const* k4 = last;
-    compute_rhs(stage, k2);
-    copy_fields(stage, state);
-    apply_linear(stage, h);  // E_h u
-    axpy(stage, stage, h, k2);
-    compute_rhs(stage, k3);
-    copy_fields(stage, state);
-    apply_linear(stage, dt);  // E_f u
-    apply_linear(k3, h);      // k3 <- E_h k3
-    axpy(stage, stage, dt, k3);
-    compute_rhs(stage, k4);
-    apply_linear(k1, dt);  // E_f k1
-    apply_linear(k2, h);   // E_h k2
-    apply_linear(state, dt);
-    obs::TraceSpan span("dns.rk_update", obs::SpanKind::Compute);
-    for (std::size_t f = 0; f < nf; ++f) {
-      Complex* s = state[f];
-      for (std::size_t i = 0; i < spec_; ++i) {
-        s[i] += dt / 6.0 *
-                (k1[f][i] + 2.0 * k2[f][i] + 2.0 * k3[f][i] + k4[f][i]);
-      }
-    }
+    Complex* const* k1 = k_ptrs();
+    compute_rhs(state, k1, Update::Stage, dt);
+    compute_rhs(stage, k1 + nf, Update::Rk4Stage2, dt);
+    compute_rhs(stage, k1 + 2 * nf, Update::Rk4Stage3, dt);
+    compute_rhs(stage, last, Update::Rk4Final, dt);
   }
 
   time_ += dt;
@@ -473,7 +510,7 @@ void SpectralEngine::step(double dt) {
 double SpectralEngine::cfl_dt(double cfl) {
   if (last_umax_ <= 0.0) {
     // No RHS evaluated yet: measure once via a throwaway evaluation.
-    compute_rhs(state_ptrs_.data(), prod_spec_.data());
+    compute_rhs(state_ptrs_.data(), prod_spec(), Update::Rhs, 0.0);
   }
   const double dx = kTwoPi / static_cast<double>(config_.n);
   return last_umax_ > 0.0 ? cfl * dx / last_umax_ : 1e9;
@@ -552,24 +589,19 @@ SpectralEngine::named_spectra() {
 }
 
 std::vector<double> SpectralEngine::transfer_spectrum() {
-  compute_rhs(state_ptrs_.data(), prod_spec_.data(), /*with_forcing=*/false);
-  std::vector<double> shells(config_.n / 2 + 1, 0.0);
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    if (shell >= shells.size()) return;
-    // d(1/2 |u|^2)/dt contribution of the nonlinear term.
-    double rate = 0.0;
-    for (int c = 0; c < 3; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      rate += (std::conj(state_[ci][idx]) * prod_spec_[ci][idx]).real();
-    }
-    shells[shell] += mode_weight(kx, view_.n) * rate;
-  });
-  comm_.allreduce_sum(shells.data(), shells.data(), shells.size());
-  return shells;
+  compute_rhs(state_ptrs_.data(), prod_spec(), Update::Rhs, 0.0);
+  // d(1/2 |u|^2)/dt contribution of the nonlinear term, in the band (the
+  // RHS is unspecified outside it, where the state is zero).
+  const Complex* const* rhs = prod_spec();
+  return shell_sums(view_, band_, comm_,
+                    [&](std::size_t idx, int kx, int, int) {
+                      double rate = 0.0;
+                      for (std::size_t c = 0; c < 3; ++c) {
+                        rate +=
+                            (std::conj(state_[c][idx]) * rhs[c][idx]).real();
+                      }
+                      return mode_weight(kx, view_.n) * rate;
+                    });
 }
 
 DerivativeMoments SpectralEngine::derivative_moments() {
@@ -578,8 +610,10 @@ DerivativeMoments SpectralEngine::derivative_moments() {
   // space. The stage block doubles as gradient scratch and the product
   // block as physical scratch (neither is live between steps). One gradient
   // is transformed at a time, so the backend needs no more scratch than a
-  // step's round trip holds.
-  for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
+  // step's round trip holds. The gradients are written in the band only:
+  // the stage stays zero outside it.
+  for_each_band_mode(view_, band_, [&](std::size_t idx, int kx, int ky,
+                                       int kz) {
     const Complex iu{0.0, 1.0};
     block(stage_, 0)[idx] = iu * static_cast<double>(kx) * state_[0][idx];
     block(stage_, 1)[idx] = iu * static_cast<double>(ky) * state_[1][idx];

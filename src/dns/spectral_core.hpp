@@ -26,6 +26,17 @@
 // dealiasing rule keeps (transpose::SpectralBand), so the slab backend
 // transforms and exchanges only those modes.
 //
+// Everything after the round trip is one spectral pass per RHS. It walks
+// the band's rows in blocks (one kz plane by one kept ky range on the
+// slab) and, while a block is in cache, undoes the phase shift, scales by
+// 1/N^3 and truncates, assembles the system's RHS, adds the forcing, and
+// writes the next RK stage or the final update. RK2 is two passes per
+// step, RK4 four. Modes outside the band are never visited: state, stage
+// and RK4's k blocks hold exact zeros there (filled once, at construction
+// or by the initial condition, and never written again), and the product
+// spectra hold unspecified values there. Only state and stage are read
+// there, by a backend that ignores the band (the pencil).
+//
 // All substage scratch (one RK stage, the product spectra that every RHS
 // lands in, RK4's three earlier stage RHS) is checked out of
 // util::WorkspaceArena once at construction, and initial conditions
@@ -83,6 +94,12 @@ class SpectralEngine {
   std::size_t extra_field_count() const { return system_->extra_fields(); }
   /// State index of the first magnetic component, or -1 (non-MHD systems).
   int magnetic_base() const { return system_->magnetic_base(); }
+  /// The modes the dealiasing rule keeps, as every transform is told.
+  const transpose::SpectralBand& band() const { return band_; }
+  /// The step's spectral scratch, dead between steps: the product spectra
+  /// every RHS lands in, then RK4's k1..k3 blocks (field_count() each).
+  /// Nothing reads their modes outside band().
+  std::span<Complex* const> scratch_spectra() const { return scratch_ptrs_; }
 
   /// Field coefficients (backend spectral layout), f in [0, field_count()):
   /// the three velocity components, then the system's extra fields.
@@ -199,31 +216,31 @@ class SpectralEngine {
 
   double diffusivity(std::size_t f) const { return system_->diffusivity(f); }
 
-  /// rhs[f] = nonlinear terms of the fields in[f] (+ forcing unless
-  /// disabled); updates u_max. Pointer-based so RK stages address
-  /// contiguous arena blocks without per-call containers. rhs may be
-  /// prod_spec_ itself, and in must not be: the evaluation uses the
-  /// product spectra as its scratch.
-  void compute_rhs(const Complex* const* in, Complex* const* rhs,
-                   bool with_forcing = true);
+  /// What a spectral pass writes besides the RHS, on each block (h = dt/2,
+  /// E_s the system's linear propagator over s, k the pass's RHS):
+  enum class Update {
+    Rhs,        // nothing (and no forcing)
+    Stage,      // stage = E_h (state + h k): both schemes' first stage
+    Rk2Final,   // state = E_dt state + dt E_h k
+    Rk4Stage2,  // stage = E_h state + h k
+    Rk4Stage3,  // stage = E_dt state + dt E_h k, and k <- E_h k
+    Rk4Final,   // state = E_dt state + dt/6 (E_dt k1 + 2 E_h k2 + 2 k3 + k)
+  };
 
-  /// Applies the dealiasing rule dealias_ to one field.
-  void apply_dealias(Complex* field);
+  /// rhs[f] = nonlinear terms of the fields in[f] in the band, plus the
+  /// forcing unless update is Rhs, then `update` with step dt; updates
+  /// u_max. Pointer-based so RK stages address contiguous arena blocks
+  /// without per-call containers. rhs may be prod_spec() itself, and in
+  /// must not be: the evaluation uses the product spectra as its scratch.
+  /// in may be the stage the update writes: each block is read before it
+  /// is written.
+  void compute_rhs(const Complex* const* in, Complex* const* rhs,
+                   Update update, double dt);
 
   /// round_trip's kernel (ctx is the engine): folds the pointwise max
   /// signal speed into kernel_umax_, then forms the system's products.
   static void products_kernel(void* ctx, const Real* const* in,
                               Real* const* out, std::size_t points);
-
-  /// The system's exact linear propagator over dt, applied in place to a
-  /// full field set (state or an RK stage).
-  void apply_linear(Complex* const* fields, double dt);
-
-  /// y[f] = x[f] + a z[f] over a full field set (y may alias x).
-  void axpy(Complex* const* y, const Complex* const* x, double a,
-            const Complex* const* z) const;
-  /// dst[f] = src[f] over a full field set.
-  void copy_fields(Complex* const* dst, const Complex* const* src) const;
 
   /// Grid-indexed initial-condition values: point (xi, yi, zi) -> one value
   /// per filled field (only the first `count` entries are read).
@@ -292,8 +309,16 @@ class SpectralEngine {
   util::WorkspaceArena::Handle<Complex> stage_, k_, prod_hat_;
 
   // One reused pointer table per block (Complex** converts to the
-  // const Complex* const* the read-only callbacks take).
-  std::vector<Complex*> state_ptrs_, stage_ptrs_, k_ptrs_, prod_spec_;
+  // const Complex* const* the read-only callbacks take). scratch_ptrs_
+  // holds the nprod_ product spectra, then RK4's 3 field sets of k.
+  std::vector<Complex*> state_ptrs_, stage_ptrs_, scratch_ptrs_;
+  // The spectral pass's per-block tables: the inputs, and the products,
+  // RHS, state, stage and k pointers advanced to the block.
+  std::vector<const Complex*> pass_in_;
+  std::vector<Complex*> pass_out_;
+
+  Complex* const* prod_spec() const { return scratch_ptrs_.data(); }
+  Complex* const* k_ptrs() const { return scratch_ptrs_.data() + nprod_; }
 };
 
 /// Collective: rank 0 receives field f of every rank at its global slot

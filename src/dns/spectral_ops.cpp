@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 namespace psdns::dns {
 
@@ -44,29 +47,37 @@ int loop_wavenumber(const ModeView& v, int d, std::size_t c) {
   return wrap_wavenumber(v.offset[d] + c, v.n);
 }
 
-/// Thread-local storage behind axis_tables, one set per element type.
+/// One memoized axis table: factor(k) at every global index of an
+/// N-point axis, for the parameters `key`.
 template <class T>
-std::array<std::vector<T>, 3>& axis_storage() {
-  thread_local std::array<std::vector<T>, 3> tables;
-  return tables;
-}
+struct AxisTable {
+  std::size_t n = 0;
+  std::array<std::uint64_t, 2> key{};
+  std::vector<T> values;
+};
 
-/// One table per loop dimension d, entry c = factor(d, k) for the
-/// dimension's wavenumber k at local index c. The storage only grows, so
-/// calls after the first on a view do not allocate.
+/// factor(k) for the signed wavenumber k of every global index g < n,
+/// memoized per thread for the last 16 parameter pairs (a, b), compared
+/// bitwise. A loop dimension with global offset o reads the table from
+/// entry o, so the spectral pass, which applies a separable operator block
+/// by block, builds each table once per parameter set, not once per block.
+/// The storage only grows, so a warmed-up step does not allocate.
 template <class T, class F>
-std::array<const T*, 3> axis_tables(const ModeView& v, F&& factor) {
-  auto& tables = axis_storage<T>();
-  std::array<const T*, 3> out{};
-  for (int d = 0; d < 3; ++d) {
-    auto& t = tables[static_cast<std::size_t>(d)];
-    t.resize(v.extent[d]);
-    for (std::size_t c = 0; c < t.size(); ++c) {
-      t[c] = factor(d, loop_wavenumber(v, d, c));
-    }
-    out[static_cast<std::size_t>(d)] = t.data();
+const T* axis_table(std::size_t n, double a, double b, F&& factor) {
+  thread_local std::array<AxisTable<T>, 16> slots;
+  thread_local std::size_t next = 0;
+  const std::array<std::uint64_t, 2> key{std::bit_cast<std::uint64_t>(a),
+                                         std::bit_cast<std::uint64_t>(b)};
+  for (const auto& s : slots) {
+    if (s.n == n && s.key == key) return s.values.data();
   }
-  return out;
+  auto& s = slots[next];
+  next = (next + 1) % slots.size();
+  s.n = n;
+  s.key = key;
+  s.values.resize(n);
+  for (std::size_t g = 0; g < n; ++g) s.values[g] = factor(wrap_wavenumber(g, n));
+  return s.values.data();
 }
 
 /// field *= t[0][c0] * t[1][c1] * t[2][c2] for every mode: a factor that
@@ -156,9 +167,13 @@ void dealias_spherical(const ModeView& view, Complex* field, double kmax) {
 
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt) {
-  apply_separable(view, field, axis_tables<double>(view, [&](int, int k) {
-                    return std::exp(-nu * dt * static_cast<double>(k) * k);
-                  }));
+  const double* t = axis_table<double>(view.n, nu, dt, [&](int k) {
+    return std::exp(-nu * dt * static_cast<double>(k) * k);
+  });
+  apply_separable(view, field,
+                  std::array<const double*, 3>{t + view.offset[0],
+                                               t + view.offset[1],
+                                               t + view.offset[2]});
 }
 
 void nonlinear_rhs(const ModeView& view, const ProductSet& t, Complex* out_u,
@@ -198,10 +213,17 @@ void scalar_rhs(const ModeView& view, const Complex* fx, const Complex* fy,
 void phase_shift(const ModeView& view, Complex* field, const double delta[3],
                  int sign) {
   const double s = sign >= 0 ? 1.0 : -1.0;
-  apply_separable(view, field, axis_tables<Complex>(view, [&](int d, int k) {
-                    const double phase = s * k * delta[view.axis[d]];
-                    return Complex{std::cos(phase), std::sin(phase)};
-                  }));
+  std::array<const Complex*, 3> t{};
+  for (int d = 0; d < 3; ++d) {
+    const double dd = delta[view.axis[d]];
+    t[static_cast<std::size_t>(d)] =
+        axis_table<Complex>(view.n, s, dd, [&](int k) {
+          const double phase = s * k * dd;
+          return Complex{std::cos(phase), std::sin(phase)};
+        }) +
+        view.offset[d];
+  }
+  apply_separable(view, field, t);
 }
 
 namespace {
@@ -220,6 +242,12 @@ double reduce_modes(const ModeView& view, comm::Communicator& comm,
 double energy_density(const Complex* u, const Complex* v, const Complex* w,
                       std::size_t idx) {
   return 0.5 * (std::norm(u[idx]) + std::norm(v[idx]) + std::norm(w[idx]));
+}
+
+/// The box |kx|, |ky|, |kz| <= khi holds every mode of the shells
+/// round(|k|) <= khi (|k| < khi + 1/2).
+SpectralBand shells_box(std::size_t n, int khi) {
+  return SpectralBand::of_radius(n, static_cast<std::size_t>(khi));
 }
 
 }  // namespace
@@ -248,18 +276,11 @@ double dissipation(const ModeView& view, comm::Communicator& comm,
 std::vector<double> energy_spectrum(const ModeView& view,
                                     comm::Communicator& comm, const Complex* u,
                                     const Complex* v, const Complex* w) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    if (shell < shells.size()) {
-      shells[shell] += mode_weight(kx, view.n) * energy_density(u, v, w, idx);
-    }
-  });
-  comm.allreduce_sum(shells.data(), shells.data(), shells.size());
-  return shells;
+  return shell_sums(view, SpectralBand::full(view.n), comm,
+                    [&](std::size_t idx, int kx, int, int) {
+                      return mode_weight(kx, view.n) *
+                             energy_density(u, v, w, idx);
+                    });
 }
 
 double max_divergence(const ModeView& view, comm::Communicator& comm,
@@ -277,14 +298,15 @@ double max_divergence(const ModeView& view, comm::Communicator& comm,
 double band_energy(const ModeView& view, comm::Communicator& comm,
                    const Complex* u, const Complex* v, const Complex* w,
                    int klo, int khi) {
-  return reduce_modes(view, comm, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const int shell = static_cast<int>(std::lround(kmag));
-    if (shell < klo || shell > khi) return 0.0;
-    return mode_weight(kx, view.n) * energy_density(u, v, w, idx);
+  double sum = 0.0;
+  for_each_band_mode(view, shells_box(view.n, khi), [&](std::size_t idx,
+                                                        int kx, int ky,
+                                                        int kz) {
+    const auto shell = static_cast<int>(shell_of(kx, ky, kz));
+    if (shell < klo || shell > khi) return;
+    sum += mode_weight(kx, view.n) * energy_density(u, v, w, idx);
   });
+  return comm.allreduce_sum(sum);
 }
 
 double field_variance(const ModeView& view, comm::Communicator& comm,
@@ -308,18 +330,10 @@ double field_dissipation(const ModeView& view, comm::Communicator& comm,
 std::vector<double> field_spectrum(const ModeView& view,
                                    comm::Communicator& comm,
                                    const Complex* f) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    if (shell < shells.size()) {
-      shells[shell] += mode_weight(kx, view.n) * 0.5 * std::norm(f[idx]);
-    }
-  });
-  comm.allreduce_sum(shells.data(), shells.data(), shells.size());
-  return shells;
+  return shell_sums(view, SpectralBand::full(view.n), comm,
+                    [&](std::size_t idx, int kx, int, int) {
+                      return mode_weight(kx, view.n) * 0.5 * std::norm(f[idx]);
+                    });
 }
 
 double cospectrum_total(const ModeView& view, comm::Communicator& comm,
@@ -332,11 +346,10 @@ double cospectrum_total(const ModeView& view, comm::Communicator& comm,
 void add_band_forcing(const ModeView& view, Complex* rhs_u, Complex* rhs_v,
                       Complex* rhs_w, const Complex* u, const Complex* v,
                       const Complex* w, int klo, int khi, double coeff) {
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const int shell = static_cast<int>(std::lround(kmag));
+  for_each_band_mode(view, shells_box(view.n, khi), [&](std::size_t idx,
+                                                        int kx, int ky,
+                                                        int kz) {
+    const auto shell = static_cast<int>(shell_of(kx, ky, kz));
     if (shell < klo || shell > khi) return;
     rhs_u[idx] += coeff * u[idx];
     rhs_v[idx] += coeff * v[idx];

@@ -5,6 +5,7 @@
 // layout-generic over a ModeView and are shared by the slab solver and the
 // pencil baseline.
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -65,8 +66,10 @@ void dealias_spherical(const ModeView& view, Complex* field, double kmax);
 
 /// Multiplies by exp(-nu k^2 dt) (exact viscous integration). The factor
 /// is separable, exp(-nu dt kx^2) exp(-nu dt ky^2) exp(-nu dt kz^2), so it
-/// is built from one table per loop dimension (about 3N exponentials per
-/// call, not one per mode).
+/// is read from one table of the N axis factors, not computed per mode.
+/// Each thread keeps its last 16 tables (keyed by nu and dt, bitwise), so
+/// calls on many sub-views of one block with the same parameters build
+/// the table once.
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt);
 
@@ -91,6 +94,28 @@ void nonlinear_rhs(const ModeView& view, const ProductSet& products,
 void scalar_rhs(const ModeView& view, const Complex* fx, const Complex* fy,
                 const Complex* fz, Complex* out);
 
+/// The shell round(|k|) of mode (kx, ky, kz).
+inline std::size_t shell_of(int kx, int ky, int kz) {
+  return static_cast<std::size_t>(std::lround(
+      std::sqrt(static_cast<double>(kx) * kx + static_cast<double>(ky) * ky +
+                static_cast<double>(kz) * kz)));
+}
+
+/// Shell sums: out[s], s <= N/2, adds term(index, kx, ky, kz) over the
+/// modes of `band` in shell s, in storage order. Collective.
+template <class F>
+std::vector<double> shell_sums(const ModeView& view, const SpectralBand& band,
+                               comm::Communicator& comm, F&& term) {
+  std::vector<double> shells(view.n / 2 + 1, 0.0);
+  for_each_band_mode(view, band, [&](std::size_t idx, int kx, int ky,
+                                     int kz) {
+    const std::size_t s = shell_of(kx, ky, kz);
+    if (s < shells.size()) shells[s] += term(idx, kx, ky, kz);
+  });
+  comm.allreduce_sum(shells.data(), shells.data(), shells.size());
+  return shells;
+}
+
 /// 1/2 sum w(kx) |f|^2 - the variance functional of one field. Collective.
 double field_variance(const ModeView& view, comm::Communicator& comm,
                       const Complex* f);
@@ -111,7 +136,7 @@ double cospectrum_total(const ModeView& view, comm::Communicator& comm,
 
 /// Multiplies by the phase factor exp(+- i k . delta) (Rogallo phase-shift
 /// dealiasing); sign = +1 or -1, delta in radians per axis. Separable like
-/// the integrating factor: one complex phase table per loop dimension.
+/// the integrating factor: one memoized complex phase table per axis.
 void phase_shift(const ModeView& view, Complex* field, const double delta[3],
                  int sign);
 
@@ -135,7 +160,8 @@ std::vector<double> energy_spectrum(const ModeView& view,
 double max_divergence(const ModeView& view, comm::Communicator& comm,
                       const Complex* u, const Complex* v, const Complex* w);
 
-/// Energy contained in shells klo <= round(|k|) <= khi. Collective.
+/// Energy contained in shells klo <= round(|k|) <= khi. Collective. Like
+/// add_band_forcing it visits only the box |kx|, |ky|, |kz| <= khi.
 double band_energy(const ModeView& view, comm::Communicator& comm,
                    const Complex* u, const Complex* v, const Complex* w,
                    int klo, int khi);

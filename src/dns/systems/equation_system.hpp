@@ -22,6 +22,11 @@
 //  - apply_linear is the *exact* propagator of the system's linear terms
 //    over dt. It is applied to RK stages as well as the state, so anything
 //    folded in here must be a genuine linear, mode-local operator.
+//  - assemble_rhs and apply_linear are mode-local, and the engine calls
+//    them on band blocks: sub-views of the local block (a few rows, their
+//    own offsets, pointers advanced to the block's first mode). So they
+//    must reach modes only through the view (for_each_mode), never assume
+//    the view is the whole local array.
 //  - Hermitian symmetry: assemble_rhs and apply_linear see only the
 //    backend's stored half-spectrum; whatever they do must be consistent
 //    with u(-k) = conj(u(k)) (real operators, or identical real matrices

@@ -42,7 +42,6 @@ void NavierStokes::assemble_rhs(const ModeView& view, const Complex* const* in,
                            products[4]},
                 rhs[0], rhs[1], rhs[2]);
 
-  const std::size_t spec = view.local_modes();
   const std::size_t nscalars = config_.scalars.size();
   for (std::size_t s = 0; s < nscalars; ++s) {
     scalar_rhs(view, products[5 + 3 * s + 0], products[5 + 3 * s + 1],
@@ -51,9 +50,9 @@ void NavierStokes::assemble_rhs(const ModeView& view, const Complex* const* in,
     if (g != 0.0) {
       Complex* out = rhs[3 + s];
       const Complex* vv = in[1];
-      for (std::size_t idx = 0; idx < spec; ++idx) {
+      for_each_mode(view, [&](std::size_t idx, int, int, int) {
         out[idx] -= g * vv[idx];
-      }
+      });
     }
   }
 }

@@ -58,19 +58,11 @@ std::vector<double> helicity_spectrum(const ModeView& view,
                                       comm::Communicator& comm,
                                       const Complex* u, const Complex* v,
                                       const Complex* w) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
-  for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double kmag = std::sqrt(static_cast<double>(kx) * kx +
-                                  static_cast<double>(ky) * ky +
-                                  static_cast<double>(kz) * kz);
-    const auto shell = static_cast<std::size_t>(std::lround(kmag));
-    if (shell < shells.size()) {
-      shells[shell] +=
-          mode_weight(kx, view.n) * helicity_density(u, v, w, idx, kx, ky, kz);
-    }
-  });
-  comm.allreduce_sum(shells.data(), shells.data(), shells.size());
-  return shells;
+  return shell_sums(view, SpectralBand::full(view.n), comm,
+                    [&](std::size_t idx, int kx, int ky, int kz) {
+                      return mode_weight(kx, view.n) *
+                             helicity_density(u, v, w, idx, kx, ky, kz);
+                    });
 }
 
 }  // namespace psdns::dns

@@ -343,6 +343,14 @@ void trace_counter(std::string_view name, double value) {
   st.counters.push_back(std::move(sample));
 }
 
+double SpanSum::flush(double start_s) {
+  const double seconds = std::chrono::duration<double>(sum_).count();
+  sum_ = {};
+  registry().observe(name_, seconds);
+  record_span(name_, kind_, start_s, start_s + seconds, current_span());
+  return start_s + seconds;
+}
+
 TraceSpan::TraceSpan(std::string_view name, SpanKind kind)
     : name_(name), kind_(kind) {
   if (tracing()) {

@@ -28,6 +28,7 @@
 // recorded; programmatic set_tracing / set_trace_file win because they
 // run eagerly, and init_tracing_from_env is safe to call more than once.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -176,6 +177,36 @@ class TraceSpan {
   SpanId id_ = 0;
   SpanKind kind_ = SpanKind::Other;
   bool ended_ = false;
+};
+
+/// One phase's time summed over many short intervals (e.g. the z passes
+/// of every plane group of a round trip), reported as one span: time()
+/// adds the wall time of each interval, flush() observes the sum into the
+/// registry histogram named `name`, as a TraceSpan would, and while
+/// tracing records one span of that length, starting at `start_s` on the
+/// trace clock, under the current span. Flushing the sums of one loop's
+/// phases one after another lays them end to end inside the loop's span,
+/// so a trace shows how the loop's time splits. Costs two clock reads per
+/// interval. The name must outlive the object.
+class SpanSum {
+ public:
+  explicit SpanSum(std::string_view name, SpanKind kind = SpanKind::Compute)
+      : name_(name), kind_(kind) {}
+
+  template <class F>
+  void time(F&& f) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    sum_ += std::chrono::steady_clock::now() - t0;
+  }
+
+  /// Reports and clears the sum; returns start_s + the summed seconds.
+  double flush(double start_s);
+
+ private:
+  std::string_view name_;
+  SpanKind kind_;
+  std::chrono::steady_clock::duration sum_{};
 };
 
 }  // namespace psdns::obs

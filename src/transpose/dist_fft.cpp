@@ -63,11 +63,6 @@ Real* const* DistFft3d::point_scratch(std::size_t nin, std::size_t nout,
   return point_ptrs_.data();
 }
 
-SpectralBand SpectralBand::of_radius(std::size_t n, std::size_t k) {
-  return {std::min(n / 2 + 1, (k + 2) / 2 * 2), std::min(k, n / 2),
-          std::min(k, n / 2)};
-}
-
 std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines) {
   const std::size_t block = fft::batch_block_lines(n / 2);
   const std::size_t unit = std::lcm(block, plane_lines);
@@ -312,21 +307,41 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
   Real* const* phys = point_scratch(nin, nout, group * n_ * n_);
   {
     obs::TraceSpan span("slab_fft.planes", obs::SpanKind::Compute);
+    const double start = obs::trace_clock();
+    // Each pass and the kernel is timed over all groups, one span each.
+    obs::SpanSum z_inv("slab_fft.group.inverse.z");
+    obs::SpanSum x_inv("slab_fft.group.inverse.x");
+    obs::SpanSum products("slab_fft.group.kernel");
+    obs::SpanSum x_fwd("slab_fft.group.forward.x");
+    obs::SpanSum z_fwd("slab_fft.group.forward.z");
     // Output t's planes overwrite input t's, which the group has consumed.
     Complex* const* y = yslab_ptrs_.data();
     for (std::size_t j0 = 0; j0 < my(); j0 += group) {
       const std::size_t planes = std::min(group, my() - j0);
       const std::size_t lines = planes * n_;
-      z_pass(fft::Direction::Inverse, y, nin, j0, planes, w);
-      for (std::size_t v = 0; v < nin; ++v) {
-        plan_x_->inverse_batch(y[v] + w * n_ * j0, w, phys[v], n_, lines, w);
-      }
-      kernel(ctx, phys, phys + nin, lines * n_);
-      for (std::size_t t = 0; t < nout; ++t) {
-        plan_x_->forward_batch(phys[nin + t], n_, y[t] + w * n_ * j0, w,
-                               lines, w);
-      }
-      z_pass(fft::Direction::Forward, y, nout, j0, planes, w);
+      z_inv.time([&] {
+        z_pass(fft::Direction::Inverse, y, nin, j0, planes, w);
+      });
+      x_inv.time([&] {
+        for (std::size_t v = 0; v < nin; ++v) {
+          plan_x_->inverse_batch(y[v] + w * n_ * j0, w, phys[v], n_, lines,
+                                 w);
+        }
+      });
+      products.time([&] { kernel(ctx, phys, phys + nin, lines * n_); });
+      x_fwd.time([&] {
+        for (std::size_t t = 0; t < nout; ++t) {
+          plan_x_->forward_batch(phys[nin + t], n_, y[t] + w * n_ * j0, w,
+                                 lines, w);
+        }
+      });
+      z_fwd.time([&] {
+        z_pass(fft::Direction::Forward, y, nout, j0, planes, w);
+      });
+    }
+    double t = start;
+    for (obs::SpanSum* phase : {&z_inv, &x_inv, &products, &x_fwd, &z_fwd}) {
+      t = phase->flush(t);
     }
   }
   yslabs_to_spectral(out, band);
@@ -469,17 +484,29 @@ void PencilFft3d::round_trip(std::span<const Complex* const> in,
   Real* const* phys = point_scratch(nin, nout, group * n_);
   {
     obs::TraceSpan span("pencil_fft.lines", obs::SpanKind::Compute);
+    const double start = obs::trace_clock();
+    obs::SpanSum x_inv("pencil_fft.group.inverse.x");
+    obs::SpanSum products("pencil_fft.group.kernel");
+    obs::SpanSum x_fwd("pencil_fft.group.forward.x");
     for (std::size_t l0 = 0; l0 < total; l0 += group) {
       const std::size_t lines = std::min(group, total - l0);
-      for (std::size_t v = 0; v < nin; ++v) {
-        plan_x_->inverse_batch(px_[v].data() + h * l0, h, phys[v], n_,
-                               lines);
-      }
-      kernel(ctx, phys, phys + nin, lines * n_);
-      for (std::size_t t = 0; t < nout; ++t) {
-        plan_x_->forward_batch(phys[nin + t], n_, px_[t].data() + h * l0, h,
-                               lines);
-      }
+      x_inv.time([&] {
+        for (std::size_t v = 0; v < nin; ++v) {
+          plan_x_->inverse_batch(px_[v].data() + h * l0, h, phys[v], n_,
+                                 lines);
+        }
+      });
+      products.time([&] { kernel(ctx, phys, phys + nin, lines * n_); });
+      x_fwd.time([&] {
+        for (std::size_t t = 0; t < nout; ++t) {
+          plan_x_->forward_batch(phys[nin + t], n_, px_[t].data() + h * l0,
+                                 h, lines);
+        }
+      });
+    }
+    double t = start;
+    for (obs::SpanSum* phase : {&x_inv, &products, &x_fwd}) {
+      t = phase->flush(t);
     }
   }
   for (std::size_t t = 0; t < nout; ++t) {

@@ -57,7 +57,7 @@
 // A backend may ignore the band. SlabFft3d honours it: its Y-slabs are
 // width columns wide, its x/z passes and transposes touch only those
 // columns, and its y passes run only on Z-slab planes with |kz| <= kz.
-// The width is even (SpectralBand::of_radius) because the Stockham kernels
+// The width is even (SpectralBand::of_radius, transpose/views.hpp) because the Stockham kernels
 // pair adjacent lines into AVX2-FMA lanes and run an odd remainder line in
 // scalar code without FMA: an odd width would move its last line out of
 // the lane it has in the unbanded pass and change its bits. This relies on
@@ -95,23 +95,6 @@ using fft::Real;
 /// pointer, as util::ThreadPool's jobs are, so a call allocates nothing.
 using PointKernel = void (*)(void* ctx, const Real* const* in,
                              Real* const* out, std::size_t points);
-
-/// The spectral modes a banded transform keeps: kx in [0, width),
-/// |ky| <= ky, |kz| <= kz.
-struct SpectralBand {
-  std::size_t width = 0;
-  std::size_t ky = 0, kz = 0;
-
-  /// Every mode of an N = n grid.
-  static SpectralBand full(std::size_t n) { return {n / 2 + 1, n / 2, n / 2}; }
-  /// The box |kx|, |ky|, |kz| <= k on an N = n grid, its width k + 1
-  /// rounded up to even (see the top of this file) and capped at N/2+1.
-  static SpectralBand of_radius(std::size_t n, std::size_t k);
-  /// Whether the plane of signed wavenumber kz = k holds a kept mode.
-  bool keeps_kz(int k) const {
-    return static_cast<std::size_t>(k < 0 ? -k : k) <= kz;
-  }
-};
 
 /// x-lines per round_trip group for an N = n grid whose planes hold
 /// `plane_lines` x-lines: the smallest whole number of planes that is a

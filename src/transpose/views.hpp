@@ -7,6 +7,10 @@
 //   dealiasing, integrating factor, RHS assembly, spectra) is written once
 //   against this view and shared by both solvers.
 //
+//   SpectralBand - the box of modes a band-limited transform keeps, and
+//   for_each_band_block, which walks a ModeView's modes in that box block
+//   by block.
+//
 //   PhysView - the local block of physical grid points. The slab backend
 //   holds Y-slabs (r[x + N*(z + N*jj)]) and the pencil baseline X-pencils
 //   (r[x + N*(jj + yl*kk)]); initial conditions keyed on *global* grid
@@ -16,6 +20,7 @@
 // Both views live in the transpose layer (which defines the layouts); the
 // dns layer re-exports them for its spectral operators.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -98,6 +103,85 @@ void for_each_mode(const ModeView& v, F&& f) {
       }
     }
   }
+}
+
+/// The spectral modes a banded transform keeps (transpose/dist_fft.hpp):
+/// kx in [0, width), |ky| <= ky, |kz| <= kz.
+struct SpectralBand {
+  std::size_t width = 0;
+  std::size_t ky = 0, kz = 0;
+
+  /// Every mode of an N = n grid.
+  static SpectralBand full(std::size_t n) { return {n / 2 + 1, n / 2, n / 2}; }
+  /// The box |kx|, |ky|, |kz| <= k on an N = n grid, its width k + 1
+  /// rounded up to even (see transpose/dist_fft.hpp) and capped at N/2+1.
+  static SpectralBand of_radius(std::size_t n, std::size_t k) {
+    return {std::min(n / 2 + 1, (k + 2) / 2 * 2), std::min(k, n / 2),
+            std::min(k, n / 2)};
+  }
+  /// Whether the plane of signed wavenumber kz = k holds a kept mode.
+  bool keeps_kz(int k) const {
+    return static_cast<std::size_t>(k < 0 ? -k : k) <= kz;
+  }
+};
+
+/// Calls f(block, offset) for blocks of v that together hold every mode of
+/// `band`, in storage order: one loop-dimension-2 index, by one range of
+/// kept dimension-1 indices, by dimension 0 from its first to its last
+/// kept index (on a Z-slab: one kz plane, by |ky| <= band.ky on one side
+/// of zero, by kx < band.width). block is a view of those modes whose
+/// index i is storage index offset + i. Modes outside the band lie in no
+/// block, except on dimension 0 between its kept ranges (the kz lines of a
+/// Z-pencil are visited whole).
+template <class F>
+void for_each_band_block(const ModeView& v, const SpectralBand& band,
+                         F&& f) {
+  // Kept local ranges [lo, hi) of loop dimension d, ascending: kx < width,
+  // or the global indices [0, K] and [N - K, N) of |k| <= K.
+  std::size_t lo[3][2], hi[3][2], count[3];
+  for (int d = 0; d < 3; ++d) {
+    const std::size_t off = v.offset[d], end = off + v.extent[d];
+    const std::size_t k = v.axis[d] == 1 ? band.ky : band.kz;
+    const std::size_t glo[2] = {0, std::max(k + 1, v.n - k)};
+    const std::size_t ghi[2] = {v.axis[d] == 0 ? band.width : k + 1, v.n};
+    count[d] = 0;
+    for (int r = 0; r < (v.axis[d] == 0 ? 1 : 2); ++r) {
+      const std::size_t first = std::clamp(glo[r], off, end);
+      const std::size_t last = std::clamp(ghi[r], off, end);
+      if (first < last) {
+        lo[d][count[d]] = first - off;
+        hi[d][count[d]++] = last - off;
+      }
+    }
+  }
+  if (count[0] == 0) return;
+  ModeView b = v;
+  b.extent[0] = hi[0][count[0] - 1] - lo[0][0];
+  b.offset[0] = v.offset[0] + lo[0][0];
+  b.extent[2] = 1;
+  for (std::size_t r2 = 0; r2 < count[2]; ++r2) {
+    for (std::size_t c2 = lo[2][r2]; c2 < hi[2][r2]; ++c2) {
+      b.offset[2] = v.offset[2] + c2;
+      for (std::size_t r1 = 0; r1 < count[1]; ++r1) {
+        b.extent[1] = hi[1][r1] - lo[1][r1];
+        b.offset[1] = v.offset[1] + lo[1][r1];
+        f(static_cast<const ModeView&>(b), v.stride[0] * lo[0][0] +
+                                               v.stride[1] * lo[1][r1] +
+                                               v.stride[2] * c2);
+      }
+    }
+  }
+}
+
+/// for_each_mode over the blocks of for_each_band_block: f(index, kx, ky,
+/// kz) with index into v's storage, in storage order.
+template <class F>
+void for_each_band_mode(const ModeView& v, const SpectralBand& band, F&& f) {
+  for_each_band_block(v, band, [&](const ModeView& b, std::size_t o) {
+    for_each_mode(b, [&](std::size_t i, int kx, int ky, int kz) {
+      f(o + i, kx, ky, kz);
+    });
+  });
 }
 
 /// Conjugate-symmetry weight of a mode on the reduced-x grid: interior

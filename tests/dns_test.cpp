@@ -1240,7 +1240,9 @@ TEST(Instrumentation, SlabStepSpanCountsAreExact) {
   // call structure. RK2 makes two RHS evaluations; each is one round trip:
   // a 3-field y-inverse and z_to_y (np/q = 4 chunks, one one-copy
   // all-to-all each), the plane-group loop (z and x passes and the
-  // products, one span for all groups), then a 5-product y_to_z (4 chunks)
+  // products, one span for all groups, and inside it one span per pass
+  // and one for the kernel, each summed over the groups), then a
+  // 5-product y_to_z (4 chunks)
   // and y-forward. No x or z pass runs outside the group loop, and the
   // staged pack/unpack primitives are not on this path.
   constexpr int kRanks = 2, kRhs = 2, kChunks = 4;
@@ -1252,6 +1254,11 @@ TEST(Instrumentation, SlabStepSpanCountsAreExact) {
       {"comm.alltoall", kRanks * 2 * kChunks * kRhs},
       {"slab_fft.inverse.y", kRanks * kRhs},
       {"slab_fft.planes", kRanks * kRhs},
+      {"slab_fft.group.inverse.z", kRanks * kRhs},
+      {"slab_fft.group.inverse.x", kRanks * kRhs},
+      {"slab_fft.group.kernel", kRanks * kRhs},
+      {"slab_fft.group.forward.x", kRanks * kRhs},
+      {"slab_fft.group.forward.z", kRanks * kRhs},
       {"slab_fft.inverse.z", 0},
       {"slab_fft.inverse.x", 0},
       {"slab_fft.forward.x", 0},

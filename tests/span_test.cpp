@@ -320,26 +320,38 @@ TEST_F(SpanTest, SlabInverseExchangesProduceCrossRankEdges) {
 }
 
 TEST_F(SpanTest, EngineStepSpanCountsAreExact) {
-  // One traced, warmed, forced RK2 step. Per rank: two RHS evaluations,
-  // each one round trip (one group-loop span for all its groups), one
-  // allreduce of the CFL max, one epilogue, one RHS assembly and one
-  // forcing; three linear propagators (stage, state, k1) and two RK
-  // combinations. No x pass runs outside a group loop.
+  // One traced, warmed, forced step. Per rank and RHS evaluation (RK2
+  // makes two, RK4 four): one band-energy reduction for the forcing, one
+  // round trip (one group-loop span for all its groups, inside it one
+  // summed span per pass and one for the kernel), one allreduce of the CFL
+  // max, and one spectral pass, which also writes the stage or the update.
+  // No x pass runs outside a group loop, and no other spectral-space span
+  // runs.
   struct Case {
     int ranks;
     transpose::Decomposition decomposition;
-    const char* group_span;
+    dns::TimeScheme scheme;
   };
+  const std::vector<std::string> slab_groups = {
+      "slab_fft.planes", "slab_fft.group.inverse.z",
+      "slab_fft.group.inverse.x", "slab_fft.group.kernel",
+      "slab_fft.group.forward.x", "slab_fft.group.forward.z"};
+  const std::vector<std::string> pencil_groups = {
+      "pencil_fft.lines", "pencil_fft.group.inverse.x",
+      "pencil_fft.group.kernel", "pencil_fft.group.forward.x"};
   for (const Case& c :
-       {Case{1, transpose::Decomposition::Slab, "slab_fft.planes"},
-        Case{2, transpose::Decomposition::Slab, "slab_fft.planes"},
-        Case{2, transpose::Decomposition::Pencil, "pencil_fft.lines"}}) {
+       {Case{1, transpose::Decomposition::Slab, dns::TimeScheme::RK2},
+        Case{2, transpose::Decomposition::Slab, dns::TimeScheme::RK2},
+        Case{2, transpose::Decomposition::Pencil, dns::TimeScheme::RK2},
+        Case{1, transpose::Decomposition::Slab, dns::TimeScheme::RK4},
+        Case{2, transpose::Decomposition::Pencil, dns::TimeScheme::RK4}}) {
     obs::set_tracing(false);
     comm::run_ranks(c.ranks, [&](comm::Communicator& comm) {
       dns::SolverConfig config;
       config.n = 16;
       config.viscosity = 0.02;
       config.decomposition = c.decomposition;
+      config.scheme = c.scheme;
       config.forcing.enabled = true;
       config.forcing.power = 0.05;
       dns::SpectralEngine engine(comm, config);
@@ -352,21 +364,44 @@ TEST_F(SpanTest, EngineStepSpanCountsAreExact) {
       comm.barrier();
     });
     const auto trace = obs::collect_trace();
-    const std::pair<std::string, int> expected[] = {
-        {"dns.round_trip", 2},   {"dns.cfl_allreduce", 2},
-        {"dns.rhs_epilogue", 2}, {"dns.assemble_rhs", 2},
-        {"dns.forcing", 2},      {"dns.apply_linear", 3},
-        {"dns.rk_update", 2},    {c.group_span, 2},
-        {"slab_fft.inverse.x", 0}, {"slab_fft.forward.x", 0},
-        {"pencil_fft.inverse.x", 0}, {"pencil_fft.forward.x", 0}};
+    const bool slab = c.decomposition == transpose::Decomposition::Slab;
+    const int rhs = c.scheme == dns::TimeScheme::RK4 ? 4 : 2;
+    std::vector<std::pair<std::string, int>> expected = {
+        {"dns.band_energy", rhs},      {"dns.round_trip", rhs},
+        {"dns.cfl_allreduce", rhs},    {"dns.spectral_pass", rhs},
+        {"dns.rhs_epilogue", 0},       {"dns.assemble_rhs", 0},
+        {"dns.forcing", 0},            {"dns.apply_linear", 0},
+        {"dns.rk_update", 0},          {"slab_fft.inverse.x", 0},
+        {"slab_fft.forward.x", 0},     {"pencil_fft.inverse.x", 0},
+        {"pencil_fft.forward.x", 0}};
+    for (const auto& name : slab ? slab_groups : pencil_groups) {
+      expected.emplace_back(name, rhs);
+    }
+    for (const auto& name : slab ? pencil_groups : slab_groups) {
+      expected.emplace_back(name, 0);
+    }
     for (const auto& [name, per_rank] : expected) {
       for (int r = 0; r < c.ranks; ++r) {
         const auto count = std::count_if(
             trace.spans.begin(), trace.spans.end(),
             [&](const SpanRecord& s) { return s.name == name && s.rank == r; });
-        EXPECT_EQ(count, per_rank) << name << " rank " << r << " of "
-                                   << c.ranks << " " << c.group_span;
+        EXPECT_EQ(count, per_rank)
+            << name << " rank " << r << " of " << c.ranks << " "
+            << transpose::to_string(c.decomposition) << " RK" << rhs;
       }
+    }
+    // The summed group spans are children of their group-loop span, laid
+    // end to end inside it.
+    const std::string& loop = (slab ? slab_groups : pencil_groups)[0];
+    for (const auto& s : trace.spans) {
+      if (s.name.find("_fft.group.") == std::string::npos) continue;
+      const auto parent = std::find_if(
+          trace.spans.begin(), trace.spans.end(),
+          [&](const SpanRecord& p) { return p.id == s.parent; });
+      ASSERT_NE(parent, trace.spans.end()) << s.name;
+      EXPECT_EQ(parent->name, loop);
+      EXPECT_GE(s.start_s, parent->start_s);
+      EXPECT_LE(s.end_s, parent->end_s + 1e-9);
     }
   }
 }

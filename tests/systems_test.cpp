@@ -15,7 +15,10 @@
 //    solution (inertial, internal-gravity, Alfven - configurations whose
 //    nonlinear terms vanish identically, so the analytic mode evolution is
 //    exact up to time-integration error), plus slab/pencil equivalence of
-//    diagnostics and named spectra.
+//    diagnostics and named spectra;
+//  - the spectral pass: steps are bitwise the unfused chain of full-field
+//    operators, and nothing reads or feeds the transforms a mode outside
+//    the band (poisoned scratch, checked round-trip inputs).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -1077,6 +1081,414 @@ TEST(BandedTransforms, RestoreTruncatesModesOutsideTheRule) {
   EXPECT_EQ(std::memcmp(after[0].data(), after[1].data(),
                         after[0].size() * sizeof(Complex)),
             0);
+}
+
+// --- the spectral pass -----------------------------------------------------
+
+/// Sets up `engine` with cfg's initial condition (velocity, scalars, and
+/// the magnetic field for MHD), as run_states does.
+void init_state(SpectralEngine& engine) {
+  engine.init_isotropic(11, 3.0, 0.5);
+  for (int s = 0; s < engine.scalar_count(); ++s) {
+    engine.init_scalar_isotropic(s, 12 + static_cast<std::uint64_t>(s), 3.0,
+                                 0.3);
+  }
+  if (engine.magnetic_base() >= 0) {
+    engine.init_magnetic_isotropic(13, 3.0, 0.25);
+    engine.set_uniform_magnetic_field({0.1, 0.2, 0.3});
+  }
+}
+
+/// The RK chain the engine ran before its one spectral pass per RHS: each
+/// operator over the whole local block in turn (phase shift, scale and
+/// truncate, assemble_rhs, band forcing, the propagator, y = x + a z), on
+/// the same backend with the same band, from the engine's state.
+class UnfusedStepper {
+ public:
+  UnfusedStepper(comm::Communicator& comm, transpose::DistFft3d& fft,
+                 const SpectralEngine& engine)
+      : comm_(comm),
+        fft_(fft),
+        cfg_(engine.config()),
+        system_(make_equation_system(cfg_)),
+        view_(engine.modes()),
+        band_(engine.band()),
+        rule_(cfg_.phase_shift_dealias
+                  ? DealiasRule::sphere(std::sqrt(2.0) *
+                                        static_cast<double>(cfg_.n) / 3.0)
+                  : DealiasRule::cube(cfg_.n)),
+        spec_(view_.local_modes()),
+        nf_(system_->field_count()),
+        nprod_(system_->product_count()) {
+    state_ = blocks(state_store_, nf_);
+    stage_ = blocks(stage_store_, nf_);
+    k_ = blocks(k_store_, 3 * nf_);
+    prod_ = blocks(prod_store_, nprod_);
+    for (std::size_t f = 0; f < nf_; ++f) {
+      std::copy(engine.field(f), engine.field(f) + spec_, state_[f]);
+    }
+  }
+
+  const Complex* field(std::size_t f) const { return state_[f]; }
+
+  void step(double dt) {
+    const double h = dt / 2.0;
+    Complex* const* state = state_.data();
+    Complex* const* stage = stage_.data();
+    Complex* const* last = prod_.data();
+    if (cfg_.scheme == TimeScheme::RK2) {
+      compute_rhs(state, last);
+      axpy(stage, state, h, last);
+      system_->apply_linear(view_, stage, h);
+      compute_rhs(stage, last);
+      system_->apply_linear(view_, state, dt);
+      system_->apply_linear(view_, last, h);
+      axpy(state, state, dt, last);
+      return;
+    }
+    Complex* const* k1 = k_.data();
+    Complex* const* k2 = k1 + nf_;
+    Complex* const* k3 = k1 + 2 * nf_;
+    compute_rhs(state, k1);
+    axpy(stage, state, h, k1);
+    system_->apply_linear(view_, stage, h);
+    compute_rhs(stage, k2);
+    copy_state_to_stage();
+    system_->apply_linear(view_, stage, h);
+    axpy(stage, stage, h, k2);
+    compute_rhs(stage, k3);
+    copy_state_to_stage();
+    system_->apply_linear(view_, stage, dt);
+    system_->apply_linear(view_, k3, h);
+    axpy(stage, stage, dt, k3);
+    compute_rhs(stage, last);
+    system_->apply_linear(view_, k1, dt);
+    system_->apply_linear(view_, k2, h);
+    system_->apply_linear(view_, state, dt);
+    for (std::size_t f = 0; f < nf_; ++f) {
+      for (std::size_t i = 0; i < spec_; ++i) {
+        state[f][i] += dt / 6.0 * (k1[f][i] + 2.0 * k2[f][i] +
+                                   2.0 * k3[f][i] + last[f][i]);
+      }
+    }
+  }
+
+ private:
+  std::vector<Complex*> blocks(std::vector<Complex>& store,
+                               std::size_t count) const {
+    store.assign(count * spec_, Complex{0.0, 0.0});
+    std::vector<Complex*> ptrs;
+    for (std::size_t b = 0; b < count; ++b) {
+      ptrs.push_back(store.data() + b * spec_);
+    }
+    return ptrs;
+  }
+
+  void copy_state_to_stage() {
+    std::copy(state_store_.begin(), state_store_.end(), stage_store_.begin());
+  }
+
+  void axpy(Complex* const* y, const Complex* const* x, double a,
+            const Complex* const* z) const {
+    for (std::size_t f = 0; f < nf_; ++f) {
+      for (std::size_t i = 0; i < spec_; ++i) y[f][i] = x[f][i] + a * z[f][i];
+    }
+  }
+
+  static void products(void* ctx, const Real* const* in, Real* const* out,
+                       std::size_t points) {
+    static_cast<const EquationSystem*>(ctx)->form_products(in, out, points);
+  }
+
+  void compute_rhs(const Complex* const* in, Complex* const* rhs) {
+    const std::size_t n = cfg_.n;
+    const double inv_n3 = 1.0 / (static_cast<double>(n) * n * n);
+    double delta[3] = {0.0, 0.0, 0.0};
+    const bool shift = cfg_.phase_shift_dealias && (rhs_evals_++ % 2 == 1);
+    if (shift) {
+      delta[0] = delta[1] = delta[2] =
+          std::numbers::pi / static_cast<double>(n);
+    }
+    const Complex* const* spec_in = in;
+    if (shift) {
+      for (std::size_t f = 0; f < nf_; ++f) {
+        std::copy(in[f], in[f] + spec_, prod_[f]);
+        phase_shift(view_, prod_[f], delta, +1);
+      }
+      spec_in = prod_.data();
+    }
+    fft_.round_trip(std::span<const Complex* const>(spec_in, nf_), &products,
+                    system_.get(),
+                    std::span<Complex* const>(prod_.data(), nprod_), band_);
+    for (Complex* p : prod_) {
+      if (shift) phase_shift(view_, p, delta, -1);
+      scale_and_truncate(view_, p, inv_n3, rule_);
+    }
+    system_->assemble_rhs(view_, in, prod_.data(), rhs);
+    if (cfg_.forcing.enabled) {
+      const auto& fc = cfg_.forcing;
+      const double eband =
+          band_energy(view_, comm_, in[0], in[1], in[2], fc.klo, fc.khi);
+      if (eband > 1e-12) {
+        add_band_forcing(view_, rhs[0], rhs[1], rhs[2], in[0], in[1], in[2],
+                         fc.klo, fc.khi, fc.power / (2.0 * eband));
+      }
+    }
+  }
+
+  comm::Communicator& comm_;
+  transpose::DistFft3d& fft_;
+  SolverConfig cfg_;
+  std::unique_ptr<EquationSystem> system_;
+  ModeView view_;
+  transpose::SpectralBand band_;
+  DealiasRule rule_;
+  std::size_t spec_, nf_, nprod_;
+  std::int64_t rhs_evals_ = 0;
+  std::vector<Complex> state_store_, stage_store_, k_store_, prod_store_;
+  std::vector<Complex*> state_, stage_, k_, prod_;
+};
+
+/// Every system, scheme and rule at n = 16, forced, on the slab at 1 and 2
+/// ranks and the 1x2 pencil.
+std::vector<SolverConfig> pass_configs() {
+  SolverConfig scalars;
+  scalars.scalars.push_back(ScalarConfig{0.7, 1.0});  // with a mean gradient
+  scalars.scalars.push_back(ScalarConfig{2.0, 0.0});
+  SolverConfig rotating;
+  rotating.system = SystemType::RotatingNS;
+  rotating.rotation_omega = 1.5;
+  SolverConfig boussinesq;
+  boussinesq.system = SystemType::Boussinesq;
+  boussinesq.brunt_vaisala = 1.5;
+  SolverConfig mhd;
+  mhd.system = SystemType::Mhd;
+  std::vector<SolverConfig> out;
+  for (SolverConfig cfg : {scalars, rotating, boussinesq, mhd}) {
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    cfg.forcing.enabled = true;
+    for (const auto scheme : {TimeScheme::RK2, TimeScheme::RK4}) {
+      for (const bool shift : {false, true}) {
+        cfg.scheme = scheme;
+        cfg.phase_shift_dealias = shift;
+        out.push_back(cfg);
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const SolverConfig& cfg, int ranks) {
+  return std::string(to_string(cfg.system)) + " " +
+         (cfg.scheme == TimeScheme::RK4 ? "RK4" : "RK2") +
+         " shift=" + std::to_string(cfg.phase_shift_dealias) +
+         " forcing=" + std::to_string(cfg.forcing.enabled) + " " +
+         transpose::to_string(cfg.decomposition) + " ranks " +
+         std::to_string(ranks);
+}
+
+const std::pair<transpose::Decomposition, int> kPassLayouts[] = {
+    {transpose::Decomposition::Slab, 1},
+    {transpose::Decomposition::Slab, 2},
+    {transpose::Decomposition::Pencil, 2}};
+
+TEST(SpectralPass, StepsAreBitwiseTheUnfusedChain) {
+  // The engine's one pass per RHS visits only the band's blocks and runs
+  // the same per-mode operators in the same order as the chain of
+  // full-field sweeps it replaced, so three steps of every system leave
+  // the state bitwise equal to that chain's.
+  for (SolverConfig cfg : pass_configs()) {
+    for (const auto& [decomposition, ranks] : kPassLayouts) {
+      cfg.decomposition = decomposition;
+      comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+        auto backend = transpose::make_dist_fft(comm, cfg.n, decomposition);
+        SpectralEngine engine(comm, *backend, cfg);
+        init_state(engine);
+        UnfusedStepper unfused(comm, *backend, engine);
+        for (int s = 0; s < 3; ++s) {
+          engine.step(0.01);
+          unfused.step(0.01);
+        }
+        const std::size_t spec = engine.modes().local_modes();
+        for (std::size_t f = 0; f < engine.field_count(); ++f) {
+          EXPECT_EQ(std::memcmp(engine.field(f), unfused.field(f),
+                                spec * sizeof(Complex)),
+                    0)
+              << describe(cfg, ranks) << " field " << f << " rank "
+              << comm.rank();
+        }
+      });
+    }
+  }
+}
+
+/// Whether mode (kx, ky, kz), kx >= 0, lies in `band`.
+bool in_band(const transpose::SpectralBand& band, int kx, int ky, int kz) {
+  return static_cast<std::size_t>(kx) < band.width &&
+         static_cast<std::size_t>(std::abs(ky)) <= band.ky &&
+         band.keeps_kz(kz);
+}
+
+/// Forwarding backend that counts the spectral inputs it is handed with a
+/// nonzero mode outside the band: round_trip's inputs and the banded
+/// inverse's.
+class BandCheckingFft final : public transpose::DistFft3d {
+ public:
+  explicit BandCheckingFft(transpose::DistFft3d& inner) : inner_(inner) {}
+
+  std::size_t n() const override { return inner_.n(); }
+  std::size_t physical_elems() const override {
+    return inner_.physical_elems();
+  }
+  std::size_t spectral_elems() const override {
+    return inner_.spectral_elems();
+  }
+  ModeView mode_view() const override { return inner_.mode_view(); }
+  PhysView phys_view() const override { return inner_.phys_view(); }
+  void set_batching(int np, int q) override { inner_.set_batching(np, q); }
+  int pencils() const override { return inner_.pencils(); }
+  int pencils_per_alltoall() const override {
+    return inner_.pencils_per_alltoall();
+  }
+
+  using DistFft3d::forward;
+  using DistFft3d::inverse;
+  void forward(std::span<const Real* const> phys,
+               std::span<Complex* const> spec) override {
+    inner_.forward(phys, spec);
+  }
+  void inverse(std::span<const Complex* const> spec,
+               std::span<Real* const> phys) override {
+    inner_.inverse(spec, phys);
+  }
+  void forward(std::span<const Real* const> phys,
+               std::span<Complex* const> spec,
+               const transpose::SpectralBand& band) override {
+    inner_.forward(phys, spec, band);
+  }
+  void inverse(std::span<const Complex* const> spec,
+               std::span<Real* const> phys,
+               const transpose::SpectralBand& band) override {
+    check(spec, band);
+    inner_.inverse(spec, phys, band);
+  }
+  void round_trip(std::span<const Complex* const> in,
+                  transpose::PointKernel kernel, void* ctx,
+                  std::span<Complex* const> out,
+                  const transpose::SpectralBand& band) override {
+    check(in, band);
+    inner_.round_trip(in, kernel, ctx, out, band);
+  }
+
+  /// Inputs seen so far, and those with a nonzero mode outside the band.
+  int inputs = 0;
+  int dirty = 0;
+
+ private:
+  void check(std::span<const Complex* const> spec,
+             const transpose::SpectralBand& band) {
+    for (const Complex* f : spec) {
+      bool clean = true;
+      for_each_mode(mode_view(), [&](std::size_t idx, int kx, int ky,
+                                     int kz) {
+        if (!in_band(band, kx, ky, kz) && f[idx] != Complex{0.0, 0.0}) {
+          clean = false;
+        }
+      });
+      ++inputs;
+      if (!clean) ++dirty;
+    }
+  }
+
+  transpose::DistFft3d& inner_;
+};
+
+/// Writes NaN into every mode outside the band of the engine's step
+/// scratch: the product spectra and RK4's k blocks.
+void poison_scratch(SpectralEngine& engine) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Complex* block : engine.scratch_spectra()) {
+    for_each_mode(engine.modes(), [&](std::size_t idx, int kx, int ky,
+                                      int kz) {
+      if (!in_band(engine.band(), kx, ky, kz)) block[idx] = Complex{nan, nan};
+    });
+  }
+}
+
+/// Everything a run reports: the raw state, every cfl_dt, the transfer
+/// spectrum and the derivative moments.
+struct PassRun {
+  std::vector<Complex> state;
+  std::vector<double> scalars;
+  std::vector<double> transfer;
+};
+
+PassRun run_pass(const SolverConfig& cfg, comm::Communicator& comm,
+                 bool poison) {
+  auto backend = transpose::make_dist_fft(comm, cfg.n, cfg.decomposition);
+  BandCheckingFft checked(*backend);
+  SpectralEngine engine(comm, checked, cfg);
+  init_state(engine);
+  PassRun run;
+  const auto poke = [&] {
+    if (poison) poison_scratch(engine);
+  };
+  poke();
+  run.scalars.push_back(engine.cfl_dt());
+  for (int s = 0; s < 3; ++s) {
+    poke();
+    engine.step(0.01);
+  }
+  poke();
+  run.scalars.push_back(engine.cfl_dt());
+  poke();
+  run.transfer = engine.transfer_spectrum();
+  poke();
+  const auto moments = engine.derivative_moments();
+  run.scalars.push_back(moments.skewness);
+  run.scalars.push_back(moments.flatness);
+  for (std::size_t f = 0; f < engine.field_count(); ++f) {
+    run.state.insert(run.state.end(), engine.field(f),
+                     engine.field(f) + engine.modes().local_modes());
+  }
+  EXPECT_GT(checked.inputs, 0);
+  EXPECT_EQ(checked.dirty, 0)
+      << describe(cfg, comm.size()) << " poison=" << poison << " rank "
+      << comm.rank() << ": a transform input is nonzero outside the band";
+  return run;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(SpectralPass, ModesOutsideTheBandAreNeverRead) {
+  // Product spectra are unspecified outside the band and RK4's k blocks
+  // are never read there: NaN written into those modes between steps must
+  // leave the state, cfl_dt(), transfer_spectrum() and
+  // derivative_moments() bitwise those of an unpoisoned run. Every
+  // spectral input handed to a transform is exactly zero outside the band
+  // (the pencil reads every mode), poisoned or not.
+  for (SolverConfig cfg : pass_configs()) {
+    for (const bool forcing : {true, false}) {
+      for (const auto& [decomposition, ranks] : kPassLayouts) {
+        cfg.forcing.enabled = forcing;
+        cfg.decomposition = decomposition;
+        comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+          const PassRun clean = run_pass(cfg, comm, false);
+          const PassRun poisoned = run_pass(cfg, comm, true);
+          const std::string what =
+              describe(cfg, ranks) + " rank " + std::to_string(comm.rank());
+          EXPECT_TRUE(same_bits(clean.state, poisoned.state)) << what;
+          EXPECT_TRUE(same_bits(clean.scalars, poisoned.scalars)) << what;
+          EXPECT_TRUE(same_bits(clean.transfer, poisoned.transfer)) << what;
+        });
+      }
+    }
+  }
 }
 
 }  // namespace
