@@ -77,7 +77,48 @@ void BM_BatchedLines(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * n));
 }
-BENCHMARK(BM_BatchedLines)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_BatchedLines)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
+
+// Natural-layout real transforms of a plane of lines: n lines of n reals
+// (dist n) to their n/2+1 coefficients (dist n/2+1). The real counterpart
+// of BM_BatchedLines/n.
+void BM_R2CLines(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto plan = psdns::fft::get_plan_r2c(n);
+  psdns::util::Rng rng(7);
+  std::vector<Real> x(n * n);
+  std::vector<Complex> y(n * plan->spectrum_size());
+  for (auto& v : x) v = rng.gaussian();
+  for (auto _ : state) {
+    plan->forward_batch(x.data(), n, y.data(), plan->spectrum_size(), n);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_R2CLines)->Arg(128);
+
+// The round trip's x pass on one plane of an n^3 slab under the 2/3 rule:
+// c2r of n spectra that keep the band's W coefficients (44 at n = 128, as
+// transpose::SpectralBand::of_radius(n, (n-1)/3)) into the block layout,
+// then r2c back, through the block entry points.
+void BM_XPassRoundTrip(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto plan = psdns::fft::get_plan_r2c(n);
+  const std::size_t w = ((n - 1) / 3 + 2) / 2 * 2;
+  psdns::util::Rng rng(8);
+  std::vector<Complex> spec(n * w), out(n * w);
+  std::vector<Real> phys(n * n);
+  for (auto& c : spec) c = Complex{rng.gaussian(), rng.gaussian()};
+  for (auto _ : state) {
+    plan->inverse_blocks(spec.data(), w, phys.data(), n, w);
+    plan->forward_blocks(phys.data(), out.data(), w, n, w);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * n * n));
+}
+BENCHMARK(BM_XPassRoundTrip)->Arg(128);
 
 // Worker-pool scaling of the batched path: same plane of lines as
 // BM_BatchedLines, swept over pool widths. The pool is resized outside the

@@ -60,16 +60,12 @@ void spectral_regrid(SpectralEngine& src, SpectralEngine& dst) {
     scatter_global_field(dst, dst_global.data(), out[f].data());
   }
 
+  // restore() truncates with dst's own dealiasing rule, which removes
+  // whatever downsampling brought in above dst's cutoff.
   std::vector<const Complex*> ptrs(nfields);
   for (std::size_t f = 0; f < nfields; ++f) ptrs[f] = out[f].data();
   dst.restore(std::span<const Complex* const>(ptrs.data(), nfields),
               src.time(), src.step_count());
-
-  // Downsampling can reintroduce content above the destination's dealiasing
-  // cutoff; one truncation pass restores the invariant.
-  for (std::size_t f = 0; f < nfields; ++f) {
-    dealias_truncate(dst.modes(), dst.field(f));
-  }
 }
 
 }  // namespace psdns::dns

@@ -457,9 +457,7 @@ void SpectralEngine::products_kernel(void* ctx, const Real* const* in,
   double umax = self.kernel_umax_;
   const auto fold = [&](std::size_t first) {
     for (std::size_t c = first; c < first + 3; ++c) {
-      for (std::size_t idx = 0; idx < points; ++idx) {
-        umax = std::max(umax, std::abs(in[c][idx]));
-      }
+      umax = max_abs(in[c], points, umax);
     }
   };
   fold(0);

@@ -357,4 +357,19 @@ void add_band_forcing(const ModeView& view, Complex* rhs_u, Complex* rhs_v,
   });
 }
 
+double max_abs(const Real* v, std::size_t count, double init) {
+  // One serial max chain is bound by the max latency; four independent
+  // ones are not.
+  constexpr std::size_t kLanes = 4;
+  double acc[kLanes] = {init, init, init, init};
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      acc[j] = std::max(acc[j], std::abs(v[i + j]));
+    }
+  }
+  for (; i < count; ++i) acc[0] = std::max(acc[0], std::abs(v[i]));
+  return std::max(std::max(acc[0], acc[1]), std::max(acc[2], acc[3]));
+}
+
 }  // namespace psdns::dns

@@ -172,4 +172,10 @@ void add_band_forcing(const ModeView& view, Complex* rhs_u, Complex* rhs_v,
                       Complex* rhs_w, const Complex* u, const Complex* v,
                       const Complex* w, int klo, int khi, double coeff);
 
+/// max(init, |v[0]|, ..., |v[count-1]|), bitwise the serial fold
+/// acc = std::max(acc, std::abs(v[i])): it keeps its running maximum in
+/// independent accumulators (max is exact and order-free), and a NaN point
+/// leaves an accumulator unchanged exactly as std::max(acc, NaN) does.
+double max_abs(const Real* v, std::size_t count, double init);
+
 }  // namespace psdns::dns

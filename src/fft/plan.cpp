@@ -1,6 +1,7 @@
 #include "fft/plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -52,6 +53,13 @@ std::size_t batch_block_lines(std::size_t n) {
   const std::size_t lines =
       kBlockBytes / (sizeof(Complex) * std::max<std::size_t>(n, 1));
   return std::clamp<std::size_t>(lines, 8, 64);
+}
+
+std::size_t real_block_lines(std::size_t h) {
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 14;
+  const std::size_t lines =
+      kBlockBytes / (sizeof(Complex) * std::max<std::size_t>(h, 1));
+  return std::bit_floor(std::clamp<std::size_t>(lines, 2, 64));
 }
 
 PlanC2C::PlanC2C(std::size_t n) : n_(n), impl_(std::make_unique<Impl>()) {

@@ -29,6 +29,14 @@ struct BatchLayout {
 /// lengths, with a floor that keeps the batch-innermost loops vectorizable.
 std::size_t batch_block_lines(std::size_t n);
 
+/// Lines per block of the half-length real transforms (PlanR2C) of length
+/// n = 2h: the block and the engine's one staging buffer, about 16 KiB each,
+/// stay resident in L1 through the pre-step, every Stockham stage and the
+/// unravel. A power of two in [2, 64], so every block starts on an even
+/// line (the AVX2 kernels pair adjacent lines) and divides the c2c block
+/// of the same length up to h = 512.
+std::size_t real_block_lines(std::size_t h);
+
 class PlanC2C {
  public:
   explicit PlanC2C(std::size_t n);

@@ -8,26 +8,73 @@
 #include <utility>
 #include <vector>
 
+#include "fft/real_kernels.hpp"
 #include "fft/stockham.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace psdns::fft {
+
+namespace detail {
+
+void c2r_prestep_scalar(const Complex* in, std::size_t in_dist,
+                        std::size_t nb, std::size_t h, std::size_t kept,
+                        const Complex* omega, Complex* z) {
+  c2r_prestep_impl<util::simd::ScalarPack>(in, in_dist, nb, h, kept, omega,
+                                           z);
+}
+
+void r2c_unravel_scalar(const Complex* z, std::size_t nb, std::size_t h,
+                        std::size_t kept, const Complex* omega, Complex* out,
+                        std::size_t out_dist) {
+  r2c_unravel_impl<util::simd::ScalarPack>(z, nb, h, kept, omega, out,
+                                           out_dist);
+}
+
+}  // namespace detail
 
 namespace {
 
 // Per-thread scratch shared by all real plans, checked out of the
 // workspace arena so it participates in the arena's peak accounting: the
 // r2c/c2r paths run once per grid line in the DNS, so per-call allocation
-// would dominate.
+// would dominate. Slot 0 is the half-length engine's staging buffer (and
+// the full-length fallback's line); slot 1 holds a natural-layout call's
+// block, which the block entry points take from their caller instead.
 util::WorkspaceArena::Handle<Complex>& scratch(std::size_t slot,
                                                std::size_t n) {
   thread_local util::WorkspaceArena::Handle<Complex> buf[2];
   buf[slot].ensure(n);
   return buf[slot];
+}
+
+// One backend per call, like the Stockham stages.
+void c2r_prestep(const Complex* in, std::size_t in_dist, std::size_t nb,
+                 std::size_t h, std::size_t kept, const Complex* omega,
+                 Complex* z) {
+#if defined(PSDNS_HAVE_AVX2)
+  if (util::simd::active_backend() == util::simd::Backend::Avx2) {
+    detail::c2r_prestep_avx2(in, in_dist, nb, h, kept, omega, z);
+    return;
+  }
+#endif
+  detail::c2r_prestep_scalar(in, in_dist, nb, h, kept, omega, z);
+}
+
+void r2c_unravel(const Complex* z, std::size_t nb, std::size_t h,
+                 std::size_t kept, const Complex* omega, Complex* out,
+                 std::size_t out_dist) {
+#if defined(PSDNS_HAVE_AVX2)
+  if (util::simd::active_backend() == util::simd::Backend::Avx2) {
+    detail::r2c_unravel_avx2(z, nb, h, kept, omega, out, out_dist);
+    return;
+  }
+#endif
+  detail::r2c_unravel_scalar(z, nb, h, kept, omega, out, out_dist);
 }
 
 }  // namespace
@@ -62,6 +109,50 @@ std::size_t PlanR2C::kept_count(std::size_t kept) const {
   return kept == 0 ? spectrum_size() : kept;
 }
 
+std::size_t PlanR2C::block_lines() const { return real_block_lines(n_ / 2); }
+
+template <class Body>
+void PlanR2C::for_each_block(std::size_t count, Body&& body) const {
+  const std::size_t bmax = block_lines();
+  const std::size_t blocks = (count + bmax - 1) / bmax;
+  const std::size_t stage = bmax * (n_ / 2);
+  // Blocks stripe across the worker pool; per-thread staging keeps them
+  // independent and the fixed bmax partition keeps results bitwise identical
+  // at any thread count (see PlanC2C::transform_batch).
+  util::ThreadPool::global().parallel_for(
+      "fft.r2c.batch", 0, blocks, [&](std::size_t blk) {
+        const std::size_t b0 = blk * bmax;
+        body(b0, std::min(bmax, count - b0), scratch(0, stage).data());
+      });
+}
+
+// The block core. The c2r pre-step writes the engine's input buffer, and
+// the engine's result lands in `data`, which is the block itself; the r2c
+// hands the block to the engine as its input buffer and unravels from
+// whichever buffer holds the result. Either way the only buffer beside the
+// block is `work`, and neither direction gathers or scatters.
+
+void PlanR2C::inverse_block(const Complex* in, std::size_t in_dist,
+                            std::size_t nb, std::size_t kept, Complex* blk,
+                            Complex* work) const {
+  const StockhamEngine& eng = *half_->stockham();
+  // The pre-step yields 2Z, which carries the c2r's factor 2 (the
+  // half-length unnormalized inverse carries h, the convention wants 2h):
+  // a power-of-two scaling, exact.
+  c2r_prestep(in, in_dist, nb, n_ / 2, kept, omega_.data(),
+              eng.prefers_work_input() ? work : blk);
+  eng.execute_batch(Direction::Inverse, blk, work, nb);
+}
+
+void PlanR2C::forward_block(Complex* blk, std::size_t nb, Complex* out,
+                            std::size_t out_dist, std::size_t kept,
+                            Complex* work) const {
+  const StockhamEngine& eng = *half_->stockham();
+  Complex* data = eng.prefers_work_input() ? work : blk;
+  eng.execute_batch(Direction::Forward, data, data == blk ? work : blk, nb);
+  r2c_unravel(data, nb, n_ / 2, kept, omega_.data(), out, out_dist);
+}
+
 void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
                             std::size_t out_dist, std::size_t count,
                             std::size_t kept) const {
@@ -77,61 +168,28 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
     }
     return;
   }
-  const StockhamEngine* eng = half_->stockham();
-
   const std::size_t h = n_ / 2;
-  const std::size_t bmax = batch_block_lines(h);
-  const std::size_t blocks = (count + bmax - 1) / bmax;
-
-  // Blocks stripe across the worker pool; per-thread staging keeps them
-  // independent and the fixed bmax partition keeps results bitwise identical
-  // at any thread count (see PlanC2C::transform_batch).
-  util::ThreadPool::global().parallel_for(
-      "fft.r2c.batch", 0, blocks, [&](std::size_t blk) {
-        const std::size_t b0 = blk * bmax;
-        const std::size_t nb = std::min(bmax, count - b0);
-        Complex* stage0 =
-            scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
-        Complex* stage1 =
-            scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
-        // Pack adjacent real pairs of every line, batch-innermost.
-        Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
-        for (std::size_t j = 0; j < h; ++j) {
-          const Real* col = in + b0 * in_dist + 2 * j;
-          Complex* dst = gbuf + j * nb;
-          for (std::size_t b = 0; b < nb; ++b) {
-            dst[b] = Complex{col[b * in_dist], col[b * in_dist + 1]};
-          }
-        }
-        eng->execute_batch(Direction::Forward, stage0, stage1, nb);
-        // Unravel X[k] = A[k] + w^k B[k] across the batch; the zk/zmk
-        // columns are contiguous nb-wide runs of the staging buffer.
-        for (std::size_t k = 0; k < kept; ++k) {
-          const Complex w = omega_[k];
-          const Complex* zkc = stage0 + (k == h ? 0 : k) * nb;
-          const Complex* zmc = stage0 + ((h - k) % h) * nb;
-          Complex* dst = out + b0 * out_dist + k;
-          for (std::size_t b = 0; b < nb; ++b) {
-            const double zkr = zkc[b].real(), zki = zkc[b].imag();
-            const double zmr = zmc[b].real(), zmi = -zmc[b].imag();
-            const double ar = 0.5 * (zkr + zmr), ai = 0.5 * (zki + zmi);
-            // (zk - zmk) / (2i) == (zk - zmk) * (-i/2)
-            const double br = 0.5 * (zki - zmi), bi = -0.5 * (zkr - zmr);
-            dst[b * out_dist] = Complex{ar + br * w.real() - bi * w.imag(),
-                                        ai + br * w.imag() + bi * w.real()};
-          }
-        }
-      });
+  for_each_block(count, [&](std::size_t b0, std::size_t nb, Complex* work) {
+    // Transposing copy into the block layout, then the block core.
+    Complex* blk = scratch(1, block_lines() * h).data();
+    for (std::size_t b = 0; b < nb; ++b) {
+      const Real* line = in + (b0 + b) * in_dist;
+      for (std::size_t j = 0; j < h; ++j) {
+        blk[b + nb * j] = Complex{line[2 * j], line[2 * j + 1]};
+      }
+    }
+    forward_block(blk, nb, out + b0 * out_dist, out_dist, kept, work);
+  });
 }
 
 void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
                             std::size_t out_dist, std::size_t count,
                             std::size_t kept) const {
   kept = kept_count(kept);
-  static constexpr Complex kZero{0.0, 0.0};
   if (!half_) {
     // Expand the conjugate-symmetric spectrum of each line, zero from
     // `kept` on, and take the full-length complex inverse.
+    static constexpr Complex kZero{0.0, 0.0};
     Complex* z = scratch(0, n_).data();
     for (std::size_t b = 0; b < count; ++b) {
       const Complex* spec = in + b * in_dist;
@@ -148,57 +206,46 @@ void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
     }
     return;
   }
-  const StockhamEngine* eng = half_->stockham();
-
   const std::size_t h = n_ / 2;
-  const std::size_t bmax = batch_block_lines(h);
-  const std::size_t blocks = (count + bmax - 1) / bmax;
+  for_each_block(count, [&](std::size_t b0, std::size_t nb, Complex* work) {
+    // The block core, then a transposing copy out of the block layout.
+    Complex* blk = scratch(1, block_lines() * h).data();
+    inverse_block(in + b0 * in_dist, in_dist, nb, kept, blk, work);
+    for (std::size_t b = 0; b < nb; ++b) {
+      Real* line = out + (b0 + b) * out_dist;
+      for (std::size_t j = 0; j < h; ++j) {
+        line[2 * j] = blk[b + nb * j].real();
+        line[2 * j + 1] = blk[b + nb * j].imag();
+      }
+    }
+  });
+}
 
-  util::ThreadPool::global().parallel_for(
-      "fft.r2c.batch", 0, blocks, [&](std::size_t blk) {
-        const std::size_t b0 = blk * bmax;
-        const std::size_t nb = std::min(bmax, count - b0);
-        Complex* stage0 =
-            scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
-        Complex* stage1 =
-            scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
-        // Recover the packed half-length spectrum Z[k] = A[k] + i*B[k]. A
-        // coefficient from `kept` on is read as kZero at line distance 0.
-        Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
-        const auto column = [&](std::size_t k) {
-          return k < kept ? std::pair{in + b0 * in_dist + k, in_dist}
-                          : std::pair{&kZero, std::size_t{0}};
-        };
-        for (std::size_t k = 0; k < h; ++k) {
-          const Complex wb = std::conj(omega_[k]);
-          const auto [xkc, kd] = column(k);
-          const auto [xmc, md] = column(h - k);
-          Complex* dst = gbuf + k * nb;
-          for (std::size_t b = 0; b < nb; ++b) {
-            const double xkr = xkc[b * kd].real();
-            const double xki = xkc[b * kd].imag();
-            const double xmr = xmc[b * md].real();
-            const double xmi = -xmc[b * md].imag();
-            const double ar = 0.5 * (xkr + xmr), ai = 0.5 * (xki + xmi);
-            const double dr = 0.5 * (xkr - xmr), di = 0.5 * (xki - xmi);
-            const double br = dr * wb.real() - di * wb.imag();
-            const double bi = dr * wb.imag() + di * wb.real();
-            // Z = a + i*b
-            dst[b] = Complex{ar - bi, ai + br};
-          }
-        }
-        eng->execute_batch(Direction::Inverse, stage0, stage1, nb);
-        // The half-length unnormalized inverse carries a factor h; the c2r
-        // convention wants n = 2h, hence the factor 2.
-        for (std::size_t j = 0; j < h; ++j) {
-          const Complex* src = stage0 + j * nb;
-          Real* col = out + b0 * out_dist + 2 * j;
-          for (std::size_t b = 0; b < nb; ++b) {
-            col[b * out_dist] = 2.0 * src[b].real();
-            col[b * out_dist + 1] = 2.0 * src[b].imag();
-          }
-        }
-      });
+void PlanR2C::inverse_blocks(const Complex* in, std::size_t in_dist,
+                             Real* phys, std::size_t count,
+                             std::size_t kept) const {
+  if (!half_) {
+    inverse_batch(in, in_dist, phys, n_, count, kept);
+    return;
+  }
+  kept = kept_count(kept);
+  for_each_block(count, [&](std::size_t b0, std::size_t nb, Complex* work) {
+    inverse_block(in + b0 * in_dist, in_dist, nb, kept,
+                  reinterpret_cast<Complex*>(phys + b0 * n_), work);
+  });
+}
+
+void PlanR2C::forward_blocks(Real* phys, Complex* out, std::size_t out_dist,
+                             std::size_t count, std::size_t kept) const {
+  if (!half_) {
+    forward_batch(phys, n_, out, out_dist, count, kept);
+    return;
+  }
+  kept = kept_count(kept);
+  for_each_block(count, [&](std::size_t b0, std::size_t nb, Complex* work) {
+    forward_block(reinterpret_cast<Complex*>(phys + b0 * n_), nb,
+                  out + b0 * out_dist, out_dist, kept, work);
+  });
 }
 
 std::shared_ptr<const PlanR2C> get_plan_r2c(std::size_t n) {

@@ -65,7 +65,8 @@ Real* const* DistFft3d::point_scratch(std::size_t nin, std::size_t nout,
 
 std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines) {
   const std::size_t block = fft::batch_block_lines(n / 2);
-  const std::size_t unit = std::lcm(block, plane_lines);
+  const std::size_t unit = std::lcm(
+      std::lcm(block, fft::real_block_lines(n / 2)), plane_lines);
   const auto threads =
       static_cast<std::size_t>(util::ThreadPool::global().threads());
   return (block * threads + unit - 1) / unit * unit;
@@ -324,15 +325,14 @@ void SlabFft3d::round_trip(std::span<const Complex* const> in,
       });
       x_inv.time([&] {
         for (std::size_t v = 0; v < nin; ++v) {
-          plan_x_->inverse_batch(y[v] + w * n_ * j0, w, phys[v], n_, lines,
-                                 w);
+          plan_x_->inverse_blocks(y[v] + w * n_ * j0, w, phys[v], lines, w);
         }
       });
       products.time([&] { kernel(ctx, phys, phys + nin, lines * n_); });
       x_fwd.time([&] {
         for (std::size_t t = 0; t < nout; ++t) {
-          plan_x_->forward_batch(phys[nin + t], n_, y[t] + w * n_ * j0, w,
-                                 lines, w);
+          plan_x_->forward_blocks(phys[nin + t], y[t] + w * n_ * j0, w, lines,
+                                  w);
         }
       });
       z_fwd.time([&] {
@@ -492,15 +492,14 @@ void PencilFft3d::round_trip(std::span<const Complex* const> in,
       const std::size_t lines = std::min(group, total - l0);
       x_inv.time([&] {
         for (std::size_t v = 0; v < nin; ++v) {
-          plan_x_->inverse_batch(px_[v].data() + h * l0, h, phys[v], n_,
-                                 lines);
+          plan_x_->inverse_blocks(px_[v].data() + h * l0, h, phys[v], lines);
         }
       });
       products.time([&] { kernel(ctx, phys, phys + nin, lines * n_); });
       x_fwd.time([&] {
         for (std::size_t t = 0; t < nout; ++t) {
-          plan_x_->forward_batch(phys[nin + t], n_, px_[t].data() + h * l0,
-                                 h, lines);
+          plan_x_->forward_blocks(phys[nin + t], px_[t].data() + h * l0, h,
+                                  lines);
         }
       });
     }

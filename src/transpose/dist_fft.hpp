@@ -32,13 +32,19 @@
 // full-size physical field. The paper keeps each pencil batch resident
 // through its stages the same way (Fig. 4).
 //  - Group size: round_trip_group_lines() x-lines, a whole number of planes
-//    that is a multiple of the x pass's r2c block and holds at least one
-//    block per pool thread; the last group takes the remainder. The x
-//    pass's block partition is therefore that of a whole-slab call, and
-//    every output bit equals the unfused path's.
+//    that is a multiple of the x pass's r2c block; the last group takes
+//    the remainder. The x pass's block partition is therefore that of a
+//    whole-slab call, and every output bit equals the unfused path's.
+//  - The x passes run through fft::PlanR2C's block entry points: the
+//    group's physical scratch holds each block of x-lines in the half-length
+//    engine's batch-innermost order, so the c2r lands in it and the r2c
+//    starts from it in L1, with no scatter and no gather.
 //  - The kernel is called once per group, in order, with point counts that
-//    sum to physical_elems(). It must be pointwise and must not
-//    communicate; it may fold running state (e.g. a max) into its context.
+//    sum to physical_elems(). Within a group the points reach it in a
+//    plan-private order (the same for every field): call c sees exactly the
+//    values of the unfused inverse's x-lines of group c, permuted. It must
+//    be pointwise and must not communicate; it may fold order-free running
+//    state (e.g. a max) into its context.
 //  - The outputs double as scratch: before the forward passes write them,
 //    the backends park the inputs' inverse-transform intermediates there.
 //    Output v may be input v's own buffer (the intermediate then replaces
@@ -62,7 +68,8 @@
 // scalar code without FMA: an odd width would move its last line out of
 // the lane it has in the unbanded pass and change its bits. This relies on
 // every batch block starting on an even line: fft::batch_block_lines(N)
-// is 64 up to N = 512.
+// is 64 up to N = 512, and fft::real_block_lines(h) is an even power of
+// two for every h.
 // The banded forward/inverse are non-pure: the base versions call the
 // unbanded forms, so a forwarding decorator that overrides only those
 // (perfbench's TimedFft) runs unbanded, with every kept bit the same.
@@ -91,15 +98,20 @@ using fft::Complex;
 using fft::Real;
 
 /// Pointwise physical-space kernel of DistFft3d::round_trip: reads in[f][i]
-/// and writes out[t][i] for i < points. A function pointer plus a context
-/// pointer, as util::ThreadPool's jobs are, so a call allocates nothing.
+/// and writes out[t][i] for i < points. Point i is the same grid point in
+/// every field, but which one is the backend's business: the order is
+/// plan-private within a round trip group. A function pointer plus a
+/// context pointer, as util::ThreadPool's jobs are, so a call allocates
+/// nothing.
 using PointKernel = void (*)(void* ctx, const Real* const* in,
                              Real* const* out, std::size_t points);
 
 /// x-lines per round_trip group for an N = n grid whose planes hold
 /// `plane_lines` x-lines: the smallest whole number of planes that is a
-/// multiple of fft::batch_block_lines(n/2) and holds at least one such
-/// block per pool thread.
+/// multiple of the x pass's block fft::real_block_lines(n/2) and of
+/// B = fft::batch_block_lines(n/2), and holds at least B lines per pool
+/// thread. B (64 lines up to n = 1024, a multiple of the x block there)
+/// keeps the groups as long as the slab's per-group z passes need.
 std::size_t round_trip_group_lines(std::size_t n, std::size_t plane_lines);
 
 /// Decomposition-agnostic distributed 3-D FFT backend.
@@ -147,10 +159,11 @@ class DistFft3d {
   /// separate buffers (the engine round-trips phase-shifted copies that
   /// live in its outputs). No other output may alias an input. Inputs
   /// and outputs are banded by `band`. The default runs exactly that, with
-  /// full-size physical scratch and one kernel call over all points
-  /// (through the banded forward/inverse); the backends override it with
-  /// the grouped schedule described at the top of this file, bitwise equal
-  /// to the default inside the band.
+  /// full-size physical scratch and one kernel call over all points in
+  /// natural order (through the banded forward/inverse); the backends
+  /// override it with the grouped schedule described at the top of this
+  /// file, which hands the kernel each group's points in a plan-private
+  /// order and is bitwise equal to the default inside the band.
   virtual void round_trip(std::span<const Complex* const> in,
                           PointKernel kernel, void* ctx,
                           std::span<Complex* const> out,

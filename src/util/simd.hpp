@@ -146,6 +146,26 @@ struct ScalarPack {
   ScalarPack axpy(ScalarPack x, ScalarPack wr, ScalarPack wi) const {
     return axpy(x, wr.re, wi.re);
   }
+
+  // Unfused lane-wise vocabulary: one IEEE operation per lane and no FMA,
+  // so a kernel built from it gives the same bits in every backend (when
+  // its translation unit is compiled with -ffp-contract=off).
+
+  /// Every complex lane = w.
+  static ScalarPack splat(std::complex<double> w) {
+    return {w.real(), w.imag()};
+  }
+  friend ScalarPack operator*(ScalarPack a, ScalarPack b) {
+    return {a.re * b.re, a.im * b.im};
+  }
+  /// (re - b.re, im + b.im)
+  ScalarPack addsub(ScalarPack b) const { return {re - b.re, im + b.im}; }
+  ScalarPack conj() const { return {re, -im}; }
+  ScalarPack dup_re() const { return {re, re}; }
+  ScalarPack dup_im() const { return {im, im}; }
+  /// Transposes a width x width tile of complexes held as `width` packs
+  /// (pack i = row i); a no-op at width 1.
+  static void transpose(ScalarPack*) {}
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -207,6 +227,28 @@ struct Avx2Pack {
     const __m256d sw = _mm256_permute_pd(x.v, 0x5);
     const __m256d xw = _mm256_fmaddsub_pd(x.v, wr.v, _mm256_mul_pd(sw, wi.v));
     return {_mm256_add_pd(v, xw)};
+  }
+
+  // Unfused lane-wise vocabulary (see ScalarPack).
+
+  static Avx2Pack splat(std::complex<double> w) {
+    return {_mm256_setr_pd(w.real(), w.imag(), w.real(), w.imag())};
+  }
+  friend Avx2Pack operator*(Avx2Pack a, Avx2Pack b) {
+    return {_mm256_mul_pd(a.v, b.v)};
+  }
+  Avx2Pack addsub(Avx2Pack b) const { return {_mm256_addsub_pd(v, b.v)}; }
+  Avx2Pack conj() const {
+    return {_mm256_xor_pd(v, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))};
+  }
+  Avx2Pack dup_re() const { return {_mm256_movedup_pd(v)}; }
+  Avx2Pack dup_im() const { return {_mm256_permute_pd(v, 0xF)}; }
+  /// (a0, a1), (b0, b1) -> (a0, b0), (a1, b1).
+  static void transpose(Avx2Pack* t) {
+    const __m256d lo = _mm256_permute2f128_pd(t[0].v, t[1].v, 0x20);
+    const __m256d hi = _mm256_permute2f128_pd(t[0].v, t[1].v, 0x31);
+    t[0].v = lo;
+    t[1].v = hi;
   }
 };
 

@@ -231,6 +231,45 @@ bool bitwise_equal(const std::vector<Complex>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
 }
 
+TEST(MaxAbs, IsTheSerialFoldBitwiseAndIgnoresNaN) {
+  // The CFL fold against acc = std::max(acc, std::abs(v[i])) over every
+  // count up to 37 (all remainders of the accumulator split), with NaN
+  // points first, last, inside and everywhere, infinities, zeros of both
+  // signs, and NaN or -0 as the starting value.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto serial = [](const std::vector<double>& v, double init) {
+    double acc = init;
+    for (const double x : v) acc = std::max(acc, std::abs(x));
+    return acc;
+  };
+  util::Rng rng(17);
+  for (std::size_t count = 0; count <= 37; ++count) {
+    std::vector<double> base(count);
+    for (auto& x : base) x = rng.gaussian();
+    std::vector<std::vector<double>> cases{base};
+    for (const std::size_t at : {std::size_t{0}, count / 2, count - 1}) {
+      if (at >= count) continue;
+      auto nan = base;
+      nan[at] = kNaN;
+      cases.push_back(nan);
+      auto inf = base;
+      inf[at] = -kInf;
+      cases.push_back(inf);
+    }
+    cases.emplace_back(count, kNaN);
+    cases.emplace_back(count, -0.0);
+    for (const auto& v : cases) {
+      for (const double init : {0.0, -0.0, 0.5, kNaN}) {
+        const double want = serial(v, init);
+        const double got = max_abs(v.data(), v.size(), init);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "count " << count << " init " << init;
+      }
+    }
+  }
+}
+
 TEST(FusedTruncation, EqualsScaleThenTruncateBitwise) {
   const double scale = 1.0 / 4096.0 / 3.0;  // not a power of two
   for (const auto& view : row_pass_views()) {
@@ -1074,6 +1113,36 @@ TEST(Regrid, UpsamplingPreservesEverySharedMode) {
     for (std::size_t k = 10; k < sb.size(); ++k) {
       EXPECT_EQ(sb[k], 0.0) << "new shell " << k;
     }
+  });
+}
+
+TEST(Regrid, PhaseShiftedDestinationKeepsItsSphere) {
+  // A phase-shifted engine truncates with the sqrt(2)/3 N sphere, which
+  // keeps modes outside the 2/3 cube: regridding into one (here at the
+  // same n, a copy) must keep every such mode the source holds.
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    SolverConfig config;
+    config.n = 32;
+    config.phase_shift_dealias = true;
+    SpectralEngine a(comm, config);
+    a.init_isotropic(5, 9.0, 0.5);
+    SpectralEngine b(comm, config);
+    spectral_regrid(a, b);
+
+    std::size_t beyond_cube = 0;
+    for (std::size_t f = 0; f < a.field_count(); ++f) {
+      const std::size_t modes = a.modes().local_modes();
+      std::vector<Complex> cube(a.field(f), a.field(f) + modes);
+      dealias_truncate(a.modes(), cube.data());
+      for (std::size_t i = 0; i < modes; ++i) {
+        if (cube[i] == Complex{0.0, 0.0} && a.field(f)[i] != cube[i]) {
+          ++beyond_cube;
+          ASSERT_EQ(b.field(f)[i], a.field(f)[i]) << "field " << f << " mode "
+                                                  << i;
+        }
+      }
+    }
+    EXPECT_GT(beyond_cube, 0u);
   });
 }
 

@@ -358,6 +358,17 @@ TEST(PlanCache, ReturnsSharedInstance) {
 
 // --- real transforms ---
 
+// Restores the dispatched kernel backend (and with it the documented
+// env/CPUID selection order) no matter how the test exits.
+class BackendGuard {
+ public:
+  BackendGuard() : saved_(util::simd::active_backend()) {}
+  ~BackendGuard() { util::simd::set_backend(saved_); }
+
+ private:
+  util::simd::Backend saved_;
+};
+
 class R2CLength : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(R2CLength, ForwardMatchesComplexDft) {
@@ -405,7 +416,7 @@ TEST(R2C, KeptCountIsBitwiseTheFullSpectrum) {
   // A batched forward keeping `kept` coefficients writes exactly the first
   // `kept` of the full forward, bitwise, and nothing past them; a batched
   // inverse reading `kept` equals, bitwise, the full inverse of the
-  // spectrum zeroed from `kept` on. 70 lines span two r2c blocks; the
+  // spectrum zeroed from `kept` on. 70 lines span several r2c blocks; the
   // spectra sit at a pitch past spectrum_size(). 46 = 2*23 and 97 take the
   // full-length fallback.
   constexpr std::size_t kLines = 70;
@@ -461,6 +472,217 @@ TEST(R2C, NyquistAndMeanAreReal) {
   plan.forward(x.data(), spec.data());
   EXPECT_NEAR(spec.front().imag(), 0.0, 1e-12);
   EXPECT_NEAR(spec.back().imag(), 0.0, 1e-12);
+}
+
+// --- block layout of the real transforms ---
+
+/// Whether PlanR2C(n) runs the half-length engine (and so uses the block
+/// layout); other lengths keep the natural layout.
+bool has_block_layout(std::size_t n) {
+  return n % 2 == 0 && get_plan(n / 2)->stockham() != nullptr;
+}
+
+/// Index in PlanR2C's block layout of real x[j] of line l (`count` lines),
+/// as real.hpp documents it.
+std::size_t block_index(const PlanR2C& plan, std::size_t count,
+                        std::size_t l, std::size_t j) {
+  const std::size_t n = plan.size();
+  if (!has_block_layout(n)) return l * n + j;
+  const std::size_t bsz = plan.block_lines();
+  const std::size_t b0 = l / bsz * bsz;
+  const std::size_t nb = std::min(bsz, count - b0);
+  return b0 * n + 2 * ((l - b0) + nb * (j / 2)) + j % 2;
+}
+
+TEST(R2C, BlockLayoutIsTheNaturalBatchPermuted) {
+  // inverse_blocks writes bitwise the reals inverse_batch writes, at the
+  // documented block positions; forward_blocks of the permuted lines
+  // writes bitwise forward_batch's coefficients and nothing past `kept`.
+  // Lengths: power-of-two and radix-3 halves, odd h (18), an odd length
+  // and a Bluestein half (194) on the natural fallback; `kept` odd and
+  // even; counts that are not multiples of the block; both backends; 1
+  // and 4 pool threads (the block partition does not depend on them).
+  auto& pool = util::ThreadPool::global();
+  const int prev = pool.threads();
+  BackendGuard guard;
+  std::vector<util::simd::Backend> backends{util::simd::Backend::Scalar};
+  if (util::simd::avx2_supported()) {
+    backends.push_back(util::simd::Backend::Avx2);
+  }
+  for (const auto backend : backends) {
+    util::simd::set_backend(backend);
+    for (const int threads : {1, 4}) {
+      pool.set_threads(threads);
+      for (const std::size_t n : {16, 18, 24, 96, 128, 15, 194}) {
+        const auto plan = get_plan_r2c(n);
+        const std::size_t spec = plan->spectrum_size();
+        const std::size_t bsz = plan->block_lines();
+        for (const std::size_t count : {std::size_t{1}, std::size_t{3},
+                                        bsz + 1, 2 * bsz + 5}) {
+          for (const std::size_t kept : {spec, spec - 1, spec / 2 + 1, 1ul}) {
+            const std::string where =
+                "n=" + std::to_string(n) + " count=" + std::to_string(count) +
+                " kept=" + std::to_string(kept) +
+                " threads=" + std::to_string(threads) + " backend=" +
+                util::simd::to_string(backend);
+            const std::size_t pitch = kept + 3;
+            util::Rng rng(31 * n + count + kept);
+            std::vector<Complex> in(count * pitch);
+            for (auto& c : in) c = Complex{rng.gaussian(), rng.gaussian()};
+
+            std::vector<Real> natural(count * n), blocks(count * n, -5.0);
+            plan->inverse_batch(in.data(), pitch, natural.data(), n, count,
+                                kept);
+            plan->inverse_blocks(in.data(), pitch, blocks.data(), count,
+                                 kept);
+            for (std::size_t l = 0; l < count; ++l) {
+              for (std::size_t j = 0; j < n; ++j) {
+                const Real got = blocks[block_index(*plan, count, l, j)];
+                ASSERT_EQ(std::memcmp(&got, &natural[l * n + j],
+                                      sizeof(Real)),
+                          0)
+                    << where << " inverse line " << l << " x " << j;
+              }
+            }
+
+            const Complex garbage{-7.0, 3.0};
+            std::vector<Complex> want(count * pitch, garbage);
+            std::vector<Complex> got(count * pitch, garbage);
+            plan->forward_batch(natural.data(), n, want.data(), pitch, count,
+                                kept);
+            plan->forward_blocks(blocks.data(), got.data(), pitch, count,
+                                 kept);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(Complex)),
+                      0)
+                << where << " forward";
+            for (std::size_t l = 0; l < count; ++l) {
+              ASSERT_EQ(got[l * pitch + kept], garbage) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  pool.set_threads(prev);
+}
+
+TEST(R2C, BlockSizeIsAnEvenPowerOfTwoInL1) {
+  // 16 KiB per buffer: 16 lines at h = 64, clamped to [2, 64]; every
+  // block starts on an even line and divides the c2c block up to h = 512.
+  EXPECT_EQ(real_block_lines(64), 16u);
+  EXPECT_EQ(real_block_lines(48), 16u);
+  EXPECT_EQ(real_block_lines(8), 64u);
+  EXPECT_EQ(real_block_lines(1 << 14), 2u);
+  for (std::size_t h = 1; h <= 4096; ++h) {
+    const std::size_t b = real_block_lines(h);
+    ASSERT_EQ(b % 2, 0u) << h;
+    ASSERT_EQ(b & (b - 1), 0u) << h;
+    if (h <= 512) {
+      ASSERT_EQ(batch_block_lines(h) % b, 0u) << h;
+    }
+  }
+  EXPECT_EQ(PlanR2C(128).block_lines(), 16u);
+}
+
+/// The c2r pre-step and r2c unravel as the scalar formulas real_kernels.hpp
+/// documents, one coefficient of one line at a time. This file is compiled
+/// with -ffp-contract=off, like the kernels.
+void prestep_reference(const Complex* in, std::size_t in_dist, std::size_t nb,
+                       std::size_t h, std::size_t kept, const Complex* omega,
+                       Complex* z) {
+  const auto coef = [&](std::size_t b, std::size_t k) {
+    return k < kept ? in[b * in_dist + k] : Complex{0.0, 0.0};
+  };
+  for (std::size_t k = 0; k < h; ++k) {
+    const Complex wb = std::conj(omega[k]);
+    for (std::size_t b = 0; b < nb; ++b) {
+      const double xkr = coef(b, k).real(), xki = coef(b, k).imag();
+      const double xmr = coef(b, h - k).real(), xmi = -coef(b, h - k).imag();
+      const double ar = xkr + xmr, ai = xki + xmi;
+      const double dr = xkr - xmr, di = xki - xmi;
+      const double br = dr * wb.real() - di * wb.imag();
+      const double bi = dr * wb.imag() + di * wb.real();
+      z[b + nb * k] = Complex{ar - bi, ai + br};
+    }
+  }
+}
+
+void unravel_reference(const Complex* z, std::size_t nb, std::size_t h,
+                       std::size_t kept, const Complex* omega, Complex* out,
+                       std::size_t out_dist) {
+  for (std::size_t k = 0; k < kept; ++k) {
+    const Complex w = omega[k];
+    for (std::size_t b = 0; b < nb; ++b) {
+      const Complex zk = z[b + nb * (k == h ? 0 : k)];
+      const Complex zm = z[b + nb * ((h - k) % h)];
+      const double zkr = zk.real(), zki = zk.imag();
+      const double zmr = zm.real(), zmi = -zm.imag();
+      const double ar = 0.5 * (zkr + zmr), ai = 0.5 * (zki + zmi);
+      const double br = 0.5 * (zki - zmi), bi = -0.5 * (zkr - zmr);
+      out[b * out_dist + k] = Complex{ar + br * w.real() - bi * w.imag(),
+                                      ai + br * w.imag() + bi * w.real()};
+    }
+  }
+}
+
+TEST(R2C, BlockLayoutKernelsAreBitwiseTheScalarFormulasInEveryBackend) {
+  // The tiled pre-step and unravel against the one-coefficient-at-a-time
+  // formulas: scalar twin and AVX2 instantiation, odd and even line
+  // counts, h (with h = 1, the n = 2 case) and `kept`. The inputs include
+  // exact zeros of both signs, whose signs the kernels must keep too.
+  using KernelPair = std::pair<decltype(&detail::c2r_prestep_scalar),
+                               decltype(&detail::r2c_unravel_scalar)>;
+  std::vector<std::pair<std::string, KernelPair>> kernels{
+      {"scalar", {&detail::c2r_prestep_scalar, &detail::r2c_unravel_scalar}}};
+#if defined(PSDNS_HAVE_AVX2)
+  if (util::simd::avx2_supported()) {
+    kernels.push_back(
+        {"avx2", {&detail::c2r_prestep_avx2, &detail::r2c_unravel_avx2}});
+  }
+#endif
+  for (const std::size_t h : {1, 2, 8, 9, 24, 48, 64}) {
+    std::vector<Complex> omega(h + 1);
+    for (std::size_t k = 0; k <= h; ++k) {
+      const double phase =
+          -std::numbers::pi * static_cast<double>(k) / static_cast<double>(h);
+      omega[k] = Complex{std::cos(phase), std::sin(phase)};
+    }
+    for (const std::size_t nb : {1, 2, 3, 16, 17}) {
+      for (const std::size_t kept : {h + 1, h, h / 2 + 1, std::size_t{1}}) {
+        if (kept == 0 || kept > h + 1) continue;
+        const std::size_t pitch = kept + 1;
+        util::Rng rng(h * 100 + nb * 7 + kept);
+        std::vector<Complex> spec(nb * pitch), z(nb * h);
+        for (auto& c : spec) c = Complex{rng.gaussian(), rng.gaussian()};
+        for (auto& c : z) c = Complex{rng.gaussian(), rng.gaussian()};
+        for (std::size_t i = 0; i < spec.size(); i += 5) spec[i] = {0.0, -0.0};
+        for (std::size_t i = 0; i < z.size(); i += 5) z[i] = {-0.0, 0.0};
+        std::vector<Complex> zwant(nb * h), xwant(nb * pitch, {9.0, 9.0});
+        prestep_reference(spec.data(), pitch, nb, h, kept, omega.data(),
+                          zwant.data());
+        unravel_reference(z.data(), nb, h, kept, omega.data(), xwant.data(),
+                          pitch);
+        for (const auto& [name, fns] : kernels) {
+          const std::string where = name + " h=" + std::to_string(h) +
+                                    " nb=" + std::to_string(nb) +
+                                    " kept=" + std::to_string(kept);
+          std::vector<Complex> zgot(nb * h), xgot(nb * pitch, {9.0, 9.0});
+          fns.first(spec.data(), pitch, nb, h, kept, omega.data(),
+                    zgot.data());
+          fns.second(z.data(), nb, h, kept, omega.data(), xgot.data(), pitch);
+          EXPECT_EQ(std::memcmp(zgot.data(), zwant.data(),
+                                zgot.size() * sizeof(Complex)),
+                    0)
+              << where << " pre-step";
+          EXPECT_EQ(std::memcmp(xgot.data(), xwant.data(),
+                                xgot.size() * sizeof(Complex)),
+                    0)
+              << where << " unravel";
+        }
+      }
+    }
+  }
 }
 
 // --- 3-D transforms ---
@@ -606,17 +828,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Fft3dBatched,
                          });
 
 // --- SIMD backend dispatch ---
-
-// Restores the dispatched kernel backend (and with it the documented
-// env/CPUID selection order) no matter how the test exits.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(util::simd::active_backend()) {}
-  ~BackendGuard() { util::simd::set_backend(saved_); }
-
- private:
-  util::simd::Backend saved_;
-};
 
 // Runs a batched transform of `count` lines of length n under the given
 // backend; plane layout (dist 1) to cover the fused gather-free path, and

@@ -755,7 +755,8 @@ TEST_P(RoundTripP, OverrideBitwiseEqualsInverseKernelForward) {
   // (inverse into full-size scratch, one kernel call, forward): every
   // output bit, the kernel's max and its group sizes, at 1 and 4 pool
   // threads. At n = 24 and 48 a Y-plane's line count is not a multiple
-  // of the 64-line r2c block, so slab groups span several planes. The
+  // of the 64-line group unit (batch_block_lines(n/2), a multiple of the
+  // r2c block), so slab groups span several planes. The
   // backends use the outputs as scratch, so each is exactly
   // spectral_elems() long and prefilled with garbage: ASan catches an
   // overrun and the bitwise check a leak of scratch into the result.
@@ -918,6 +919,118 @@ void expect_band_equal(const ModeView& view, const SpectralBand& band,
   });
   EXPECT_EQ(differ, 0u) << where;
 }
+
+/// Records, call by call, the values its inputs hold; writes input 0 to
+/// every output.
+struct RecordingKernel {
+  std::size_t nin = 0, nout = 0;
+  std::vector<std::vector<std::vector<Real>>> calls;  // [call][field][point]
+
+  static void run(void* ctx, const Real* const* in, Real* const* out,
+                  std::size_t points) {
+    auto& k = *static_cast<RecordingKernel*>(ctx);
+    auto& call = k.calls.emplace_back(k.nin);
+    for (std::size_t f = 0; f < k.nin; ++f) {
+      call[f].assign(in[f], in[f] + points);
+    }
+    for (std::size_t t = 0; t < k.nout; ++t) {
+      std::copy(in[0], in[0] + points, out[t]);
+    }
+  }
+};
+
+/// The bit patterns of `v`, sorted: equal for two ranges that hold the
+/// same multiset of doubles, signed zeros and NaN payloads included.
+std::vector<std::uint64_t> sorted_bits(const Real* v, std::size_t count) {
+  std::vector<std::uint64_t> bits(count);
+  std::memcpy(bits.data(), v, count * sizeof(Real));
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+class RoundTripKernelP : public ::testing::TestWithParam<RoundTripCase> {};
+
+TEST_P(RoundTripKernelP, SeesTheNaturalInverseGroupByGroup) {
+  // Inside a group the x pass leaves the points in the r2c plan's block
+  // layout, so the kernel sees them in a plan-private order. Each call's
+  // values are still exactly, as a multiset per field, the natural
+  // inverse's values over that call's range of x-lines. n = 48 and 64
+  // split a group into several x-pass blocks.
+  const auto [pencil, pr, pc] = GetParam();
+  const int ranks = pencil ? pr * pc : pr;
+  constexpr std::size_t kIn = 3, kOut = 2;
+  for (const std::size_t n : {16, 48, 64}) {
+    comm::run_ranks(ranks, [&](comm::Communicator& comm) {
+      std::unique_ptr<DistFft3d> fft3;
+      if (pencil) {
+        fft3 = std::make_unique<PencilFft3d>(comm, n, pr, pc);
+      } else {
+        fft3 = std::make_unique<SlabFft3d>(comm, n);
+      }
+      for (const bool banded : {false, true}) {
+        const auto band = banded ? SpectralBand::of_radius(n, (n - 1) / 3)
+                                 : SpectralBand::full(n);
+        const std::size_t spec = fft3->spectral_elems();
+        const std::size_t points = fft3->physical_elems();
+        const ModeView view = fft3->mode_view();
+        util::Rng rng(n + (banded ? 1 : 0),
+                      static_cast<std::uint64_t>(comm.rank()));
+        std::vector<std::vector<Complex>> in(kIn, std::vector<Complex>(spec));
+        std::vector<const Complex*> in_ptrs;
+        for (auto& field : in) {
+          for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
+            field[idx] = in_band(band, kx, ky, kz)
+                             ? Complex{rng.gaussian(), rng.gaussian()}
+                             : Complex{0.0, 0.0};
+          });
+          in_ptrs.push_back(field.data());
+        }
+        std::vector<std::vector<Real>> natural(kIn, std::vector<Real>(points));
+        std::vector<Real*> natural_ptrs;
+        for (auto& field : natural) natural_ptrs.push_back(field.data());
+        fft3->inverse(in_ptrs, natural_ptrs, band);
+
+        std::vector<std::vector<Complex>> out(kOut,
+                                              std::vector<Complex>(spec));
+        std::vector<Complex*> out_ptrs;
+        for (auto& field : out) out_ptrs.push_back(field.data());
+        RecordingKernel kernel;
+        kernel.nin = kIn;
+        kernel.nout = kOut;
+        fft3->round_trip(in_ptrs, &RecordingKernel::run, &kernel, out_ptrs,
+                         band);
+
+        const std::string where = "n=" + std::to_string(n) +
+                                  (banded ? " banded" : " full") +
+                                  " rank=" + std::to_string(comm.rank());
+        std::size_t offset = 0;
+        for (std::size_t c = 0; c < kernel.calls.size(); ++c) {
+          const std::size_t count = kernel.calls[c][0].size();
+          ASSERT_EQ(count % n, 0u) << where << " call " << c;
+          ASSERT_LE(offset + count, points) << where << " call " << c;
+          for (std::size_t f = 0; f < kIn; ++f) {
+            ASSERT_EQ(sorted_bits(kernel.calls[c][f].data(), count),
+                      sorted_bits(natural[f].data() + offset, count))
+                << where << " call " << c << " field " << f;
+          }
+          offset += count;
+        }
+        EXPECT_EQ(offset, points) << where;
+      }
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RoundTripKernelP,
+    ::testing::Values(RoundTripCase{false, 1, 1}, RoundTripCase{false, 2, 1},
+                      RoundTripCase{true, 1, 2}),
+    [](const ::testing::TestParamInfo<RoundTripCase>& pinfo) {
+      const auto& c = pinfo.param;
+      return c.pencil ? "PencilPr" + std::to_string(c.pr) + "Pc" +
+                            std::to_string(c.pc)
+                      : "SlabR" + std::to_string(c.pr);
+    });
 
 struct BandedCase {
   bool pencil;
