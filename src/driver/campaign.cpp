@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <numbers>
+#include <optional>
 
 #include "io/checkpoint.hpp"
 #include "obs/exposition.hpp"
@@ -15,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::driver {
 
@@ -176,13 +178,13 @@ CampaignResult run_campaign(comm::Communicator& comm,
     }
   }
 
-  std::unique_ptr<io::SeriesWriter> series;
+  // A restarted segment appends to its series and telemetry files: the
+  // interrupted run's rows are part of the campaign record, not scratch.
+  const auto log_mode = result.restarted ? util::LineLog::Mode::Append
+                                         : util::LineLog::Mode::Truncate;
+  std::optional<io::SeriesWriter> series;
   if (comm.rank() == 0 && !cfg.series_path.empty()) {
-    // A restarted segment appends: the interrupted run's rows are part of
-    // the campaign record, not scratch to be truncated.
-    series = std::make_unique<io::SeriesWriter>(
-        cfg.series_path, result.restarted ? io::SeriesWriter::Mode::Append
-                                          : io::SeriesWriter::Mode::Truncate);
+    series.emplace(cfg.series_path, log_mode);
   }
 
   // --- telemetry plane -------------------------------------------------
@@ -203,7 +205,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
       reduce_every_step || health_cfg.mode == obs::HealthMode::Strict;
 
   std::unique_ptr<obs::MetricsServer> server;
-  std::unique_ptr<obs::SeriesJsonlWriter> telemetry_series;
+  std::optional<util::LineLog> telemetry_series;
   obs::SeriesRing telemetry_ring;
   if (comm.rank() == 0) {
     if (metrics_port >= 0) {
@@ -216,10 +218,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
                      {{"port", static_cast<std::int64_t>(server->port())}});
     }
     if (!telemetry_path.empty()) {
-      telemetry_series = std::make_unique<obs::SeriesJsonlWriter>(
-          telemetry_path, result.restarted
-                              ? obs::SeriesJsonlWriter::Mode::Append
-                              : obs::SeriesJsonlWriter::Mode::Truncate);
+      telemetry_series.emplace(telemetry_path, log_mode);
     }
   }
   obs::Registry rank_metrics;  // per-rank values feeding straggler stats
@@ -269,7 +268,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
         for (const auto& nv : sysd) {
           obs::registry().gauge_set("driver.system." + nv.name, nv.value);
         }
-        if (series != nullptr) {
+        if (series) {
           series->append(solver.step_count(), solver.time(), d, dt,
                          wall * 1e3);
         }
@@ -348,7 +347,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
         }
       }
       if (comm.rank() == 0) {
-        if (telemetry_series != nullptr) telemetry_series->append(reduced);
+        if (telemetry_series) telemetry_series->append(reduced.to_json());
         if (server != nullptr) {
           server->publish(obs::to_prometheus(reduced, health.report()),
                           obs::to_exposition_json(reduced, health.report()),

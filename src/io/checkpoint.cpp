@@ -13,6 +13,7 @@
 #include "resilience/crc32c.hpp"
 #include "resilience/fault.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::io {
 
@@ -36,12 +37,20 @@ struct FileCloser {
 };
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
-void write_exact(std::FILE* f, const void* data, std::size_t bytes,
-                 const std::string& file) {
-  if (std::fwrite(data, 1, bytes, f) != bytes) {
-    throw CheckpointError(CheckpointErrc::IoFailed, file,
-                          "write failed (disk full?)");
+/// Runs one step of the AtomicFile write, rethrowing its util::Error as
+/// the typed CheckpointError the collective agreement broadcasts.
+template <class Fn>
+void typed_io(CheckpointErrc code, const std::string& file, Fn&& fn) {
+  try {
+    fn();
+  } catch (const util::Error& e) {
+    throw CheckpointError(code, file, e.what());
   }
+}
+
+void write_exact(util::AtomicFile& f, const void* data, std::size_t bytes) {
+  typed_io(CheckpointErrc::IoFailed, f.tmp_path(),
+           [&] { f.write(data, bytes); });
   obs::registry().counter_add("io.checkpoint.write_bytes",
                               static_cast<std::int64_t>(bytes));
 }
@@ -56,11 +65,10 @@ void read_exact(std::FILE* f, void* data, std::size_t bytes,
                               static_cast<std::int64_t>(bytes));
 }
 
-void write_header(std::FILE* f, const CheckpointInfo& info,
-                  const std::string& file) {
+void write_header(util::AtomicFile& f, const CheckpointInfo& info) {
   std::uint32_t crc = 0;
   const auto put = [&](const void* p, std::size_t n) {
-    write_exact(f, p, n, file);
+    write_exact(f, p, n);
     crc = resilience::crc32c(p, n, crc);
   };
   put(kMagic, sizeof kMagic);
@@ -70,7 +78,7 @@ void write_header(std::FILE* f, const CheckpointInfo& info,
   put(&info.step, sizeof info.step);
   put(&info.viscosity, sizeof info.viscosity);
   put(&info.scalars, sizeof info.scalars);
-  write_exact(f, &crc, sizeof crc, file);
+  write_exact(f, &crc, sizeof crc);
 }
 
 CheckpointInfo read_header(std::FILE* f, const std::string& file) {
@@ -151,7 +159,7 @@ void rotate_chain(const std::string& path, int keep) {
 
 /// The rank-0 write transaction: tmp file with per-section CRCs, rotation,
 /// atomic rename. Retryable as a unit (it never touches `path` until the
-/// final rename).
+/// final rename, and rotates only once the tmp file is complete).
 void write_transaction(const std::string& path, const CheckpointOptions& opts,
                        const CheckpointInfo& info,
                        std::vector<std::vector<Complex>>& fields) {
@@ -161,46 +169,35 @@ void write_transaction(const std::string& path, const CheckpointOptions& opts,
   if (fault == FaultKind::Throw) {
     throw resilience::InjectedFault(resilience::site::ckpt_write, *fault);
   }
-  const std::string tmp = path + ".tmp";
-  {
-    File f(std::fopen(tmp.c_str(), "wb"));
-    if (f == nullptr) {
-      throw CheckpointError(CheckpointErrc::OpenFailed, tmp,
-                            "cannot open for writing");
+  std::optional<util::AtomicFile> f;
+  typed_io(CheckpointErrc::OpenFailed, path + ".tmp",
+           [&] { f.emplace(path); });
+  const std::string& tmp = f->tmp_path();
+  write_header(*f, info);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    auto* raw = reinterpret_cast<unsigned char*>(fields[i].data());
+    const std::size_t bytes = fields[i].size() * sizeof(Complex);
+    const std::uint32_t crc = resilience::crc32c(raw, bytes);
+    if (fault == FaultKind::ShortWrite && i == 0) {
+      write_exact(*f, raw, bytes / 2);
+      throw CheckpointError(CheckpointErrc::IoFailed, tmp,
+                            "injected short write");
     }
-    write_header(f.get(), info, tmp);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      auto* raw = reinterpret_cast<unsigned char*>(fields[i].data());
-      const std::size_t bytes = fields[i].size() * sizeof(Complex);
-      const std::uint32_t crc = resilience::crc32c(raw, bytes);
-      if (fault == FaultKind::ShortWrite && i == 0) {
-        write_exact(f.get(), raw, bytes / 2, tmp);
-        throw CheckpointError(CheckpointErrc::IoFailed, tmp,
-                              "injected short write");
-      }
-      // bit_flip: corrupt the bytes that hit the disk but store the CRC of
-      // the clean payload - silent corruption that only the load-time
-      // verification can catch.
-      if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
-        raw[bytes / 2] ^= 0x01u;
-      }
-      write_exact(f.get(), raw, bytes, tmp);
-      if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
-        raw[bytes / 2] ^= 0x01u;  // restore the in-memory copy
-      }
-      write_exact(f.get(), &crc, sizeof crc, tmp);
+    // bit_flip: corrupt the bytes that hit the disk but store the CRC of
+    // the clean payload - silent corruption that only the load-time
+    // verification can catch.
+    if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
+      raw[bytes / 2] ^= 0x01u;
     }
-    if (std::fflush(f.get()) != 0 || std::ferror(f.get()) != 0) {
-      throw CheckpointError(CheckpointErrc::IoFailed, tmp, "flush failed");
+    write_exact(*f, raw, bytes);
+    if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
+      raw[bytes / 2] ^= 0x01u;  // restore the in-memory copy
     }
+    write_exact(*f, &crc, sizeof crc);
   }
+  typed_io(CheckpointErrc::IoFailed, tmp, [&] { f->flush(); });
   rotate_chain(path, opts.keep);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw CheckpointError(CheckpointErrc::IoFailed, path,
-                          "rename into place failed: " + ec.message());
-  }
+  typed_io(CheckpointErrc::IoFailed, path, [&] { f->commit(); });
 }
 
 /// Rank-0 error capture for the collective agreement protocol.

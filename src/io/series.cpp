@@ -1,59 +1,44 @@
 #include "io/series.hpp"
 
-#include "obs/log.hpp"
+#include <cstdio>
+
+#include "obs/trace_export.hpp"
 #include "util/check.hpp"
 
 namespace psdns::io {
 
 SeriesWriter::SeriesWriter(const std::string& path, Mode mode)
-    : file_(std::fopen(path.c_str(), mode == Mode::Append ? "a" : "w")),
-      path_(path) {
-  if (file_ == nullptr) {
-    obs::log_event(obs::LogLevel::Error, "io", "cannot open series file",
-                   {{"path", path}});
-    util::raise("cannot open series file: " + path);
-  }
+    : log_(path, mode) {
   // In append mode an interrupted run's rows are preserved; only a fresh
   // (empty) file gets the header.
-  const bool need_header = mode == Mode::Truncate || std::ftell(file_) == 0;
-  if (need_header) {
-    std::fprintf(file_,
-                 "step,time,energy,dissipation,u_max,taylor_scale,"
-                 "reynolds_lambda,kolmogorov_eta,dt,wall_ms\n");
-    std::fflush(file_);
+  if (log_.was_empty()) {
+    log_.append(
+        "step,time,energy,dissipation,u_max,taylor_scale,"
+        "reynolds_lambda,kolmogorov_eta,dt,wall_ms");
   }
-}
-
-SeriesWriter::~SeriesWriter() {
-  if (file_ != nullptr) std::fclose(file_);
 }
 
 void SeriesWriter::append(std::int64_t step, double time,
                           const dns::Diagnostics& d, double dt,
                           double wall_ms) {
-  const int written = std::fprintf(
-      file_, "%lld,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-      static_cast<long long>(step), time, d.energy, d.dissipation, d.u_max,
-      d.taylor_scale, d.reynolds_lambda, d.kolmogorov_eta, dt, wall_ms);
-  // Flush every row: a killed run keeps its series up to the last step.
-  if (written < 0 || std::fflush(file_) != 0 || std::ferror(file_) != 0) {
-    obs::log_event(obs::LogLevel::Error, "io", "series append failed",
-                   {{"path", path_}, {"step", step}});
-    util::raise("series append failed: " + path_);
-  }
+  char row[512];
+  std::snprintf(row, sizeof row,
+                "%lld,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+                static_cast<long long>(step), time, d.energy, d.dissipation,
+                d.u_max, d.taylor_scale, d.reynolds_lambda, d.kolmogorov_eta,
+                dt, wall_ms);
+  log_.append(row);
 }
 
 void write_spectrum_csv(const std::string& path,
                         const std::vector<double>& spectrum) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  PSDNS_REQUIRE(f != nullptr, "cannot open spectrum file: " + path);
-  std::fprintf(f, "k,E\n");
+  std::string text = "k,E\n";
+  char row[64];
   for (std::size_t k = 0; k < spectrum.size(); ++k) {
-    std::fprintf(f, "%zu,%.17g\n", k, spectrum[k]);
+    std::snprintf(row, sizeof row, "%zu,%.17g\n", k, spectrum[k]);
+    text += row;
   }
-  const bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
-  std::fclose(f);
-  PSDNS_REQUIRE(ok, "spectrum write failed: " + path);
+  obs::write_text_file(path, text);
 }
 
 std::vector<double> read_spectrum_csv(const std::string& path) {

@@ -1,16 +1,15 @@
 #pragma once
 // Plain-text outputs for post-processing: a CSV time series of flow
 // statistics (the quantity-of-interest log every production DNS keeps) and
-// spectrum snapshots. Rows are flushed as they are appended, so a killed
-// run keeps everything it logged; IO failures throw (naming the file)
-// instead of silently dropping data.
+// spectrum snapshots, written through util/file.hpp: series rows are
+// flushed as they are appended (a killed run keeps everything it logged)
+// and IO failures throw (naming the file) instead of dropping data.
 
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dns/solver_config.hpp"
+#include "util/file.hpp"
 
 namespace psdns::io {
 
@@ -19,31 +18,23 @@ namespace psdns::io {
 /// rank 0 only. dt/wall_ms are the per-step driver stats; callers without
 /// stepping context may leave them 0.
 ///
-/// The constructor throws util::Error (naming the path) when the file
-/// cannot be opened; append() throws when the underlying stream errors.
-/// Every row is flushed immediately.
+/// Append mode continues an interrupted run: the header only goes into an
+/// empty file. Construction and append() throw util::Error naming the path.
 class SeriesWriter {
  public:
-  enum class Mode {
-    Truncate,  // fresh file, header written
-    Append,    // continue an interrupted run; header only if file is empty
-  };
+  using Mode = util::LineLog::Mode;
 
   explicit SeriesWriter(const std::string& path, Mode mode = Mode::Truncate);
-  ~SeriesWriter();
-  SeriesWriter(const SeriesWriter&) = delete;
-  SeriesWriter& operator=(const SeriesWriter&) = delete;
 
   void append(std::int64_t step, double time, const dns::Diagnostics& d,
               double dt = 0.0, double wall_ms = 0.0);
 
  private:
-  std::FILE* file_;
-  std::string path_;
+  util::LineLog log_;
 };
 
-/// Writes "k,E(k)" rows. Call from rank 0 only. Throws util::Error naming
-/// the path on open or write failure.
+/// Replaces `path` with "k,E(k)" rows. Call from rank 0 only. Throws
+/// util::Error naming the path on failure.
 void write_spectrum_csv(const std::string& path,
                         const std::vector<double>& spectrum);
 

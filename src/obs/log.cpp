@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::obs {
 
@@ -18,8 +20,7 @@ namespace {
 struct LogState {
   std::mutex mutex;
   std::atomic<LogLevel> level{LogLevel::Warn};
-  std::FILE* sink = nullptr;  // nullptr = stderr
-  std::string sink_path;
+  std::optional<util::LineLog> sink;  // empty = stderr
 };
 
 LogState& log_state() {
@@ -85,15 +86,8 @@ bool log_enabled(LogLevel level) {
 void set_log_file(const std::string& path) {
   auto& st = log_state();
   std::lock_guard lock(st.mutex);
-  if (st.sink != nullptr) {
-    std::fclose(st.sink);
-    st.sink = nullptr;
-  }
-  st.sink_path.clear();
-  if (path.empty()) return;
-  st.sink = std::fopen(path.c_str(), "a");
-  PSDNS_REQUIRE(st.sink != nullptr, "cannot open log file: " + path);
-  st.sink_path = path;
+  st.sink.reset();
+  if (!path.empty()) st.sink.emplace(path, util::LineLog::Mode::Append);
 }
 
 void init_logging_from_env() {
@@ -137,14 +131,20 @@ void log_event(LogLevel level, const std::string& subsystem,
         break;
     }
   }
-  os << "}\n";
+  os << "}";
   const std::string line = os.str();
 
   auto& st = log_state();
   std::lock_guard lock(st.mutex);
-  std::FILE* out = st.sink != nullptr ? st.sink : stderr;
-  std::fwrite(line.data(), 1, line.size(), out);
-  std::fflush(out);
+  if (!st.sink) {
+    std::fprintf(stderr, "%s\n", line.c_str());  // stderr is unbuffered
+    return;
+  }
+  // Never throw: a log line is often written on the way to another error.
+  try {
+    st.sink->append(line);
+  } catch (const std::exception&) {
+  }
 }
 
 }  // namespace psdns::obs

@@ -28,8 +28,9 @@ void set_log_level(LogLevel level);
 LogLevel log_level();
 bool log_enabled(LogLevel level);
 
-/// Empty path restores the default stderr sink. Throws if the file cannot
-/// be opened.
+/// Appends to `path` (a util::LineLog); the empty path restores stderr.
+/// Throws if the file cannot be opened; a line it refuses later is dropped
+/// (log_event never throws).
 void set_log_file(const std::string& path);
 
 /// Applies PSDNS_LOG_LEVEL and PSDNS_LOG_FILE when set. Safe to call more

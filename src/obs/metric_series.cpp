@@ -1,8 +1,7 @@
 #include "obs/metric_series.hpp"
 
-#include <fstream>
-
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::obs {
 
@@ -31,43 +30,11 @@ const ReducedSnapshot* SeriesRing::latest() const {
   return &rows_[(head_ + rows_.size() - 1) % rows_.size()];
 }
 
-SeriesJsonlWriter::SeriesJsonlWriter(const std::string& path, Mode mode)
-    : file_(std::fopen(path.c_str(),
-                       mode == Mode::Append ? "ab" : "wb")),
-      path_(path) {
-  if (file_ == nullptr) {
-    util::raise("cannot open telemetry series file " + path_);
-  }
-}
-
-SeriesJsonlWriter::~SeriesJsonlWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void SeriesJsonlWriter::append(const ReducedSnapshot& snap) {
-  const std::string row = snap.to_json();
-  if (std::fwrite(row.data(), 1, row.size(), file_) != row.size() ||
-      std::fputc('\n', file_) == EOF || std::fflush(file_) != 0) {
-    util::raise("write failed on telemetry series file " + path_);
-  }
-}
-
 std::vector<ReducedSnapshot> read_series_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) util::raise("cannot open telemetry series file " + path);
   std::vector<ReducedSnapshot> rows;
-  std::string line;
-  std::int64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      rows.push_back(ReducedSnapshot::parse(line));
-    } catch (const std::exception& e) {
-      util::raise(path + ":" + std::to_string(lineno) +
-                  ": malformed series row: " + e.what());
-    }
-  }
+  util::read_lines(path, "telemetry series", [&](const std::string& line) {
+    rows.push_back(ReducedSnapshot::parse(line));
+  });
   return rows;
 }
 

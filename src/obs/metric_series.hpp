@@ -1,16 +1,12 @@
 #pragma once
 // Per-step time series of reduced snapshots: a bounded in-memory ring
-// (what the live endpoint and a future online auto-tuner read) plus a
-// JSONL writer/reader (what offline tooling and psdns_top replay). One
-// row per step, one JSON object per line, append-flushed so a killed run
-// keeps every row it logged - the telemetry analogue of io::SeriesWriter.
-//
-// The campaign driver writes rows to PSDNS_SERIES_FILE when set; the
-// format round-trips exactly (read_series_jsonl(write(...)) compares
-// equal), which is what makes the series replayable evidence rather than
-// a log.
+// (what the live endpoint and a future online auto-tuner read) plus the
+// JSONL reader (what offline tooling and psdns_top replay). The campaign
+// driver appends one ReducedSnapshot::to_json() row per step to
+// PSDNS_SERIES_FILE when set, through a util::LineLog (flushed per row, so
+// a killed run keeps every row). The format round-trips exactly, which is
+// what makes the series replayable evidence rather than a log.
 
-#include <cstdio>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,26 +40,6 @@ class SeriesRing {
   std::size_t head_ = 0;  // index of the oldest row once the ring is full
   std::int64_t pushed_ = 0;
   std::vector<ReducedSnapshot> rows_;
-};
-
-/// Appends one ReducedSnapshot::to_json() line per call, flushing each
-/// row. Construction truncates or appends; throws util::Error (naming the
-/// path) on open/write failure.
-class SeriesJsonlWriter {
- public:
-  enum class Mode { Truncate, Append };
-
-  explicit SeriesJsonlWriter(const std::string& path,
-                             Mode mode = Mode::Truncate);
-  ~SeriesJsonlWriter();
-  SeriesJsonlWriter(const SeriesJsonlWriter&) = delete;
-  SeriesJsonlWriter& operator=(const SeriesJsonlWriter&) = delete;
-
-  void append(const ReducedSnapshot& snap);
-
- private:
-  std::FILE* file_;
-  std::string path_;
 };
 
 /// Reads every row of a series JSONL file (blank lines skipped). Throws

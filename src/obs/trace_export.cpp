@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::obs {
 
@@ -196,11 +195,9 @@ std::string to_chrome_trace(const SpanTrace& trace,
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  PSDNS_REQUIRE(f != nullptr, "cannot open file for writing: " + path);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  PSDNS_REQUIRE(written == text.size(), "short write to " + path);
+  util::AtomicFile file(path);
+  file.write(text);
+  file.commit();
 }
 
 }  // namespace psdns::obs

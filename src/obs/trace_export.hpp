@@ -41,7 +41,8 @@ std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
 std::string to_chrome_trace(const SpanTrace& trace,
                             const ChromeTraceOptions& options = {});
 
-/// Writes `text` to `path` (truncating). Throws util::Error on failure.
+/// Replaces `path` with `text` through a util::AtomicFile. Throws
+/// util::Error naming the path on failure.
 void write_text_file(const std::string& path, const std::string& text);
 
 }  // namespace psdns::obs

@@ -82,7 +82,7 @@ const char* to_string(FaultKind kind) {
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
       site::comm_alltoall, site::ckpt_write, site::ckpt_read,
-      site::gpu_memcpy2d};
+      site::gpu_memcpy2d, site::result_write};
   return sites;
 }
 

@@ -24,7 +24,7 @@
 //   short_write - IO sites produce a truncated artifact / read; data-movement
 //                 sites copy fewer elements than asked (silent truncation).
 //   bit_flip    - flips one bit of the payload (silent corruption; detected
-//                 downstream by the checkpoint CRCs).
+//                 downstream by the checkpoint and result-store CRCs).
 
 #include <cstdint>
 #include <optional>
@@ -45,6 +45,7 @@ inline constexpr const char* comm_alltoall = "comm.alltoall";
 inline constexpr const char* ckpt_write = "io.ckpt.write";
 inline constexpr const char* ckpt_read = "io.ckpt.read";
 inline constexpr const char* gpu_memcpy2d = "gpu.memcpy2d";
+inline constexpr const char* result_write = "svc.result.write";  // per try
 }  // namespace site
 
 /// All site names a plan may reference, in a stable order.

@@ -1,10 +1,10 @@
 #include "svc/audit.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::svc {
 
@@ -51,41 +51,11 @@ AuditEvent AuditEvent::parse(const std::string& json) {
   return e;
 }
 
-AuditLog::AuditLog(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "w");
-  if (file_ == nullptr) {
-    util::raise("cannot open audit log for writing: " + path);
-  }
-}
-
-AuditLog::~AuditLog() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void AuditLog::append(const AuditEvent& event) {
-  const std::string row = event.to_json();
-  if (std::fwrite(row.data(), 1, row.size(), file_) != row.size() ||
-      std::fputc('\n', file_) == EOF || std::fflush(file_) != 0) {
-    util::raise("audit log write failed: " + path_);
-  }
-}
-
 std::vector<AuditEvent> read_audit_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) util::raise("cannot open audit log for reading: " + path);
   std::vector<AuditEvent> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      out.push_back(AuditEvent::parse(line));
-    } catch (const std::exception& e) {
-      util::raise(path + ":" + std::to_string(lineno) +
-                  ": malformed audit row: " + e.what());
-    }
-  }
+  util::read_lines(path, "audit", [&](const std::string& line) {
+    out.push_back(AuditEvent::parse(line));
+  });
   return out;
 }
 

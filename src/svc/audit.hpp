@@ -3,9 +3,10 @@
 // line per lifecycle transition (submitted, admitted, rejected,
 // cache_hit, scheduled, started, completed, failed, cancelled), keyed by
 // the job's trace id so a journey can be joined against the span trace
-// and the per-tenant SLO metrics. Modeled on obs::SeriesJsonlWriter:
-// append-flushed, so a killed daemon keeps every event it logged, and
-// replayable - read_audit_jsonl(write(...)) round-trips exactly.
+// and the per-tenant SLO metrics. The scheduler appends each event's
+// to_json() to a util::LineLog (flushed per event, so a killed daemon keeps
+// every event; a failed write is logged and counted, never fatal), and
+// read_audit_jsonl round-trips the file exactly.
 //
 // Replay determinism: replay_json() is the event minus its wall-clock
 // timestamp. Trace ids are minted deterministically from (content hash,
@@ -15,7 +16,6 @@
 // makes the audit log evidence (diffable across runs), not just a log.
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -40,24 +40,6 @@ struct AuditEvent {
 
   /// The deterministic replay form: to_json() without the "t_s" field.
   std::string replay_json() const;
-};
-
-/// Append-flushed JSONL audit writer; construction truncates. Throws
-/// util::Error (naming the path) on open/write failure.
-class AuditLog {
- public:
-  explicit AuditLog(const std::string& path);
-  ~AuditLog();
-  AuditLog(const AuditLog&) = delete;
-  AuditLog& operator=(const AuditLog&) = delete;
-
-  void append(const AuditEvent& event);
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::FILE* file_;
-  std::string path_;
 };
 
 /// Reads every row of an audit JSONL file (blank lines skipped). Throws

@@ -1,18 +1,21 @@
 #include "svc/result_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "obs/registry.hpp"
 #include "resilience/crc32c.hpp"
+#include "resilience/fault.hpp"
+#include "resilience/retry.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::svc {
 
 namespace fs = std::filesystem;
+using resilience::FaultKind;
 
 namespace {
 
@@ -112,25 +115,33 @@ void ResultStore::insert(const std::string& hash,
                 "result store hash must be 16 lowercase hex digits");
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::string path = path_for(hash);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    PSDNS_REQUIRE(out.good(), "cannot open " + tmp + " for writing");
-    const std::uint64_t bytes = result_json.size();
-    const std::uint32_t crc =
-        resilience::crc32c(result_json.data(), result_json.size());
-    out.write(kMagic, sizeof(kMagic));
-    out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-    out.write(reinterpret_cast<const char*>(&bytes), sizeof(bytes));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    out.write(result_json.data(),
-              static_cast<std::streamsize>(result_json.size()));
-    out.flush();
-    PSDNS_REQUIRE(out.good(), "short write to " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  PSDNS_REQUIRE(!ec, "cannot rename " + tmp + " into place");
+  const std::uint64_t bytes = result_json.size();
+  const std::uint32_t crc =
+      resilience::crc32c(result_json.data(), result_json.size());
+  resilience::with_retry(resilience::RetryPolicy{}, "result write " + path,
+                         [&] {
+    // One fault poll per attempt. bit_flip keeps the clean payload's CRC:
+    // silent corruption that the next lookup catches.
+    const auto fault = resilience::poll(resilience::site::result_write);
+    if (fault == FaultKind::Throw) {
+      throw resilience::InjectedFault(resilience::site::result_write, *fault);
+    }
+    std::string payload = result_json;
+    if (fault == FaultKind::BitFlip && !payload.empty()) {
+      payload[payload.size() / 2] ^= 0x01;
+    }
+    if (fault == FaultKind::ShortWrite) payload.resize(payload.size() / 2);
+    util::AtomicFile file(path);
+    file.write(kMagic, sizeof(kMagic));
+    file.write(&kVersion, sizeof(kVersion));
+    file.write(&bytes, sizeof(bytes));
+    file.write(&crc, sizeof(crc));
+    file.write(payload);
+    if (fault == FaultKind::ShortWrite) {
+      util::raise("injected short write to " + file.tmp_path());
+    }
+    file.commit();
+  });
   touch(hash);
   evict_excess();
 }

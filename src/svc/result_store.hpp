@@ -11,12 +11,13 @@
 //   "PSDNSRES" magic (8 bytes) | u32 version | u64 payload bytes |
 //   u32 payload crc32c | payload (the result JSON document)
 //
-// A short, truncated or CRC-mismatching file is treated as absent and
-// removed (the job simply re-runs), mirroring the checkpoint chain's
-// fail-safe posture. Capacity is bounded by keep-K LRU eviction: lookup
-// and insert both refresh recency, and insert evicts the stalest entries
-// beyond `keep`. The store is thread-safe; the scheduler's workers and
-// the HTTP front end share one instance.
+// Entries are util::AtomicFiles written under a default RetryPolicy (fault
+// site svc.result.write). A short, truncated or CRC-mismatching file is
+// treated as absent and removed (the job simply re-runs), mirroring the
+// checkpoint chain's fail-safe posture. Capacity is bounded by keep-K LRU
+// eviction: lookup and insert both refresh recency, and insert evicts the
+// stalest entries beyond `keep`. The store is thread-safe; the scheduler's
+// workers and the HTTP front end share one instance.
 
 #include <cstdint>
 #include <mutex>
@@ -44,9 +45,9 @@ class ResultStore {
   /// hit/miss counters.
   std::optional<std::string> lookup(const std::string& hash);
 
-  /// Persists `result_json` under `hash` (atomically: temp file + rename)
-  /// and evicts least-recently-used entries beyond keep-K. Overwriting an
-  /// existing hash refreshes its recency.
+  /// Persists `result_json` under `hash` (atomically, retried) and evicts
+  /// least-recently-used entries beyond keep-K. Overwriting an existing
+  /// hash refreshes its recency.
   void insert(const std::string& hash, const std::string& result_json);
 
   /// Like lookup() but touching neither recency nor the hit/miss

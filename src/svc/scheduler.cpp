@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "svc/runner.hpp"
@@ -129,7 +130,7 @@ Scheduler::Scheduler(ServiceConfig config, ResultStore& store, bool autostart)
   // earlier PSDNS_TRACE=1) already captured.
   if (config_.trace && !obs::tracing()) obs::set_tracing(true);
   if (!config_.audit_file.empty()) {
-    audit_ = std::make_unique<AuditLog>(config_.audit_file);
+    audit_.emplace(config_.audit_file);
   }
   if (autostart) start();
 }
@@ -196,23 +197,20 @@ void Scheduler::publish_gauges_locked() {
   }
 }
 
-void Scheduler::audit_locked(const std::string& event, std::int64_t job,
-                             const std::string& trace,
-                             const std::string& tenant,
-                             const std::string& hash, bool cached,
+void Scheduler::audit_locked(const char* event, const JobRecord& rec,
                              const std::string& detail) {
-  if (audit_ == nullptr) return;
-  AuditEvent e;
-  e.seq = audit_seq_++;
-  e.t_s = now();
-  e.event = event;
-  e.job = job;
-  e.trace = trace;
-  e.tenant = tenant;
-  e.hash = hash;
-  e.cached = cached;
-  e.detail = detail;
-  audit_->append(e);
+  if (!audit_) return;
+  const AuditEvent e{audit_seq_++, now(), event, rec.id, rec.trace,
+                     rec.request.tenant, rec.hash, rec.cached, detail};
+  // Called from worker threads outside any try: an audit write error must
+  // not end the daemon.
+  try {
+    audit_->append(e.to_json());
+  } catch (const std::exception& ex) {
+    obs::registry().counter_add("svc.audit.write_failures");
+    obs::log_event(obs::LogLevel::Error, "svc", "audit write failed",
+                   {{"path", config_.audit_file}, {"error", ex.what()}});
+  }
 }
 
 Scheduler::Submission Scheduler::submit(const JobRequest& request,
@@ -225,15 +223,19 @@ Scheduler::Submission Scheduler::submit(const JobRequest& request,
 
   const std::lock_guard<std::mutex> lock(mutex_);
   Submission out;
-  if (!accepting_) {
+  const auto reject = [&](const char* why) {
     ++rejected_;
     obs::registry().counter_add("svc.jobs.rejected");
-    out.error = "service is draining";
-    audit_locked("submitted", -1, trace_id, request.tenant, hash, false, "");
-    audit_locked("rejected", -1, trace_id, request.tenant, hash, false,
-                 out.error);
+    out.error = why;
+    JobRecord none;  // no record is created: the events carry job id -1
+    none.request = request;
+    none.hash = hash;
+    none.trace = trace_id;
+    audit_locked("submitted", none);
+    audit_locked("rejected", none, why);
     return out;
-  }
+  };
+  if (!accepting_) return reject("service is draining");
 
   TenantState& tenant = tenant_locked(request.tenant);
   std::optional<std::string> cached;
@@ -256,10 +258,8 @@ Scheduler::Submission Scheduler::submit(const JobRequest& request,
     ++tenant.submitted;
     ++tenant.cache_hits;
     jobs_.emplace(rec.id, rec);
-    audit_locked("submitted", rec.id, rec.trace, request.tenant, hash, true,
-                 "");
-    audit_locked("cache_hit", rec.id, rec.trace, request.tenant, hash, true,
-                 "");
+    audit_locked("submitted", rec);
+    audit_locked("cache_hit", rec);
     publish_gauges_locked();
     out.accepted = true;
     out.id = rec.id;
@@ -269,13 +269,7 @@ Scheduler::Submission Scheduler::submit(const JobRequest& request,
   }
 
   if (queue_.size() >= static_cast<std::size_t>(config_.queue_capacity)) {
-    ++rejected_;
-    obs::registry().counter_add("svc.jobs.rejected");
-    out.error = "admission queue full";
-    audit_locked("submitted", -1, trace_id, request.tenant, hash, false, "");
-    audit_locked("rejected", -1, trace_id, request.tenant, hash, false,
-                 out.error);
-    return out;
+    return reject("admission queue full");
   }
 
   JobRecord rec;
@@ -289,10 +283,8 @@ Scheduler::Submission Scheduler::submit(const JobRequest& request,
   ++tenant.submitted;
   jobs_.emplace(rec.id, rec);
   queue_.push_back(rec.id);
-  audit_locked("submitted", rec.id, rec.trace, request.tenant, hash, false,
-               "");
-  audit_locked("admitted", rec.id, rec.trace, request.tenant, hash, false,
-               "");
+  audit_locked("submitted", rec);
+  audit_locked("admitted", rec);
   publish_gauges_locked();
   work_cv_.notify_one();
   out.accepted = true;
@@ -373,14 +365,12 @@ void Scheduler::worker_loop() {
       obs::link_spans(rec.root_span, queue_span);
       obs::link_spans(queue_span, schedule_span.id());
     }
-    audit_locked("scheduled", id, rec.trace, rec.request.tenant, rec.hash,
-                 false, "");
+    audit_locked("scheduled", rec);
     ++running_;
     publish_gauges_locked();
     const JobRequest request = rec.request;
     const std::string hash = rec.hash;
-    const std::string trace = rec.trace;
-    audit_locked("started", id, trace, request.tenant, hash, false, "");
+    audit_locked("started", rec);
     lock.unlock();
 
     const obs::SpanId sched_id = schedule_span.id();
@@ -418,13 +408,13 @@ void Scheduler::worker_loop() {
                               done.finished_s - done.started_s);
       obs::registry().observe(prefix + "e2e_seconds",
                               done.finished_s - done.queued_s);
-      audit_locked("completed", id, trace, request.tenant, hash, false, "");
+      audit_locked("completed", done);
     } else {
       done.state = JobState::Failed;
       done.error = error;
       ++failed_;
       obs::registry().counter_add("svc.jobs.failed");
-      audit_locked("failed", id, trace, request.tenant, hash, false, error);
+      audit_locked("failed", done, error);
     }
     --running_;
     publish_gauges_locked();
@@ -460,8 +450,7 @@ bool Scheduler::cancel(std::int64_t id) {
   JobRecord& rec = jobs_.at(id);
   rec.state = JobState::Cancelled;
   rec.finished_s = now();
-  audit_locked("cancelled", id, rec.trace, rec.request.tenant, rec.hash,
-               false, "");
+  audit_locked("cancelled", rec);
   publish_gauges_locked();
   if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
   return true;

@@ -30,12 +30,11 @@
 // the metrics registry; cache hits bump hit counters but never the
 // latency histograms, so one tenant's hit-heavy traffic cannot distort
 // another's distributions. Every lifecycle transition is appended to the
-// JSONL audit log when configured (svc/audit.hpp).
+// JSONL audit log when configured (svc/audit.hpp), never fatally.
 
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -46,6 +45,7 @@
 #include "svc/job.hpp"
 #include "svc/result_store.hpp"
 #include "util/config.hpp"
+#include "util/file.hpp"
 #include "util/stopwatch.hpp"
 
 namespace psdns::svc {
@@ -151,18 +151,16 @@ class Scheduler {
   std::int64_t pick_next_locked();
   TenantState& tenant_locked(const std::string& name);
   void publish_gauges_locked();
-  /// Appends one lifecycle event to the audit log (no-op when off).
-  /// Caller holds mutex_ so seq numbers follow dispatch order.
-  void audit_locked(const std::string& event, std::int64_t job,
-                    const std::string& trace, const std::string& tenant,
-                    const std::string& hash, bool cached,
-                    const std::string& detail);
+  /// Appends one lifecycle event to the audit log (no-op when off); never
+  /// throws. Caller holds mutex_ so seq numbers follow dispatch order.
+  void audit_locked(const char* event, const JobRecord& rec,
+                    const std::string& detail = "");
   double now() const { return uptime_.seconds(); }
 
   ServiceConfig config_;
   ResultStore& store_;
   util::Stopwatch uptime_;
-  std::unique_ptr<AuditLog> audit_;
+  std::optional<util::LineLog> audit_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // workers: queue non-empty / stopping

@@ -65,8 +65,10 @@
 // columns, and its y passes run only on Z-slab planes with |kz| <= kz.
 // The width is even (SpectralBand::of_radius, transpose/views.hpp) because the Stockham kernels
 // pair adjacent lines into AVX2-FMA lanes and run an odd remainder line in
-// scalar code without FMA: an odd width would move its last line out of
-// the lane it has in the unbanded pass and change its bits. This relies on
+// scalar code, which the compiler contracts into FMAs at other operations
+// than the packed code (stockham_avx2.cpp is built with -mfma and
+// contraction on): an odd width would move its last line out of the lane
+// it has in the unbanded pass and change its bits. This relies on
 // every batch block starting on an even line: fft::batch_block_lines(N)
 // is 64 up to N = 512, and fft::real_block_lines(h) is an even power of
 // two for every h.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,7 +18,9 @@
 #include "io/checkpoint.hpp"
 #include "io/series.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace_export.hpp"
 #include "resilience/fault.hpp"
+#include "util/file.hpp"
 
 namespace psdns::io {
 namespace {
@@ -597,6 +602,147 @@ TEST(Series, FailsLoudlyWhenFileCannotBeOpened) {
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
+}
+
+// --- durable-output primitives (util/file.hpp) ---
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Runs `fn` expecting a util::Error whose message names `path`.
+template <class Fn>
+void expect_error_naming(const std::string& path, Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected util::Error naming " << path;
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Lowers this process's file-size limit to `bytes` with SIGXFSZ ignored,
+/// so a write past it fails with EFBIG instead of killing the process;
+/// restores both on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
+TEST(DurableFile, LineLogTruncatesOrAppendsFlushedLines) {
+  const FileGuard file(temp_path("psdns_linelog.txt"));
+  {
+    util::LineLog log(file.path);
+    EXPECT_TRUE(log.was_empty());
+    log.append("a");
+    EXPECT_EQ(slurp(file.path), "a\n");  // flushed per line
+  }
+  {
+    util::LineLog log(file.path, util::LineLog::Mode::Append);
+    EXPECT_FALSE(log.was_empty());
+    log.append("b");
+  }
+  EXPECT_EQ(slurp(file.path), "a\nb\n");
+  {
+    util::LineLog log(file.path);
+    EXPECT_TRUE(log.was_empty());
+  }
+  EXPECT_EQ(slurp(file.path), "");
+}
+
+TEST(DurableFile, LineLogOnFullDeviceThrowsNamingPath) {
+  util::LineLog log("/dev/full");
+  expect_error_naming("/dev/full", [&] { log.append("lost"); });
+}
+
+TEST(DurableFile, AtomicFileReplacesOnlyOnCommit) {
+  const FileGuard file(temp_path("psdns_atomic.txt"));
+  const FileGuard tmp(file.path + ".tmp");
+  {
+    util::AtomicFile f(file.path);
+    f.write("old");
+    f.commit();
+  }
+  {
+    util::AtomicFile f(file.path);
+    f.write("abandoned");
+    EXPECT_TRUE(std::filesystem::exists(tmp.path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(tmp.path));
+  EXPECT_EQ(slurp(file.path), "old");
+  {
+    util::AtomicFile f(file.path);
+    f.write("new");
+    f.commit();
+  }
+  EXPECT_EQ(slurp(file.path), "new");
+  EXPECT_FALSE(std::filesystem::exists(tmp.path));
+}
+
+TEST(DurableFile, AtomicFileIntoMissingDirectoryThrows) {
+  const std::string path = temp_path("psdns_no_such_dir") + "/out.bin";
+  expect_error_naming(path, [&] { util::AtomicFile f(path); });
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(DurableFile, AtomicFileRenameOntoDirectoryThrows) {
+  const std::string path = temp_path("psdns_atomic_onto_dir");
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directory(path);
+  expect_error_naming(path, [&] {
+    util::AtomicFile f(path);
+    f.write("bytes");
+    f.commit();
+  });
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  std::filesystem::remove_all(path);
+}
+
+TEST(DurableFile, AtomicFileFailingCommitFlushThrows) {
+  const FileGuard file(temp_path("psdns_atomic_efbig.bin"));
+  const std::string bytes(1000, 'x');  // buffered: only the flush fails
+  {
+    const FileSizeLimit limit(16);
+    expect_error_naming(file.path, [&] {
+      util::AtomicFile f(file.path);
+      f.write(bytes);
+      f.commit();
+    });
+  }
+  EXPECT_FALSE(std::filesystem::exists(file.path));
+  EXPECT_FALSE(std::filesystem::exists(file.path + ".tmp"));
+}
+
+TEST(DurableFile, WriteTextFileReportsAFailingFlush) {
+  const FileGuard file(temp_path("psdns_text_efbig.json"));
+  {
+    const FileSizeLimit limit(16);
+    expect_error_naming(file.path, [&] {
+      obs::write_text_file(file.path, std::string(1000, 'x'));
+    });
+  }
+  EXPECT_FALSE(std::filesystem::exists(file.path));
+  EXPECT_FALSE(std::filesystem::exists(file.path + ".tmp"));
 }
 
 }  // namespace

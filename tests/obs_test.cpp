@@ -294,6 +294,17 @@ TEST_F(LogToFile, RankTagStampedOnLines) {
   EXPECT_DOUBLE_EQ(e.at("rank").number, 7.0);
 }
 
+TEST(Log, SinkOnFullDeviceNeverThrows) {
+  // /dev/full opens, then refuses every flush; the line is lost but the
+  // caller (often on its way to another error) goes on.
+  set_log_file("/dev/full");
+  set_log_level(LogLevel::Info);
+  EXPECT_NO_THROW(log_event(LogLevel::Error, "test", "disk full",
+                            {{"n", 1}}));
+  set_log_file("");
+  set_log_level(LogLevel::Warn);
+}
+
 TEST(Log, ParseLevelNames) {
   EXPECT_EQ(parse_log_level("trace"), LogLevel::Trace);
   EXPECT_EQ(parse_log_level("debug"), LogLevel::Debug);

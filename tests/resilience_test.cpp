@@ -98,9 +98,10 @@ TEST(FaultPlan, RejectsMalformedEntries) {
 
 TEST(FaultPlan, KnownSitesCoverTheWiredHooks) {
   const auto& sites = known_sites();
-  EXPECT_EQ(sites.size(), 4u);
+  EXPECT_EQ(sites.size(), 5u);
   for (const char* s : {site::comm_alltoall, site::ckpt_write,
-                        site::ckpt_read, site::gpu_memcpy2d}) {
+                        site::ckpt_read, site::gpu_memcpy2d,
+                        site::result_write}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), s), sites.end()) << s;
   }
 }

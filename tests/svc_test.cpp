@@ -28,6 +28,7 @@
 #include "svc/service.hpp"
 #include "util/check.hpp"
 #include "util/config.hpp"
+#include "util/file.hpp"
 #include "util/stopwatch.hpp"
 
 namespace psdns::svc {
@@ -654,8 +655,8 @@ TEST(Audit, ReaderNamesTheBadLineAndMissingFile) {
   const std::string path =
       (fs::temp_directory_path() / "psdns_audit_bad.jsonl").string();
   {
-    AuditLog log(path);
-    log.append(AuditEvent{});
+    util::LineLog log(path);
+    log.append(AuditEvent{}.to_json());
   }
   {
     std::ofstream out(path, std::ios::app);
@@ -669,6 +670,25 @@ TEST(Audit, ReaderNamesTheBadLineAndMissingFile) {
   }
   fs::remove(path);
   EXPECT_THROW(read_audit_jsonl(path), util::Error);
+}
+
+TEST(Audit, WriteFailuresDoNotStopTheScheduler) {
+  // /dev/full opens, then refuses every flush: each audit append fails on
+  // the handler and worker threads alike, and the job must still finish.
+  ServiceConfig cfg = test_config("audit_full");
+  cfg.audit_file = "/dev/full";
+  const auto failures = obs::registry().counter("svc.audit.write_failures");
+  ResultStore store({cfg.cache_dir, cfg.cache_keep});
+  Scheduler sched(cfg, store);
+  const auto sub = sched.submit(small_request(61));
+  ASSERT_TRUE(sub.accepted);
+  sched.drain();
+  EXPECT_EQ(sched.job(sub.id)->state, JobState::Done);
+  EXPECT_TRUE(sched.result(sub.id).has_value());
+  EXPECT_GT(obs::registry().counter("svc.audit.write_failures") - failures, 0);
+  sched.shutdown();
+  fs::remove_all(cfg.cache_dir);
+  fs::remove_all(cfg.workdir);
 }
 
 TEST(Scheduler, BoundedQueueRejectsOverflow) {
@@ -686,6 +706,79 @@ TEST(Scheduler, BoundedQueueRejectsOverflow) {
   EXPECT_TRUE(sched.cancel(first.id));
   EXPECT_TRUE(sched.submit(small_request(3)).accepted);
   sched.shutdown();
+  fs::remove_all(cfg.cache_dir);
+  fs::remove_all(cfg.workdir);
+}
+
+/// The stored result of `request` in a fresh fault-free service.
+std::string clean_result_of(const JobRequest& request) {
+  ServiceConfig cfg = test_config("result_clean");
+  std::string result;
+  {
+    ResultStore store({cfg.cache_dir, cfg.cache_keep});
+    Scheduler sched(cfg, store);
+    const auto sub = sched.submit(request);
+    sched.drain();
+    result = sched.result(sub.id).value_or("");
+  }
+  fs::remove_all(cfg.cache_dir);
+  fs::remove_all(cfg.workdir);
+  return result;
+}
+
+TEST(Scheduler, ShortResultWriteIsRetried) {
+  const JobRequest request = small_request(71);
+  const std::string clean = clean_result_of(request);
+  ASSERT_FALSE(clean.empty());
+
+  ServiceConfig cfg = test_config("result_short");
+  const auto retries = obs::registry().counter("resilience.retries");
+  {
+    ResultStore store({cfg.cache_dir, cfg.cache_keep});
+    resilience::ScopedPlan plan("svc.result.write@0=short_write");
+    Scheduler sched(cfg, store);
+    const auto sub = sched.submit(request);
+    sched.drain();
+    EXPECT_EQ(sched.job(sub.id)->state, JobState::Done);
+    EXPECT_EQ(sched.result(sub.id).value_or(""), clean);
+  }
+  EXPECT_EQ(obs::registry().counter("resilience.retries") - retries, 1);
+  // The failed attempt's tmp file went with it.
+  for (const auto& entry : fs::directory_iterator(cfg.cache_dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  fs::remove_all(cfg.cache_dir);
+  fs::remove_all(cfg.workdir);
+}
+
+TEST(Scheduler, BitFlippedResultIsCaughtAndReRun) {
+  const JobRequest request = small_request(72);
+  const std::string clean = clean_result_of(request);
+  ASSERT_FALSE(clean.empty());
+
+  ServiceConfig cfg = test_config("result_flip");
+  {
+    ResultStore store({cfg.cache_dir, cfg.cache_keep});
+    resilience::ScopedPlan plan("svc.result.write@0=bit_flip");
+    Scheduler sched(cfg, store);
+    const auto first = sched.submit(request);
+    while (sched.job(first.id)->state == JobState::Queued ||
+           sched.job(first.id)->state == JobState::Running) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The write itself "succeeds": the job is done.
+    EXPECT_EQ(sched.job(first.id)->state, JobState::Done);
+
+    // The resubmission's lookup sees the CRC mismatch and re-runs.
+    const auto corrupt = obs::registry().counter("svc.cache.corrupt");
+    const auto second = sched.submit(request);
+    EXPECT_EQ(obs::registry().counter("svc.cache.corrupt") - corrupt, 1);
+    ASSERT_TRUE(second.accepted);
+    EXPECT_FALSE(second.cached);
+    sched.drain();
+    EXPECT_EQ(sched.job(second.id)->state, JobState::Done);
+    EXPECT_EQ(sched.result(second.id).value_or(""), clean);
+  }
   fs::remove_all(cfg.cache_dir);
   fs::remove_all(cfg.workdir);
 }

@@ -30,6 +30,7 @@
 #include "obs/registry.hpp"
 #include "resilience/fault.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace psdns::obs {
 namespace {
@@ -245,9 +246,9 @@ TEST(SeriesTest, RingKeepsNewestRowsAndCountsDrops) {
 TEST(SeriesTest, JsonlRoundTripsExactly) {
   const std::string path = tmp("psdns_telemetry_series_rt.jsonl");
   {
-    SeriesJsonlWriter writer(path);
+    util::LineLog writer(path);
     for (std::int64_t s = 1; s <= 3; ++s) {
-      writer.append(snapshot_for_step(s));
+      writer.append(snapshot_for_step(s).to_json());
     }
   }
   const auto rows = read_series_jsonl(path);

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/trace_export.hpp"
 #include "svc/client.hpp"
 #include "svc/job.hpp"
 #include "util/config.hpp"
@@ -260,15 +261,7 @@ int main(int argc, char** argv) {
                      static_cast<long long>(id), trace_json.c_str());
         return 1;
       }
-      std::FILE* f = std::fopen(save_trace_path.c_str(), "w");
-      if (f == nullptr ||
-          std::fwrite(trace_json.data(), 1, trace_json.size(), f) !=
-              trace_json.size() ||
-          std::fclose(f) != 0) {
-        std::fprintf(stderr, "psdns_submit: cannot write %s\n",
-                     save_trace_path.c_str());
-        return 1;
-      }
+      psdns::obs::write_text_file(save_trace_path, trace_json);
       std::printf("trace written to %s\n", save_trace_path.c_str());
     }
     return 0;
