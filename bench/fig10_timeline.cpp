@@ -1,13 +1,13 @@
 // Regenerates Fig. 10: normalized operation timelines of the 12288^3
 // problem on 1024 nodes (np = 3 pencils per slab) under the different code
-// configurations, rendered as text Gantt lanes per op category.
+// configurations, rendered as text Gantt rows per stream of Fig. 4 (MPI,
+// transfer, compute).
 
 #include <cstdio>
 
 #include "obs/bench_report.hpp"
 #include "obs/trace_export.hpp"
 #include "pipeline/dns_step_model.hpp"
-#include "pipeline/timeline.hpp"
 #include "util/format.hpp"
 
 int main() {
@@ -18,7 +18,7 @@ int main() {
   std::printf(
       "Fig. 10: timelines of one RK2 step, 12288^3 on 1024 nodes, 3 pencils\n"
       "per slab. '#' marks wall-clock intervals with at least one op of the\n"
-      "category active.\n\n");
+      "stream active.\n\n");
 
   // A common horizontal scale (the slowest configuration) makes the
   // relative lengths comparable, like the paper's aligned plots.
@@ -59,12 +59,11 @@ int main() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::printf("%s  [step: %s]\n", variants[i].title,
                 util::format_time(results[i].seconds).c_str());
-    std::printf("%s", pipeline::render_timeline(results[i].records, t_max)
-                          .c_str());
-    std::printf("%s\n",
-                pipeline::summarize_busy(results[i].records,
-                                         results[i].seconds)
-                    .c_str());
+    std::printf("%s",
+                obs::render_timeline(results[i].trace, t_max).c_str());
+    std::printf(
+        "%s\n",
+        obs::summarize_busy(results[i].trace, results[i].seconds).c_str());
     const std::string key = variant_key[i];
     report.metric("step_seconds." + key, results[i].seconds);
     report.metric("mpi_busy_seconds." + key, results[i].mpi_busy);
@@ -72,13 +71,12 @@ int main() {
     report.metric("compute_busy_seconds." + key, results[i].compute_busy);
   }
 
-  // The same records, interactively: one Chrome trace per variant,
+  // The same traces, interactively: one Chrome trace per variant,
   // loadable in Perfetto / chrome://tracing (see README "Observability").
   for (std::size_t i = 0; i < results.size(); ++i) {
     const std::string path = obs::bench_output_path(
         std::string("fig10_trace_") + variant_key[i] + ".json");
-    obs::write_text_file(path,
-                         obs::to_chrome_trace(results[i].records));
+    obs::write_text_file(path, obs::to_chrome_trace(results[i].trace));
     std::printf("wrote %s\n", path.c_str());
   }
   std::printf("wrote %s\n", report.write().c_str());

@@ -58,8 +58,8 @@ int main() {
     const auto sync = model.simulate_gpu_step(
         base_config(c.n, c.nodes, c.pencils, false));
 
-    const obs::OverlapStats ov = obs::overlap_stats(async.records);
-    const obs::PathAttribution at = obs::attribute_wall_time(async.records);
+    const obs::OverlapStats ov = obs::overlap_stats(async.trace);
+    const obs::PathAttribution at = obs::attribute_wall_time(async.trace);
 
     const std::string key =
         std::to_string(c.n) + "_" + std::to_string(c.nodes) + "n";

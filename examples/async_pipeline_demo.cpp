@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "obs/trace_export.hpp"
 #include "pipeline/dns_step_model.hpp"
-#include "pipeline/timeline.hpp"
 #include "transpose/dist_fft.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
@@ -75,11 +75,10 @@ int main(int argc, char** argv) {
     const auto r = model.simulate_gpu_step(cfg);
     std::printf("%s: %s per RK2 step\n", pipeline::to_string(mpi),
                 util::format_time(r.seconds).c_str());
-    std::printf("%s", pipeline::render_timeline(r.records, r.seconds,
-                                                {.columns = 90})
-                          .c_str());
-    std::printf("%s\n", pipeline::summarize_busy(r.records, r.seconds)
-                            .c_str());
+    std::printf("%s",
+                obs::render_timeline(r.trace, r.seconds, {.columns = 90})
+                    .c_str());
+    std::printf("%s\n", obs::summarize_busy(r.trace, r.seconds).c_str());
   }
   return mismatches == 0 ? 0 : 1;
 }

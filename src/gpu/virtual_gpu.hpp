@@ -1,11 +1,13 @@
 #pragma once
 // Virtual GPU: a CUDA-runtime-shaped facade over the DAG runner.
 //
-// Streams are DAG lanes (FIFO issue order, exactly CUDA stream semantics);
-// events are just OpIds passed as cross-stream dependencies; copies are
-// bandwidth-shaped flows traversing this GPU's NVLink and its socket's host
-// memory bus, so concurrent copies and MPI traffic contend the same way the
-// paper measured on Summit (Sec. 5.2).
+// Streams are DAG lanes (FIFO issue order, exactly CUDA stream semantics)
+// of the GPU's rank; events are just OpIds passed as cross-stream
+// dependencies; copies are bandwidth-shaped flows traversing this GPU's
+// NVLink and its socket's host memory bus, so concurrent copies and MPI
+// traffic contend the same way the paper measured on Summit (Sec. 5.2).
+// Kernels trace as Compute spans, copies in either direction as Transfer
+// spans.
 
 #include <string>
 #include <vector>
@@ -24,7 +26,7 @@ struct GpuLinks {
 class VirtualGpu {
  public:
   VirtualGpu(sim::DagRunner& dag, GpuLinks links, const CostModel& costs,
-             std::string name);
+             std::string name, int rank = -1);
 
   /// The two streams of the paper's algorithm (Sec. 3.4): one for compute,
   /// one for all transfers (a single transfer stream keeps host-bus traffic
@@ -34,19 +36,14 @@ class VirtualGpu {
 
   sim::LaneId create_stream(const std::string& suffix);
 
-  /// Strided host->device copy of `total_bytes` in contiguous chunks of
-  /// `chunk_bytes` using `method`. Fixed overheads (API calls, per-row
-  /// descriptor setup) are charged serially on the stream; the wire time is
-  /// a flow through NVLink + host bus.
-  sim::OpId copy_h2d(sim::LaneId stream, std::string label,
-                     double total_bytes, double chunk_bytes, CopyMethod method,
-                     const std::vector<sim::OpId>& deps = {});
-
-  /// Strided device->host copy (same model; on Summit the D2H doubles as
-  /// the pack for MPI, Sec. 3.4).
-  sim::OpId copy_d2h(sim::LaneId stream, std::string label,
-                     double total_bytes, double chunk_bytes, CopyMethod method,
-                     const std::vector<sim::OpId>& deps = {});
+  /// Strided copy of `total_bytes` in contiguous chunks of `chunk_bytes`
+  /// using `method`, host->device or device->host alike (on Summit the D2H
+  /// doubles as the pack for MPI, Sec. 3.4). Fixed overheads (API calls,
+  /// per-row descriptor setup) are charged serially on the stream; the wire
+  /// time is a flow through NVLink + host bus.
+  sim::OpId copy(sim::LaneId stream, std::string label, double total_bytes,
+                 double chunk_bytes, CopyMethod method,
+                 const std::vector<sim::OpId>& deps = {});
 
   /// Batched 1-D FFT kernel: `lines` transforms of length `length`.
   sim::OpId fft(sim::LaneId stream, std::string label, double lines,
@@ -63,14 +60,11 @@ class VirtualGpu {
   const CostModel& costs() const { return costs_; }
 
  private:
-  sim::OpId copy(sim::LaneId stream, std::string label, double total_bytes,
-                 double chunk_bytes, CopyMethod method, sim::OpCategory cat,
-                 const std::vector<sim::OpId>& deps);
-
   sim::DagRunner& dag_;
   GpuLinks links_;
   CostModel costs_;
   std::string name_;
+  int rank_;
   sim::LaneId compute_;
   sim::LaneId transfer_;
 };

@@ -162,7 +162,7 @@ void rotate_chain(const std::string& path, int keep) {
 /// final rename, and rotates only once the tmp file is complete).
 void write_transaction(const std::string& path, const CheckpointOptions& opts,
                        const CheckpointInfo& info,
-                       std::vector<std::vector<Complex>>& fields) {
+                       const std::vector<std::vector<Complex>>& fields) {
   // One fault poll per transaction attempt: a retried write is the next
   // call index at this site.
   const auto fault = resilience::poll(resilience::site::ckpt_write);
@@ -175,23 +175,26 @@ void write_transaction(const std::string& path, const CheckpointOptions& opts,
   const std::string& tmp = f->tmp_path();
   write_header(*f, info);
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    auto* raw = reinterpret_cast<unsigned char*>(fields[i].data());
+    const auto* raw = reinterpret_cast<const unsigned char*>(fields[i].data());
     const std::size_t bytes = fields[i].size() * sizeof(Complex);
     const std::uint32_t crc = resilience::crc32c(raw, bytes);
+    const std::size_t mid = bytes / 2;
     if (fault == FaultKind::ShortWrite && i == 0) {
-      write_exact(*f, raw, bytes / 2);
+      write_exact(*f, raw, mid);
       throw CheckpointError(CheckpointErrc::IoFailed, tmp,
                             "injected short write");
     }
-    // bit_flip: corrupt the bytes that hit the disk but store the CRC of
-    // the clean payload - silent corruption that only the load-time
-    // verification can catch.
     if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
-      raw[bytes / 2] ^= 0x01u;
-    }
-    write_exact(*f, raw, bytes);
-    if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
-      raw[bytes / 2] ^= 0x01u;  // restore the in-memory copy
+      // bit_flip: corrupt the bytes that hit the disk but store the CRC of
+      // the clean payload - silent corruption that only the load-time
+      // verification can catch. The flipped byte is a local copy, so a
+      // failed write leaves the gathered fields clean for the retry.
+      const auto flipped = static_cast<unsigned char>(raw[mid] ^ 0x01u);
+      write_exact(*f, raw, mid);
+      write_exact(*f, &flipped, 1);
+      write_exact(*f, raw + mid + 1, bytes - mid - 1);
+    } else {
+      write_exact(*f, raw, bytes);
     }
     write_exact(*f, &crc, sizeof crc);
   }

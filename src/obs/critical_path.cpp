@@ -21,24 +21,6 @@ struct Interval {
   int bucket = kOther;
 };
 
-int bucket_of(sim::OpCategory c) {
-  switch (c) {
-    case sim::OpCategory::Compute:
-    case sim::OpCategory::Cpu:
-      return kCompute;
-    case sim::OpCategory::Mpi:
-      return kComm;
-    case sim::OpCategory::H2D:
-    case sim::OpCategory::D2H:
-    case sim::OpCategory::Unpack:
-      return kTransfer;
-    case sim::OpCategory::Wait:
-    case sim::OpCategory::Other:
-      return kOther;
-  }
-  return kOther;
-}
-
 int bucket_of(SpanKind k) {
   switch (k) {
     case SpanKind::Compute:
@@ -104,18 +86,6 @@ double overlap_accumulate(const std::vector<Interval>& intervals,
   return std::min(compute_busy, traffic_busy);
 }
 
-OverlapStats overlap_from(
-    const std::map<std::string, std::vector<Interval>>& per_rank) {
-  OverlapStats s;
-  double achievable = 0.0;
-  for (const auto& [rank, intervals] : per_rank) {
-    (void)rank;
-    achievable += overlap_accumulate(intervals, s);
-  }
-  if (achievable > 0.0) s.overlap_efficiency = s.hidden / achievable;
-  return s;
-}
-
 PathAttribution attribute_from(const std::vector<Interval>& intervals) {
   PathAttribution a;
   sweep(intervals, [&](double len, const int* active) {
@@ -133,42 +103,6 @@ PathAttribution attribute_from(const std::vector<Interval>& intervals) {
     }
   });
   return a;
-}
-
-std::vector<Interval> to_intervals(const std::vector<sim::OpRecord>& records) {
-  std::vector<Interval> out;
-  out.reserve(records.size());
-  for (const auto& r : records) {
-    out.push_back({r.start, r.finish, bucket_of(r.category)});
-  }
-  return out;
-}
-
-/// Rank key of a simulated lane: the prefix before the first '.' (lanes are
-/// named "r<k>.g<j>", "r<k>.mpi", ...); the whole name when there is none.
-std::map<std::string, std::vector<Interval>> group_by_rank(
-    const std::vector<sim::OpRecord>& records) {
-  std::map<std::string, std::vector<Interval>> groups;
-  for (const auto& r : records) {
-    const auto dot = r.lane.find('.');
-    groups[r.lane.substr(0, dot)].push_back(
-        {r.start, r.finish, bucket_of(r.category)});
-  }
-  return groups;
-}
-
-/// Leaf spans only: enclosing phase spans would double-count their
-/// children in any busy-time union.
-std::vector<SpanRecord> leaf_spans(const SpanTrace& trace) {
-  std::unordered_set<SpanId> parents;
-  for (const auto& s : trace.spans) {
-    if (s.parent != 0) parents.insert(s.parent);
-  }
-  std::vector<SpanRecord> out;
-  for (const auto& s : trace.spans) {
-    if (parents.count(s.id) == 0) out.push_back(s);
-  }
-  return out;
 }
 
 std::vector<Interval> to_intervals(const std::vector<SpanRecord>& spans) {
@@ -204,26 +138,66 @@ void add_chain_span(PathAttribution& a, const SpanRecord& s, double& cursor) {
 
 }  // namespace
 
-OverlapStats overlap_stats(const std::vector<sim::OpRecord>& records) {
-  return overlap_from(group_by_rank(records));
-}
-
-PathAttribution attribute_wall_time(
-    const std::vector<sim::OpRecord>& records) {
-  return attribute_from(to_intervals(records));
+std::vector<SpanRecord> leaf_spans(const SpanTrace& trace) {
+  std::unordered_set<SpanId> parents;
+  for (const auto& s : trace.spans) {
+    if (s.parent != 0) parents.insert(s.parent);
+  }
+  std::vector<SpanRecord> out;
+  for (const auto& s : trace.spans) {
+    if (parents.count(s.id) == 0) out.push_back(s);
+  }
+  return out;
 }
 
 OverlapStats overlap_stats(const SpanTrace& trace) {
-  std::map<std::string, std::vector<Interval>> per_rank;
+  std::map<int, std::vector<Interval>> per_rank;
   for (const auto& s : leaf_spans(trace)) {
-    per_rank[std::to_string(s.rank)].push_back(
-        {s.start_s, s.end_s, bucket_of(s.kind)});
+    per_rank[s.rank].push_back({s.start_s, s.end_s, bucket_of(s.kind)});
   }
-  return overlap_from(per_rank);
+  OverlapStats stats;
+  double achievable = 0.0;
+  for (const auto& [rank, intervals] : per_rank) {
+    (void)rank;
+    achievable += overlap_accumulate(intervals, stats);
+  }
+  if (achievable > 0.0) stats.overlap_efficiency = stats.hidden / achievable;
+  return stats;
 }
 
 PathAttribution attribute_wall_time(const SpanTrace& trace) {
   return attribute_from(to_intervals(leaf_spans(trace)));
+}
+
+double busy_time(const SpanTrace& trace, SpanKind kind) {
+  // Zero-length spans contribute no busy time; dropping them here also
+  // keeps them from seeding a bogus merge interval.
+  std::vector<std::pair<double, double>> spans;
+  for (const auto& s : leaf_spans(trace)) {
+    if (s.kind == kind && s.end_s > s.start_s) {
+      spans.emplace_back(s.start_s, s.end_s);
+    }
+  }
+  if (spans.empty()) return 0.0;
+  std::sort(spans.begin(), spans.end());
+  // Sweep the sorted spans, merging overlapping AND back-to-back touching
+  // intervals (s == cur_end) so shared endpoints are not double-counted.
+  // No sentinel start value: the first span seeds the merge interval, so
+  // spans at negative times are handled like any other.
+  double busy = 0.0;
+  double cur_start = spans.front().first;
+  double cur_end = spans.front().second;
+  for (const auto& [s, e] : spans) {
+    if (s > cur_end) {
+      busy += cur_end - cur_start;
+      cur_start = s;
+      cur_end = e;
+    } else {
+      cur_end = std::max(cur_end, e);
+    }
+  }
+  busy += cur_end - cur_start;
+  return busy;
 }
 
 CriticalPath critical_path(const SpanTrace& trace) {

@@ -1,8 +1,8 @@
 #pragma once
-// Critical-path and overlap analysis of a DNS step: turns a trace - either
-// the co-simulator's sim::OpRecord lanes or a causal span trace
-// (obs/span.hpp) - into the two numbers the paper's asynchronism claim is
-// about:
+// Critical-path and overlap analysis of a DNS step: turns a span trace
+// (obs/span.hpp) - recorded from a real run, or predicted by the
+// discrete-event model (sim::DagRunner::trace) - into the two numbers the
+// paper's asynchronism claim is about:
 //
 //  * overlap efficiency: the fraction of transfer+comm busy time hidden
 //    under concurrent compute (Fig. 4's batched schedule as a metric -
@@ -14,15 +14,14 @@
 //    analyzed makespan, so "what would speeding up X buy" reads directly
 //    off the report.
 //
-// For span traces a true DAG walk is also provided: same-thread ordering
-// plus the recorded flow edges form the dependency graph, and the longest
-// chain of leaf spans (by summed duration) is the critical path.
+// A true DAG walk is also provided: same-thread ordering plus the recorded
+// flow edges form the dependency graph, and the longest chain of leaf
+// spans (by summed duration) is the critical path.
 
 #include <string>
 #include <vector>
 
 #include "obs/span.hpp"
-#include "sim/trace.hpp"
 
 namespace psdns::obs {
 
@@ -39,9 +38,8 @@ struct PathAttribution {
 
 /// Overlap of traffic (transfer + comm) with compute. Overlap is judged
 /// per rank: traffic counts as hidden only while compute of the *same*
-/// rank is active (for OpRecords the rank is the lane-name prefix before
-/// the first '.'; for spans it is the rank tag). Two ranks coincidentally
-/// busy at the same instant is not the schedule hiding anything.
+/// rank is active (the span's rank tag). Two ranks coincidentally busy at
+/// the same instant is not the schedule hiding anything.
 struct OverlapStats {
   double compute_busy = 0.0;   // union of compute intervals, summed per rank
   double traffic_busy = 0.0;   // union of transfer+comm intervals, per rank
@@ -56,19 +54,17 @@ struct OverlapStats {
   double overlap_efficiency = 0.0;
 };
 
-// --- sim::OpRecord lanes (the co-simulated Fig.-10 timelines) ---
-// Category buckets: Compute+Cpu -> compute; Mpi -> comm; H2D+D2H+Unpack ->
-// transfer; Wait+Other -> other.
-
-OverlapStats overlap_stats(const std::vector<sim::OpRecord>& records);
-PathAttribution attribute_wall_time(const std::vector<sim::OpRecord>& records);
-
-// --- span traces (real wall-clock runs under PSDNS_TRACE) ---
-// Only leaf spans (spans no other span names as parent) enter the
-// analysis; enclosing phase spans would double-count their children.
+/// Spans no other span names as parent, in trace order. Only these enter
+/// the analyses below (and the text timeline): enclosing phase spans would
+/// double-count their children.
+std::vector<SpanRecord> leaf_spans(const SpanTrace& trace);
 
 OverlapStats overlap_stats(const SpanTrace& trace);
 PathAttribution attribute_wall_time(const SpanTrace& trace);
+
+/// Length of the union of the [start, end) intervals of the leaf spans of
+/// `kind`: wall time during which at least one such span was active.
+double busy_time(const SpanTrace& trace, SpanKind kind);
 
 /// Longest dependency chain of leaf spans. Predecessors of a span are the
 /// latest earlier leaf on the same (thread, rank) lane plus every span

@@ -82,6 +82,10 @@ struct SpanTrace {
   std::vector<FlowEdge> edges;
   std::vector<CounterSample> counters;  // in sampling order
   std::int64_t dropped = 0;       // spans lost to ring-buffer wrap
+  /// Track names indexed by SpanRecord::thread: the lane names of a
+  /// simulated trace (sim::DagRunner). Empty for recorded traces, whose
+  /// tracks are named "thread <N>".
+  std::vector<std::string> thread_names;
 };
 
 /// Enables/disables capture. Enabling clears all rings and edges and

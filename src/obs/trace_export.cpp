@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <sstream>
+#include <utility>
 
+#include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "util/file.hpp"
+#include "util/format.hpp"
 
 namespace psdns::obs {
 
@@ -57,67 +61,46 @@ void append_flow_event(std::ostringstream& os, const ChromeTraceOptions& opt,
      << "{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"" << phase
      << "\",\"id\":" << id
      << ",\"ts\":" << json_number(ts_s * opt.seconds_to_us)
-     << ",\"pid\":" << pid << ",\"tid\":" << tid;
+     << ",\"dur\":0,\"pid\":" << pid << ",\"tid\":" << tid;
   if (phase[0] == 'f') os << ",\"bp\":\"e\"";
   os << "}";
   first = false;
 }
 
+std::string track_name(const SpanTrace& trace, int thread) {
+  return thread >= 0 &&
+                 static_cast<std::size_t>(thread) < trace.thread_names.size()
+             ? trace.thread_names[static_cast<std::size_t>(thread)]
+             : "thread " + std::to_string(thread);
+}
+
+std::string paint_row(const std::vector<const SpanRecord*>& spans,
+                      double t_end, int columns) {
+  std::string row(static_cast<std::size_t>(columns), '.');
+  for (const SpanRecord* s : spans) {
+    if (s->end_s <= s->start_s) continue;
+    // Clip to [0, t_end]: spans entirely outside the window paint nothing
+    // (instead of smearing into the first/last column).
+    if (s->start_s >= t_end || s->end_s <= 0.0) continue;
+    const double start = std::max(s->start_s, 0.0);
+    const double end = std::min(s->end_s, t_end);
+    const int c0 = std::clamp(static_cast<int>(start / t_end * columns), 0,
+                              columns - 1);
+    const int c1 = std::clamp(static_cast<int>(end / t_end * columns), c0,
+                              columns - 1);
+    for (int c = c0; c <= c1; ++c) row[static_cast<std::size_t>(c)] = '#';
+  }
+  return row;
+}
+
+/// The text rows of Fig. 10: the three streams of Fig. 4.
+constexpr std::pair<SpanKind, const char*> kStreamRows[] = {
+    {SpanKind::Comm, "MPI"},
+    {SpanKind::Transfer, "transfer"},
+    {SpanKind::Compute, "compute"},
+};
+
 }  // namespace
-
-const char* chrome_color(sim::OpCategory category) {
-  // Stable chrome://tracing palette names, matching the paper's Fig.-4
-  // scheme: transfers blue, compute green, network red.
-  switch (category) {
-    case sim::OpCategory::H2D:
-      return "thread_state_iowait";  // blue
-    case sim::OpCategory::D2H:
-      return "thread_state_sleeping";  // light blue-grey
-    case sim::OpCategory::Compute:
-      return "thread_state_running";  // green
-    case sim::OpCategory::Unpack:
-      return "thread_state_runnable";  // teal
-    case sim::OpCategory::Mpi:
-      return "terrible";  // red
-    case sim::OpCategory::Cpu:
-      return "good";  // dark green
-    case sim::OpCategory::Wait:
-      return "grey";
-    case sim::OpCategory::Other:
-      return "generic_work";
-  }
-  return "generic_work";
-}
-
-std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
-                            const ChromeTraceOptions& options) {
-  // Lane -> tid in order of first appearance, so related streams of one
-  // rank stay adjacent in the viewer.
-  std::map<std::string, int> lane_tid;
-  std::vector<const std::string*> lane_order;
-  for (const auto& r : records) {
-    if (lane_tid.emplace(r.lane, static_cast<int>(lane_tid.size())).second) {
-      lane_order.push_back(&r.lane);
-    }
-  }
-
-  std::ostringstream os;
-  os << "[\n";
-  bool first = true;
-  append_metadata(os, options.pid, "process_name", 0, options.process_name,
-                  first);
-  for (const std::string* lane : lane_order) {
-    append_metadata(os, options.pid, "thread_name", lane_tid[*lane], *lane,
-                    first);
-  }
-  for (const auto& r : records) {
-    append_complete_event(os, options, r.label, sim::to_string(r.category),
-                          chrome_color(r.category), options.pid,
-                          lane_tid[r.lane], r.start, r.duration(), first);
-  }
-  os << "\n]\n";
-  return os.str();
-}
 
 const char* chrome_color(SpanKind kind) {
   switch (kind) {
@@ -163,7 +146,7 @@ std::string to_chrome_trace(const SpanTrace& trace,
     append_metadata(os, pid_of(rank), "process_name", 0, pname, first);
     for (const int tid : threads) {
       append_metadata(os, pid_of(rank), "thread_name", tid,
-                      "thread " + std::to_string(tid), first);
+                      track_name(trace, tid), first);
     }
   }
   for (const auto& s : trace.spans) {
@@ -191,6 +174,55 @@ std::string to_chrome_trace(const SpanTrace& trace,
                          c.value, first);
   }
   os << "\n]\n";
+  return os.str();
+}
+
+std::string render_timeline(const SpanTrace& trace, double t_end,
+                            const TimelineOptions& options) {
+  if (t_end <= 0.0) {
+    for (const auto& s : trace.spans) t_end = std::max(t_end, s.end_s);
+  }
+  if (t_end <= 0.0) return "(empty timeline)\n";
+
+  const std::vector<SpanRecord> leaves = leaf_spans(trace);
+  std::ostringstream os;
+  if (options.show_lane_per_stream) {
+    std::map<std::string, std::vector<const SpanRecord*>> lanes;
+    for (const auto& s : leaves) {
+      lanes[track_name(trace, s.thread)].push_back(&s);
+    }
+    std::size_t width = 0;
+    for (const auto& [name, spans] : lanes) {
+      width = std::max(width, name.size());
+    }
+    for (const auto& [name, spans] : lanes) {
+      os << name << std::string(width - name.size(), ' ') << " |"
+         << paint_row(spans, t_end, options.columns) << "|\n";
+    }
+  } else {
+    for (const auto& [kind, label] : kStreamRows) {
+      std::vector<const SpanRecord*> spans;
+      for (const auto& s : leaves) {
+        if (s.kind == kind) spans.push_back(&s);
+      }
+      os << label << std::string(9 - std::strlen(label), ' ') << "|"
+         << paint_row(spans, t_end, options.columns) << "|\n";
+    }
+  }
+  const int pad = std::max(0, options.columns - 10);
+  os << "          0" << std::string(static_cast<std::size_t>(pad), ' ')
+     << util::format_time(t_end) << "\n";
+  return os.str();
+}
+
+std::string summarize_busy(const SpanTrace& trace, double t_end) {
+  std::ostringstream os;
+  for (const auto& [kind, label] : kStreamRows) {
+    const double busy = busy_time(trace, kind);
+    os << label << ": " << util::format_time(busy) << " ("
+       << util::format_fixed(100.0 * busy / t_end, 1) << "%)  ";
+  }
+  os << "\n";
   return os.str();
 }
 

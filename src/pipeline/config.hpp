@@ -1,13 +1,14 @@
 #pragma once
 // Configuration of the batched asynchronous GPU pipeline (Sec. 3.4) and the
-// result record of one simulated RK2 step.
+// result record of one simulated RK2 step, whose trace is an obs::SpanTrace
+// that every trace reader (obs/trace_export.hpp, obs/critical_path.hpp)
+// takes, as it takes a recorded one.
 
 #include <string>
-#include <vector>
 
 #include "gpu/cost_model.hpp"
 #include "model/geometry.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace psdns::pipeline {
 
@@ -74,11 +75,12 @@ struct PipelineConfig {
 struct StepResult {
   double seconds = 0.0;                  // elapsed wall time of the step
   double mpi_busy = 0.0;                 // wall time with >= 1 A2A active
-  double transfer_busy = 0.0;            // wall time with H2D/D2H active
+  double transfer_busy = 0.0;            // wall time with >= 1 CPU<->GPU
+                                         // copy (H2D, D2H or unpack) active
   double compute_busy = 0.0;             // wall time with kernels active
   double overlap_efficiency = 0.0;       // hidden traffic / total traffic
                                          // busy time (obs::overlap_stats)
-  std::vector<sim::OpRecord> records;    // full trace (Fig. 10 lanes)
+  obs::SpanTrace trace;                  // every op (Fig. 10 lanes)
 };
 
 }  // namespace psdns::pipeline

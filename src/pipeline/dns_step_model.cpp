@@ -110,13 +110,14 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
           "nvlink_r" + std::to_string(r) + "g" + std::to_string(g),
           costs.nvlink_bw_per_gpu());
       ctx.gpus.emplace_back(dag, gpu::GpuLinks{nvl, bus}, costs,
-                            "r" + std::to_string(r) + ".g" + std::to_string(g));
+                            "r" + std::to_string(r) + ".g" + std::to_string(g),
+                            r);
       // The zero-copy unpack runs concurrently with compute on its own
       // stream (it only needs a handful of SMs).
       unpack_stream[static_cast<std::size_t>(r)].push_back(
           ctx.gpus.back().create_stream("unpack"));
     }
-    ctx.mpi = dag.add_lane("r" + std::to_string(r) + ".mpi");
+    ctx.mpi = dag.add_lane("r" + std::to_string(r) + ".mpi", r);
   }
 
   // ---- per-rank sizes ----
@@ -197,7 +198,7 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
           h2d_deps.push_back(
               fft1_per_pencil[static_cast<std::size_t>(ip - 3)][gslot]);
         }
-        const auto h2d = g.copy_h2d(
+        const auto h2d = g.copy(
             transfer_lane(g), std::string(tag) + ".h2d p" + std::to_string(ip),
             nv_in_d * pencil_var_bytes * per_gpu, chunk_bytes,
             cfg.copy_method, h2d_deps);
@@ -210,7 +211,7 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
           // copy, the GPU-side pack is folded into the transfer below.
           d2h_per_pencil[static_cast<std::size_t>(ip)].push_back(fft1);
         } else {
-          const auto d2h = g.copy_d2h(
+          const auto d2h = g.copy(
               transfer_lane(g), std::string(tag) + ".d2h+pack p" +
                                     std::to_string(ip),
               nv_in_d * pencil_var_bytes * per_gpu, chunk_bytes,
@@ -242,7 +243,7 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
       group_op[static_cast<std::size_t>(gi)] = dag.add_flow_op(
           std::string(tag) + ".a2a g" + std::to_string(gi),
           cfg.async ? ctx.mpi : ctx.gpus.front().compute_stream(),
-          sim::OpCategory::Mpi, bytes, mpi_path, rate, deps, latency,
+          obs::SpanKind::Comm, bytes, mpi_path, rate, deps, latency,
           kMpiClass, chi);
     }
 
@@ -262,7 +263,7 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
               zero_copy_unpack
                   ? unpack_stream[static_cast<std::size_t>(rank)][gidx]
                   : transfer_lane(g);
-          data_ready = g.copy_h2d(
+          data_ready = g.copy(
               lane, std::string(tag) + ".unpack p" + std::to_string(ip),
               nv_in_d * pencil_var_bytes * per_gpu, chunk_bytes,
               cfg.unpack_method, {dep});
@@ -276,11 +277,10 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
           tail = g.pointwise(g.compute_stream(), std::string(tag) + ".ptwise",
                              pointwise_bytes * per_gpu / np, {fft2});
         }
-        last = g.copy_d2h(transfer_lane(g),
-                          std::string(tag) + ".d2h out p" + std::to_string(ip),
-                          static_cast<double>(nv_out) * pencil_var_bytes *
-                              per_gpu,
-                          chunk_bytes, cfg.copy_method, {tail});
+        last = g.copy(transfer_lane(g),
+                      std::string(tag) + ".d2h out p" + std::to_string(ip),
+                      static_cast<double>(nv_out) * pencil_var_bytes * per_gpu,
+                      chunk_bytes, cfg.copy_method, {tail});
       }
     }
     return last;
@@ -326,17 +326,14 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
 
   StepResult result;
   result.seconds = dag.run();
-  result.records = dag.records();
-  result.mpi_busy = sim::busy_time(result.records, sim::OpCategory::Mpi);
-  result.compute_busy =
-      sim::busy_time(result.records, sim::OpCategory::Compute);
+  result.trace = dag.trace();
+  result.mpi_busy = obs::busy_time(result.trace, obs::SpanKind::Comm);
+  result.compute_busy = obs::busy_time(result.trace, obs::SpanKind::Compute);
   result.transfer_busy =
-      sim::busy_time(result.records, sim::OpCategory::H2D) +
-      sim::busy_time(result.records, sim::OpCategory::D2H);
-  const obs::OverlapStats overlap = obs::overlap_stats(result.records);
+      obs::busy_time(result.trace, obs::SpanKind::Transfer);
+  const obs::OverlapStats overlap = obs::overlap_stats(result.trace);
   result.overlap_efficiency = overlap.overlap_efficiency;
-  const obs::PathAttribution attrib =
-      obs::attribute_wall_time(result.records);
+  const obs::PathAttribution attrib = obs::attribute_wall_time(result.trace);
 
   auto& reg = obs::registry();
   reg.counter_add("pipeline.steps_simulated");

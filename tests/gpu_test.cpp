@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "gpu/copy.hpp"
@@ -151,8 +152,7 @@ TEST(VirtualGpu, LoneCopyMatchesCostModel) {
   CostModel costs;
   VirtualGpu g(rig.dag, {rig.nvlink, rig.bus}, costs, "gpu0");
   const double total = 216e6, chunk = 18e3;
-  g.copy_h2d(g.transfer_stream(), "h2d", total, chunk,
-             CopyMethod::Memcpy2DAsync);
+  g.copy(g.transfer_stream(), "h2d", total, chunk, CopyMethod::Memcpy2DAsync);
   const double makespan = rig.dag.run();
   EXPECT_NEAR(makespan,
               costs.strided_copy_time(CopyMethod::Memcpy2DAsync, total, chunk),
@@ -162,10 +162,8 @@ TEST(VirtualGpu, LoneCopyMatchesCostModel) {
 TEST(VirtualGpu, TransferStreamSerializesCopies) {
   Rig rig;
   VirtualGpu g(rig.dag, {rig.nvlink, rig.bus}, CostModel{}, "gpu0");
-  g.copy_h2d(g.transfer_stream(), "a", 100e6, 1e6,
-             CopyMethod::Memcpy2DAsync);
-  g.copy_d2h(g.transfer_stream(), "b", 100e6, 1e6,
-             CopyMethod::Memcpy2DAsync);
+  g.copy(g.transfer_stream(), "a", 100e6, 1e6, CopyMethod::Memcpy2DAsync);
+  g.copy(g.transfer_stream(), "b", 100e6, 1e6, CopyMethod::Memcpy2DAsync);
   const double makespan = rig.dag.run();
   // Serial: ~2 * (100 MB / 50 GB/s) = ~4 ms.
   EXPECT_GT(makespan, 3.9e-3);
@@ -174,8 +172,7 @@ TEST(VirtualGpu, TransferStreamSerializesCopies) {
 TEST(VirtualGpu, ComputeOverlapsTransfer) {
   Rig rig;
   VirtualGpu g(rig.dag, {rig.nvlink, rig.bus}, CostModel{}, "gpu0");
-  g.copy_h2d(g.transfer_stream(), "h2d", 100e6, 1e6,
-             CopyMethod::Memcpy2DAsync);
+  g.copy(g.transfer_stream(), "h2d", 100e6, 1e6, CopyMethod::Memcpy2DAsync);
   g.kernel(g.compute_stream(), "fft", 2e-3);
   const double makespan = rig.dag.run();
   EXPECT_LT(makespan, 2.3e-3);  // overlapped, not 2 ms + 2 ms
@@ -184,12 +181,31 @@ TEST(VirtualGpu, ComputeOverlapsTransfer) {
 TEST(VirtualGpu, EventDependencyOrdersAcrossStreams) {
   Rig rig;
   VirtualGpu g(rig.dag, {rig.nvlink, rig.bus}, CostModel{}, "gpu0");
-  const auto h2d = g.copy_h2d(g.transfer_stream(), "h2d", 100e6, 1e6,
-                              CopyMethod::Memcpy2DAsync);
+  const auto h2d = g.copy(g.transfer_stream(), "h2d", 100e6, 1e6,
+                          CopyMethod::Memcpy2DAsync);
   const auto fft = g.kernel(g.compute_stream(), "fft", 1e-3, {h2d});
   const double makespan = rig.dag.run();
   EXPECT_GT(rig.dag.start_time(fft), 1.9e-3);
   EXPECT_NEAR(makespan, rig.dag.finish_time(fft), 1e-12);
+}
+
+TEST(VirtualGpu, StreamsTraceOnTheGpusRank) {
+  Rig rig;
+  VirtualGpu g(rig.dag, {rig.nvlink, rig.bus}, CostModel{}, "r1.g0",
+               /*rank=*/1);
+  const auto h2d = g.copy(g.transfer_stream(), "h2d", 1e6, 1e6,
+                          CopyMethod::Memcpy2DAsync);
+  g.kernel(g.compute_stream(), "fft", 1e-3, {h2d});
+  rig.dag.run();
+  const obs::SpanTrace trace = rig.dag.trace();
+  ASSERT_EQ(trace.spans.size(), 2u);
+  EXPECT_EQ(trace.spans[0].kind, obs::SpanKind::Transfer);
+  EXPECT_EQ(trace.spans[1].kind, obs::SpanKind::Compute);
+  EXPECT_EQ(trace.spans[0].rank, 1);
+  EXPECT_EQ(trace.spans[1].rank, 1);
+  EXPECT_EQ(trace.thread_names,
+            (std::vector<std::string>{"r1.g0.compute", "r1.g0.transfer"}));
+  ASSERT_EQ(trace.edges.size(), 1u);  // the event dependency
 }
 
 TEST(VirtualGpu, ThreeGpusContendOnSocketBus) {
@@ -209,8 +225,7 @@ TEST(VirtualGpu, ThreeGpusContendOnSocketBus) {
     gpus.emplace_back(dag, GpuLinks{nvl, bus}, costs, "g" + std::to_string(i));
   }
   for (auto& g : gpus) {
-    g.copy_h2d(g.transfer_stream(), "h2d", 90e6, 90e6,
-               CopyMethod::Memcpy2DAsync);
+    g.copy(g.transfer_stream(), "h2d", 90e6, 90e6, CopyMethod::Memcpy2DAsync);
   }
   const double makespan = dag.run();
   EXPECT_NEAR(makespan, 90e6 / 45e9, 0.1e-3);

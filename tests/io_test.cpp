@@ -564,6 +564,42 @@ TEST(Checkpoint, InjectedSilentCorruptionCaughtByVerify) {
             CheckpointErrc::CrcMismatch);
 }
 
+TEST(Checkpoint, BitFlipDrillThatFailsMidFieldLeavesTheStateClean) {
+  // Attempt 1 draws the bit_flip drill and then a real write error inside
+  // field 0: "<path>.tmp" is a link to /dev/full, which the failed
+  // attempt's AtomicFile removes. Attempt 2 writes a real file, and it
+  // must be byte for byte the checkpoint of a clean save: a flip left
+  // behind in the gathered field would be written with a CRC that matches
+  // it, and no load could tell.
+  const FileGuard file(temp_path("psdns_ckp_flip_then_fail.bin"));
+  const FileGuard clean(temp_path("psdns_ckp_flip_then_fail_clean.bin"));
+  const std::string tmp = file.path + ".tmp";
+  std::filesystem::remove(tmp);
+  std::filesystem::create_symlink("/dev/full", tmp);
+  CheckpointOptions opts;
+  opts.retry.max_attempts = 2;
+  comm::run_ranks(1, [&](comm::Communicator& comm) {
+    dns::SpectralEngine a(comm, small_config());
+    a.init_taylor_green();
+    a.step(0.01);
+    {
+      resilience::ScopedPlan plan("io.ckpt.write@0=bit_flip");
+      save_checkpoint(file.path, a, opts);
+    }
+    save_checkpoint(clean.path, a);
+    dns::SpectralEngine b(comm, small_config());
+    load_checkpoint(file.path, b);
+    for (int c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < a.modes().local_modes(); ++i) {
+        ASSERT_EQ(b.uhat(c)[i], a.uhat(c)[i]) << "field " << c << ", " << i;
+      }
+    }
+  });
+  EXPECT_FALSE(std::filesystem::is_symlink(tmp));
+  EXPECT_TRUE(file_bytes(file.path) == file_bytes(clean.path))
+      << "the retried checkpoint differs from a clean save";
+}
+
 TEST(Series, AppendModePreservesExistingRows) {
   const FileGuard file(temp_path("psdns_series_append.csv"));
   dns::Diagnostics d;
@@ -605,12 +641,6 @@ TEST(Series, FailsLoudlyWhenFileCannotBeOpened) {
 }
 
 // --- durable-output primitives (util/file.hpp) ---
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 /// Runs `fn` expecting a util::Error whose message names `path`.
 template <class Fn>
@@ -654,19 +684,19 @@ TEST(DurableFile, LineLogTruncatesOrAppendsFlushedLines) {
     util::LineLog log(file.path);
     EXPECT_TRUE(log.was_empty());
     log.append("a");
-    EXPECT_EQ(slurp(file.path), "a\n");  // flushed per line
+    EXPECT_EQ(file_bytes(file.path), "a\n");  // flushed per line
   }
   {
     util::LineLog log(file.path, util::LineLog::Mode::Append);
     EXPECT_FALSE(log.was_empty());
     log.append("b");
   }
-  EXPECT_EQ(slurp(file.path), "a\nb\n");
+  EXPECT_EQ(file_bytes(file.path), "a\nb\n");
   {
     util::LineLog log(file.path);
     EXPECT_TRUE(log.was_empty());
   }
-  EXPECT_EQ(slurp(file.path), "");
+  EXPECT_EQ(file_bytes(file.path), "");
 }
 
 TEST(DurableFile, LineLogOnFullDeviceThrowsNamingPath) {
@@ -688,13 +718,13 @@ TEST(DurableFile, AtomicFileReplacesOnlyOnCommit) {
     EXPECT_TRUE(std::filesystem::exists(tmp.path));
   }
   EXPECT_FALSE(std::filesystem::exists(tmp.path));
-  EXPECT_EQ(slurp(file.path), "old");
+  EXPECT_EQ(file_bytes(file.path), "old");
   {
     util::AtomicFile f(file.path);
     f.write("new");
     f.commit();
   }
-  EXPECT_EQ(slurp(file.path), "new");
+  EXPECT_EQ(file_bytes(file.path), "new");
   EXPECT_FALSE(std::filesystem::exists(tmp.path));
 }
 

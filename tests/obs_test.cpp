@@ -327,18 +327,38 @@ TEST(Log, EnabledRespectsThreshold) {
 
 // --- Chrome trace export ---
 
-TEST(TraceExport, OpRecordsBecomeValidChromeTrace) {
-  std::vector<sim::OpRecord> recs(3);
-  recs[0] = {"a2a pencil 0", "rank0.mpi", sim::OpCategory::Mpi, 0.0, 1.5};
-  recs[1] = {"fft \"quoted\"", "rank0.compute", sim::OpCategory::Compute,
-             0.5, 2.0};
-  recs[2] = {"h2d", "rank0.transfer", sim::OpCategory::H2D, 2.0, 2.25};
-  const std::string text = to_chrome_trace(recs);
+namespace {
+SpanRecord span_rec(SpanId id, const std::string& name, SpanKind kind,
+                    int thread, int rank, double start, double end) {
+  SpanRecord s;
+  s.id = id;
+  s.name = name;
+  s.kind = kind;
+  s.thread = thread;
+  s.rank = rank;
+  s.start_s = start;
+  s.end_s = end;
+  return s;
+}
+}  // namespace
+
+TEST(TraceExport, SpansBecomeValidChromeTrace) {
+  SpanTrace trace;
+  trace.spans.push_back(
+      span_rec(1, "a2a pencil 0", SpanKind::Comm, 0, 0, 0.0, 1.5));
+  trace.spans.push_back(
+      span_rec(2, "fft \"quoted\"", SpanKind::Compute, 1, 0, 0.5, 2.0));
+  trace.spans.push_back(
+      span_rec(3, "h2d", SpanKind::Transfer, 2, 0, 2.0, 2.25));
+  trace.edges.push_back({1, 1, 3});
+  trace.thread_names = {"rank0.mpi", "rank0.compute", "rank0.transfer"};
+  const std::string text = to_chrome_trace(trace);
 
   const auto v = json_parse(text);
   ASSERT_TRUE(v.is_array());
   ASSERT_FALSE(v.array.empty());
-  // Every event carries the complete-event schema the viewers expect.
+  // Every event, flow events included, carries the complete-event schema
+  // the viewers expect.
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
     EXPECT_TRUE(e.has("name"));
@@ -359,18 +379,23 @@ TEST(TraceExport, OpRecordsBecomeValidChromeTrace) {
       EXPECT_DOUBLE_EQ(e.at("dur").number, 1.5e6);
     }
   }
-  EXPECT_EQ(complete, recs.size());
+  EXPECT_EQ(complete, trace.spans.size());
   EXPECT_TRUE(saw_quoted);
 }
 
 TEST(TraceExport, OneTrackPerLane) {
-  std::vector<sim::OpRecord> recs(3);
-  recs[0] = {"a", "lane.x", sim::OpCategory::Mpi, 0.0, 1.0};
-  recs[1] = {"b", "lane.y", sim::OpCategory::Compute, 0.0, 1.0};
-  recs[2] = {"c", "lane.x", sim::OpCategory::Mpi, 1.0, 2.0};
-  const auto v = json_parse(to_chrome_trace(recs));
+  SpanTrace trace;
+  trace.spans.push_back(span_rec(1, "a", SpanKind::Comm, 0, 0, 0.0, 1.0));
+  trace.spans.push_back(span_rec(2, "b", SpanKind::Compute, 1, 0, 0.0, 1.0));
+  trace.spans.push_back(span_rec(3, "c", SpanKind::Comm, 0, 0, 1.0, 2.0));
+  trace.thread_names = {"lane.x", "lane.y"};
+  const auto v = json_parse(to_chrome_trace(trace));
   double tid_x = -1.0, tid_y = -1.0;
+  std::set<std::string> track_names;
   for (const auto& e : v.array) {
+    if (e.at("ph").string == "M" && e.at("name").string == "thread_name") {
+      track_names.insert(e.at("args").at("name").string);
+    }
     if (e.at("ph").string != "X") continue;
     if (e.at("name").string == "a") tid_x = e.at("tid").number;
     if (e.at("name").string == "b") tid_y = e.at("tid").number;
@@ -379,10 +404,11 @@ TEST(TraceExport, OneTrackPerLane) {
     }
   }
   EXPECT_NE(tid_x, tid_y);
+  EXPECT_EQ(track_names, (std::set<std::string>{"lane.x", "lane.y"}));
 }
 
 TEST(TraceExport, SimulatedStepExportsRoundTrip) {
-  // The fig10 path end-to-end: a real co-simulated step's records parse as
+  // The fig10 path end-to-end: a real co-simulated step's trace parses as
   // a Chrome trace with events on every stream.
   pipeline::DnsStepModel model;
   pipeline::PipelineConfig cfg;
@@ -391,36 +417,21 @@ TEST(TraceExport, SimulatedStepExportsRoundTrip) {
   cfg.pencils = 6;
   cfg.mpi = pipeline::MpiConfig::B;
   const auto r = model.simulate_gpu_step(cfg);
-  ASSERT_FALSE(r.records.empty());
-  const auto v = json_parse(to_chrome_trace(r.records));
+  ASSERT_FALSE(r.trace.spans.empty());
+  const auto v = json_parse(to_chrome_trace(r.trace));
   std::size_t complete = 0;
   for (const auto& e : v.array) {
     if (e.at("ph").string == "X") ++complete;
   }
-  EXPECT_EQ(complete, r.records.size());
+  EXPECT_EQ(complete, r.trace.spans.size());
 }
 
 TEST(TraceExport, ColorsAreStableChromeNames) {
-  EXPECT_STREQ(chrome_color(sim::OpCategory::Mpi), "terrible");
-  EXPECT_NE(chrome_color(sim::OpCategory::Compute), nullptr);
-  EXPECT_NE(chrome_color(sim::OpCategory::H2D),
-            chrome_color(sim::OpCategory::Compute));
+  EXPECT_STREQ(chrome_color(SpanKind::Comm), "terrible");
+  EXPECT_NE(chrome_color(SpanKind::Compute), nullptr);
+  EXPECT_NE(chrome_color(SpanKind::Transfer),
+            chrome_color(SpanKind::Compute));
 }
-
-namespace {
-SpanRecord span_rec(SpanId id, const std::string& name, SpanKind kind,
-                    int thread, int rank, double start, double end) {
-  SpanRecord s;
-  s.id = id;
-  s.name = name;
-  s.kind = kind;
-  s.thread = thread;
-  s.rank = rank;
-  s.start_s = start;
-  s.end_s = end;
-  return s;
-}
-}  // namespace
 
 TEST(TraceExport, SpanTraceRoundTripsWithFlowEvents) {
   // A two-rank trace with one causal edge: every emitted document must

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "model/paper.hpp"
 #include "model/scaling.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/trace_export.hpp"
 #include "pipeline/dns_step_model.hpp"
-#include "pipeline/timeline.hpp"
 #include "util/check.hpp"
 
 namespace psdns::pipeline {
@@ -13,6 +16,28 @@ namespace {
 
 using model::paper::kCases;
 using model::paper::kTable3;
+using obs::render_timeline;
+using obs::SpanKind;
+using obs::SpanTrace;
+using obs::summarize_busy;
+
+/// One span per (name, kind, thread, start, end), untagged rank.
+SpanTrace spans_of(
+    const std::vector<std::tuple<const char*, SpanKind, int, double, double>>&
+        rows) {
+  SpanTrace trace;
+  for (const auto& [name, kind, thread, start, end] : rows) {
+    obs::SpanRecord s;
+    s.id = trace.spans.size() + 1;
+    s.name = name;
+    s.kind = kind;
+    s.thread = thread;
+    s.start_s = start;
+    s.end_s = end;
+    trace.spans.push_back(s);
+  }
+  return trace;
+}
 
 PipelineConfig make_config(std::size_t case_index, MpiConfig mpi) {
   const auto& c = kCases[case_index];
@@ -293,7 +318,7 @@ TEST(Timeline, LanePerStreamViewShowsStreams) {
   DnsStepModel m;
   const auto r = m.simulate_gpu_step(make_config(0, MpiConfig::B));
   const std::string t = render_timeline(
-      r.records, r.seconds, {.columns = 60, .show_lane_per_stream = true});
+      r.trace, r.seconds, {.columns = 60, .show_lane_per_stream = true});
   EXPECT_NE(t.find(".compute"), std::string::npos);
   EXPECT_NE(t.find(".transfer"), std::string::npos);
   EXPECT_NE(t.find(".mpi"), std::string::npos);
@@ -304,24 +329,24 @@ TEST(Timeline, LanePerStreamViewShowsStreams) {
 TEST(Timeline, RendersCategoriesAndDuration) {
   DnsStepModel m;
   const auto r = m.simulate_gpu_step(make_config(2, MpiConfig::C));
-  const std::string t = render_timeline(r.records, r.seconds);
+  const std::string t = render_timeline(r.trace, r.seconds);
   EXPECT_NE(t.find("MPI"), std::string::npos);
   EXPECT_NE(t.find("compute"), std::string::npos);
   EXPECT_NE(t.find('#'), std::string::npos);
-  const std::string busy = summarize_busy(r.records, r.seconds);
+  const std::string busy = summarize_busy(r.trace, r.seconds);
   EXPECT_NE(busy.find("MPI:"), std::string::npos);
 }
 
 TEST(Timeline, EmptyTraceHandled) {
-  EXPECT_EQ(render_timeline({}), "(empty timeline)\n");
+  EXPECT_EQ(render_timeline(SpanTrace{}), "(empty timeline)\n");
 }
 
 TEST(Timeline, LanePerStreamPaintsOneRowPerLane) {
   // Two lanes, synthetic ops: each lane gets its own labeled row whose '#'
   // extent matches the op placement.
-  std::vector<sim::OpRecord> recs(2);
-  recs[0] = {"a", "laneA", sim::OpCategory::Compute, 0.0, 5.0};
-  recs[1] = {"b", "laneB", sim::OpCategory::Mpi, 5.0, 10.0};
+  SpanTrace recs = spans_of({{"a", SpanKind::Compute, 0, 0.0, 5.0},
+                             {"b", SpanKind::Comm, 1, 5.0, 10.0}});
+  recs.thread_names = {"laneA", "laneB"};
   const std::string t = render_timeline(
       recs, 10.0, {.columns = 10, .show_lane_per_stream = true});
   EXPECT_NE(t.find("laneA |#####"), std::string::npos);
@@ -335,9 +360,8 @@ TEST(Timeline, LanePerStreamPaintsOneRowPerLane) {
 TEST(Timeline, ClipsOpsBeyondTEnd) {
   // With t_end before the second op even starts, the later op must not
   // smear into the last column of the render.
-  std::vector<sim::OpRecord> recs(2);
-  recs[0] = {"a", "l", sim::OpCategory::Mpi, 0.0, 2.0};
-  recs[1] = {"b", "l", sim::OpCategory::Mpi, 8.0, 10.0};
+  const SpanTrace recs = spans_of({{"a", SpanKind::Comm, 0, 0.0, 2.0},
+                                   {"b", SpanKind::Comm, 0, 8.0, 10.0}});
   const std::string full = render_timeline(recs, 10.0, {.columns = 10});
   const std::string clipped = render_timeline(recs, 4.0, {.columns = 10});
   // Full window: MPI row shows both ops (last column painted).
@@ -355,8 +379,7 @@ TEST(Timeline, ClipsOpsBeyondTEnd) {
 TEST(Timeline, ClipsOpsStraddlingTEnd) {
   // An op that starts inside the window but finishes after t_end paints up
   // to the last column without reading past it.
-  std::vector<sim::OpRecord> recs(1);
-  recs[0] = {"a", "l", sim::OpCategory::Mpi, 3.0, 100.0};
+  const SpanTrace recs = spans_of({{"a", SpanKind::Comm, 0, 3.0, 100.0}});
   const std::string t = render_timeline(recs, 4.0, {.columns = 8});
   const auto p = t.find("MPI");
   const auto bar = t.find('|', p);

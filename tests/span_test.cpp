@@ -22,6 +22,7 @@
 #include "obs/perfdiff.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "obs/trace_export.hpp"
 #include "pipeline/dns_step_model.hpp"
 #include "transpose/dist_fft.hpp"
 
@@ -437,6 +438,40 @@ TEST_F(SpanTest, AlltoallRecordsCrossRankEdges) {
   }
 }
 
+TEST_F(SpanTest, TextTimelineDrawsARealSlabStep) {
+  // Fig. 10 for a measured run: a traced 2-rank slab NS step rendered by
+  // the same reader as a simulated one, with the all-to-alls on the MPI
+  // row and the FFT passes on the compute row.
+  comm::run_ranks(2, [](comm::Communicator& comm) {
+    dns::SolverConfig config;
+    config.n = 16;
+    config.viscosity = 0.02;
+    dns::SpectralEngine engine(comm, config);
+    engine.init_isotropic(7, 3.0, 0.5);
+    engine.step(1e-3);
+    comm.barrier();
+    if (comm.rank() == 0) obs::set_tracing(true);
+    comm.barrier();
+    engine.step(1e-3);
+    comm.barrier();
+  });
+  const auto trace = obs::collect_trace();
+  ASSERT_TRUE(std::any_of(
+      trace.spans.begin(), trace.spans.end(), [](const SpanRecord& s) {
+        return s.name == "comm.alltoall" && s.kind == SpanKind::Comm;
+      }));
+  const std::string text = obs::render_timeline(trace, 0.0, {.columns = 60});
+  const auto row = [&](const std::string& label) {
+    const auto at = text.find(label);
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at == std::string::npos) return std::string();
+    const auto bar = text.find('|', at);
+    return text.substr(bar + 1, 60);
+  };
+  EXPECT_NE(row("MPI").find('#'), std::string::npos) << text;
+  EXPECT_NE(row("compute").find('#'), std::string::npos) << text;
+}
+
 TEST_F(SpanTest, WritesChromeTraceFileWhenConfigured) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "psdns_span_trace.json")
@@ -630,6 +665,39 @@ TEST(OverlapTest, StepModelAsyncBeatsSerializedAblation) {
 
   // The schedule that hides more finishes sooner.
   EXPECT_LT(async.seconds, sync.seconds);
+}
+
+/// The DES trace through the span critical path, for Fig. 10's three MPI
+/// configurations and the serialized ablation. Every simulated op starts
+/// exactly when the last of its lane predecessor and explicit dependencies
+/// finishes, and each of those is a predecessor in the span DAG walk, so
+/// the longest chain runs from t = 0 to the makespan without a gap.
+TEST(CriticalPathTest, SimulatedStepChainCoversTheStep) {
+  const pipeline::DnsStepModel model;
+  pipeline::PipelineConfig base;
+  base.n = 12288;
+  base.nodes = 1024;
+  base.pencils = 3;
+  std::vector<pipeline::PipelineConfig> configs;
+  for (const auto mpi : {pipeline::MpiConfig::A, pipeline::MpiConfig::B,
+                         pipeline::MpiConfig::C}) {
+    configs.push_back(base);
+    configs.back().mpi = mpi;
+  }
+  configs.push_back(base);
+  configs.back().mpi = pipeline::MpiConfig::A;
+  configs.back().async = false;
+  for (const auto& cfg : configs) {
+    const auto step = model.simulate_gpu_step(cfg);
+    const auto path = obs::critical_path(step.trace);
+    const std::string what = std::string(pipeline::to_string(cfg.mpi)) +
+                             (cfg.async ? "" : " sync");
+    ASSERT_FALSE(path.spans.empty()) << what;
+    EXPECT_NEAR(path.path_seconds, step.seconds, 1e-12 * step.seconds)
+        << what;
+    EXPECT_NEAR(path.attribution.idle, 0.0, 1e-12 * step.seconds) << what;
+    EXPECT_DOUBLE_EQ(path.spans.front().start_s, 0.0) << what;
+  }
 }
 
 // ------------------------------------------------------------------ perfdiff
