@@ -132,17 +132,6 @@ void rollback_to_valid(comm::Communicator& comm, const std::string& path,
   discarded = static_cast<int>(vals[1]);
 }
 
-/// PSDNS_METRICS_PORT wins over the config value; -1 = endpoint off.
-int resolve_metrics_port(int config_port) {
-  const char* value = std::getenv("PSDNS_METRICS_PORT");
-  if (value == nullptr || *value == '\0') return config_port;
-  char* end = nullptr;
-  const long port = std::strtol(value, &end, 10);
-  PSDNS_REQUIRE(end != value && *end == '\0' && port >= 0 && port <= 65535,
-                "PSDNS_METRICS_PORT must be an integer in [0, 65535]");
-  return static_cast<int>(port);
-}
-
 }  // namespace
 
 CampaignResult run_campaign(comm::Communicator& comm,
@@ -190,7 +179,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
   // --- telemetry plane -------------------------------------------------
   // Env wins over config; both are identical across the rank threads, so
   // every collective gate below is rank-symmetric.
-  const int metrics_port = resolve_metrics_port(cfg.metrics_port);
+  const int metrics_port = obs::metrics_port_from_env(cfg.metrics_port);
   std::string telemetry_path = cfg.telemetry_path;
   if (const char* v = std::getenv("PSDNS_SERIES_FILE")) telemetry_path = v;
   const obs::HealthConfig health_cfg =
@@ -221,7 +210,6 @@ CampaignResult run_campaign(comm::Communicator& comm,
       telemetry_series.emplace(telemetry_path, log_mode);
     }
   }
-  obs::Registry rank_metrics;  // per-rank values feeding straggler stats
   const double dx =
       2.0 * std::numbers::pi / static_cast<double>(cfg.solver.n);
   const double kmax = std::floor(static_cast<double>(cfg.solver.n) / 3.0);
@@ -245,9 +233,6 @@ CampaignResult run_campaign(comm::Communicator& comm,
       reg.gauge_set("driver.sim_time", solver.time());
       obs::publish_pool_metrics(reg);
     }
-
-    rank_metrics.counter_add("rank.steps");
-    rank_metrics.gauge_set("rank.step.wall_seconds", wall);
 
     const bool report =
         cfg.diagnostics_every > 0 &&
@@ -326,27 +311,33 @@ CampaignResult run_campaign(comm::Communicator& comm,
     }
 
     if (reduce_every_step) {
-      // The rank-0 gauge writes above must land before any rank snapshots
-      // the shared registry; after the barrier no thread writes until the
-      // collective reduction completes, so every rank reduces identical
-      // global state and the per-rank variation comes from rank_metrics.
+      // Rank 0 reads the shared registry once: after the barrier every
+      // rank's writes for this step have landed, and no rank thread writes
+      // again until the gather completes. Only the values that differ per
+      // rank travel, as one fixed block of doubles per rank.
       comm.barrier();
-      obs::MetricsSnapshot local = obs::registry().snapshot();
-      const obs::MetricsSnapshot mine = rank_metrics.snapshot();
-      for (const auto& [key, value] : mine.counters) {
-        local.counters[key] = value;
-      }
-      for (const auto& [key, value] : mine.gauges) local.gauges[key] = value;
-      obs::ReducedSnapshot reduced = obs::reduce_metrics(comm, local);
-      reduced.step = solver.step_count();
-      reduced.time = solver.time();
-      if (evaluated_health) {
-        reduced.health_verdict = obs::to_string(verdict);
-        for (const auto& e : health.last_events()) {
-          reduced.health_events.push_back(e.code);
-        }
-      }
+      obs::MetricsSnapshot process;
+      if (comm.rank() == 0) process = obs::registry().snapshot();
+      const double mine[2] = {static_cast<double>(result.steps_run), wall};
+      std::vector<double> all(
+          comm.rank() == 0 ? 2 * static_cast<std::size_t>(comm.size()) : 0);
+      comm.gather(mine, all.data(), 2, 0);
       if (comm.rank() == 0) {
+        obs::RankValues steps, walls;
+        for (std::size_t r = 0; r < all.size(); r += 2) {
+          steps["rank.steps"].push_back(all[r]);
+          walls["rank.step.wall_seconds"].push_back(all[r + 1]);
+        }
+        obs::ReducedSnapshot reduced =
+            obs::build_reduced(process, comm.size(), steps, walls);
+        reduced.step = solver.step_count();
+        reduced.time = solver.time();
+        if (evaluated_health) {
+          reduced.health_verdict = obs::to_string(verdict);
+          for (const auto& e : health.last_events()) {
+            reduced.health_events.push_back(e.code);
+          }
+        }
         if (telemetry_series) telemetry_series->append(reduced.to_json());
         if (server != nullptr) {
           server->publish(obs::to_prometheus(reduced, health.report()),

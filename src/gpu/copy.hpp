@@ -1,16 +1,11 @@
 #pragma once
-// Functional strided-copy primitives mirroring the data-movement APIs the
-// paper's code uses on the device:
-//   - memcpy2d: the cudaMemcpy2DAsync shape (pitched rows of contiguous
-//     elements), used for H2D/D2H pencil copies and the pack-on-copy.
-//   - gather/scatter: the custom zero-copy kernel shape (arbitrary index
-//     mapping), used for unpacking after the all-to-all.
-// These run on the host here; the performance of their device counterparts
-// is modeled separately in gpu::CostModel.
+// Functional strided copy mirroring the cudaMemcpy2DAsync shape the
+// paper's code uses on the device (pitched rows of contiguous elements),
+// used for H2D/D2H pencil copies and the pack-on-copy. It runs on the
+// host here; the performance of its device counterpart is modeled
+// separately in gpu::CostModel.
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "resilience/fault.hpp"
 #include "util/check.hpp"
@@ -42,18 +37,6 @@ void memcpy2d(T* dst, std::size_t dst_pitch, const T* src,
   if (fault == resilience::FaultKind::BitFlip && width > 0 && height > 0) {
     reinterpret_cast<unsigned char*>(dst)[0] ^= 0x01u;
   }
-}
-
-/// dst[i] = src[index[i]] - the zero-copy kernel's read pattern.
-template <class T>
-void gather(T* dst, const T* src, std::span<const std::size_t> index) {
-  for (std::size_t i = 0; i < index.size(); ++i) dst[i] = src[index[i]];
-}
-
-/// dst[index[i]] = src[i] - the zero-copy kernel's scatter pattern.
-template <class T>
-void scatter(T* dst, const T* src, std::span<const std::size_t> index) {
-  for (std::size_t i = 0; i < index.size(); ++i) dst[index[i]] = src[i];
 }
 
 }  // namespace psdns::gpu

@@ -23,6 +23,11 @@ namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'P', 'S', 'D', 'N', 'S', 'C', 'K', 'P'};
 constexpr std::uint32_t kVersion = 3;
+// The byte bit_flip drills corrupt in field 0: the low byte of mode
+// (1, 0, 0), global index 1 in the i + nxh*(j + N*k) field order. Every
+// dealiasing rule keeps that mode, so a flip that got past the CRC would
+// reach the restored state.
+constexpr std::size_t kFlipByte = sizeof(fft::Complex);
 // Longest rotation chain recover/chain scans consider. Far above any
 // sensible CheckpointOptions::keep; bounds the directory probing.
 constexpr int kMaxChain = 32;
@@ -132,8 +137,8 @@ void read_field(std::FILE* f, Complex* data, std::size_t bytes,
   read_exact(f, raw, bytes, file);
   std::uint32_t stored = 0;
   read_exact(f, &stored, sizeof stored, file);
-  if (fault == FaultKind::BitFlip && field_index == 0 && bytes > 0) {
-    raw[bytes / 2] ^= 0x01u;
+  if (fault == FaultKind::BitFlip && field_index == 0 && bytes > kFlipByte) {
+    raw[kFlipByte] ^= 0x01u;
   }
   if (resilience::crc32c(raw, bytes) != stored) {
     obs::registry().counter_add("ckpt.crc_failures");
@@ -178,21 +183,21 @@ void write_transaction(const std::string& path, const CheckpointOptions& opts,
     const auto* raw = reinterpret_cast<const unsigned char*>(fields[i].data());
     const std::size_t bytes = fields[i].size() * sizeof(Complex);
     const std::uint32_t crc = resilience::crc32c(raw, bytes);
-    const std::size_t mid = bytes / 2;
     if (fault == FaultKind::ShortWrite && i == 0) {
-      write_exact(*f, raw, mid);
+      write_exact(*f, raw, bytes / 2);
       throw CheckpointError(CheckpointErrc::IoFailed, tmp,
                             "injected short write");
     }
-    if (fault == FaultKind::BitFlip && i == 0 && bytes > 0) {
+    if (fault == FaultKind::BitFlip && i == 0 && bytes > kFlipByte) {
       // bit_flip: corrupt the bytes that hit the disk but store the CRC of
       // the clean payload - silent corruption that only the load-time
       // verification can catch. The flipped byte is a local copy, so a
       // failed write leaves the gathered fields clean for the retry.
-      const auto flipped = static_cast<unsigned char>(raw[mid] ^ 0x01u);
-      write_exact(*f, raw, mid);
+      const auto flipped =
+          static_cast<unsigned char>(raw[kFlipByte] ^ 0x01u);
+      write_exact(*f, raw, kFlipByte);
       write_exact(*f, &flipped, 1);
-      write_exact(*f, raw + mid + 1, bytes - mid - 1);
+      write_exact(*f, raw + kFlipByte + 1, bytes - kFlipByte - 1);
     } else {
       write_exact(*f, raw, bytes);
     }

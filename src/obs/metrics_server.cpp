@@ -27,18 +27,6 @@ void MetricsServer::publish(std::string prometheus, std::string json,
   unhealthy_ = unhealthy;
 }
 
-std::unique_ptr<MetricsServer> MetricsServer::from_env() {
-  const char* value = std::getenv("PSDNS_METRICS_PORT");
-  if (value == nullptr || *value == '\0') return nullptr;
-  char* end = nullptr;
-  const long port = std::strtol(value, &end, 10);
-  PSDNS_REQUIRE(end != value && *end == '\0' && port >= 0 && port <= 65535,
-                "PSDNS_METRICS_PORT must be an integer in [0, 65535]");
-  Options options;
-  options.port = static_cast<int>(port);
-  return std::make_unique<MetricsServer>(options);
-}
-
 net::HttpResponse MetricsServer::handle(const net::HttpRequest& request) {
   registry().counter_add("telemetry.http.requests");
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -53,6 +41,16 @@ net::HttpResponse MetricsServer::handle(const net::HttpRequest& request) {
     return net::HttpResponse::json(health_json_, unhealthy_ ? 503 : 200);
   }
   return net::HttpResponse::not_found();
+}
+
+int metrics_port_from_env(int fallback) {
+  const char* value = std::getenv("PSDNS_METRICS_PORT");
+  if (value == nullptr || *value == '\0') return fallback;
+  char* end = nullptr;
+  const long port = std::strtol(value, &end, 10);
+  PSDNS_REQUIRE(end != value && *end == '\0' && port >= 0 && port <= 65535,
+                "PSDNS_METRICS_PORT must be an integer in [0, 65535]");
+  return static_cast<int>(port);
 }
 
 std::string http_get(const std::string& host, int port,

@@ -50,10 +50,6 @@ class MetricsServer {
   /// Requests served so far (all routes, including 404s).
   std::int64_t requests() const { return server_->requests(); }
 
-  /// nullptr when PSDNS_METRICS_PORT is unset; otherwise a server bound
-  /// to that port (the value must parse as an integer in [0, 65535]).
-  static std::unique_ptr<MetricsServer> from_env();
-
  private:
   net::HttpResponse handle(const net::HttpRequest& request);
 
@@ -64,6 +60,11 @@ class MetricsServer {
   bool unhealthy_ = false;
   std::unique_ptr<net::HttpServer> server_;  // last: handler reads the above
 };
+
+/// The endpoint port: PSDNS_METRICS_PORT when set (it must parse as an
+/// integer in [0, 65535], else util::Error), otherwise `fallback` (-1 =
+/// endpoint off).
+int metrics_port_from_env(int fallback);
 
 /// Tiny blocking HTTP GET used by psdns_top and the endpoint tests:
 /// returns the response body; `status` (optional) receives the HTTP

@@ -1,6 +1,5 @@
 #include "obs/reduce.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -10,32 +9,31 @@ namespace psdns::obs {
 
 namespace {
 
-void merge_value(std::map<std::string, ReducedValue>& out,
-                 const std::string& key, double value, int rank) {
-  auto [it, inserted] = out.try_emplace(key);
-  ReducedValue& v = it->second;
-  if (inserted) {
-    v.sum = v.min = v.max = value;
-    v.min_rank = v.max_rank = rank;
-    v.count = 1;
-    return;
+/// Folds one value per rank (index = rank); ties resolve to the lowest
+/// rank.
+ReducedValue reduce_over_ranks(const std::vector<double>& values) {
+  ReducedValue v;
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const double value = values[r];
+    const int rank = static_cast<int>(r);
+    if (r == 0 || value < v.min) {
+      v.min = value;
+      v.min_rank = rank;
+    }
+    if (r == 0 || value > v.max) {
+      v.max = value;
+      v.max_rank = rank;
+    }
+    v.sum += value;
   }
-  v.sum += value;
-  if (value < v.min) {
-    v.min = value;
-    v.min_rank = rank;
-  }
-  if (value > v.max) {
-    v.max = value;
-    v.max_rank = rank;
-  }
-  ++v.count;
+  v.count = static_cast<int>(values.size());
+  v.mean = v.count > 0 ? v.sum / v.count : 0.0;
+  return v;
 }
 
-void finalize_means(std::map<std::string, ReducedValue>& out) {
-  for (auto& [key, v] : out) {
-    v.mean = v.count > 0 ? v.sum / v.count : 0.0;
-  }
+/// A process-wide value: one sample, read by rank 0.
+ReducedValue once(double value) {
+  return ReducedValue{value, value, value, value, 0, 0, 1};
 }
 
 void write_reduced_map(std::ostringstream& os, const char* section,
@@ -53,33 +51,6 @@ void write_reduced_map(std::ostringstream& os, const char* section,
        << ",\"count\":" << v.count << "}";
   }
   os << "}";
-}
-
-/// Count-weighted merge of one rank's histogram summary into the union.
-/// Quantiles average weighted by observation count; min/max take the
-/// extremes; count and sum add.
-void merge_histogram(std::map<std::string, HistogramSummary>& out,
-                     const std::string& key, const HistogramSummary& h) {
-  auto [it, inserted] = out.try_emplace(key, h);
-  if (inserted) return;
-  HistogramSummary& m = it->second;
-  const double total = static_cast<double>(m.count + h.count);
-  if (total > 0.0) {
-    const double wm = static_cast<double>(m.count) / total;
-    const double wh = static_cast<double>(h.count) / total;
-    m.p50 = wm * m.p50 + wh * h.p50;
-    m.p95 = wm * m.p95 + wh * h.p95;
-    m.p99 = wm * m.p99 + wh * h.p99;
-  }
-  if (h.count > 0) {
-    m.min = m.count > 0 ? std::min(m.min, h.min) : h.min;
-    m.max = m.count > 0 ? std::max(m.max, h.max) : h.max;
-  }
-  m.count += h.count;
-  m.sum += h.sum;
-  m.p50 = std::clamp(m.p50, m.min, m.max);
-  m.p95 = std::clamp(m.p95, m.min, m.max);
-  m.p99 = std::clamp(m.p99, m.min, m.max);
 }
 
 void write_histogram_map(std::ostringstream& os,
@@ -191,49 +162,22 @@ const HistogramSummary* ReducedSnapshot::histogram(
   return it == histograms.end() ? nullptr : &it->second;
 }
 
-std::string serialize_snapshot(const MetricsSnapshot& local) {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [key, value] : local.counters) {
-    if (!first) os << ",";
-    first = false;
-    os << json_quote(key) << ":" << value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [key, value] : local.gauges) {
-    if (!first) os << ",";
-    first = false;
-    os << json_quote(key) << ":" << json_number(value);
-  }
-  os << "},";
-  write_histogram_map(os, local.histograms);
-  os << "}";
-  return os.str();
-}
-
-ReducedSnapshot merge_snapshots(const std::vector<std::string>& per_rank) {
+ReducedSnapshot build_reduced(const MetricsSnapshot& process, int ranks,
+                              const RankValues& rank_counters,
+                              const RankValues& rank_gauges) {
   ReducedSnapshot out;
-  out.ranks = static_cast<int>(per_rank.size());
-  for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    const JsonValue doc = json_parse(per_rank[r]);
-    PSDNS_REQUIRE(doc.is_object(), "rank snapshot is not a JSON object");
-    const int rank = static_cast<int>(r);
-    for (const auto& [key, value] : doc.at("counters").object) {
-      merge_value(out.counters, key, value.number, rank);
-    }
-    for (const auto& [key, value] : doc.at("gauges").object) {
-      merge_value(out.gauges, key, value.number, rank);
-    }
-    if (doc.has("histograms")) {
-      for (const auto& [key, value] : doc.at("histograms").object) {
-        merge_histogram(out.histograms, key, parse_histogram(value));
-      }
-    }
+  out.ranks = ranks;
+  for (const auto& [key, value] : process.counters) {
+    out.counters[key] = once(static_cast<double>(value));
   }
-  finalize_means(out.counters);
-  finalize_means(out.gauges);
+  for (const auto& [key, value] : process.gauges) out.gauges[key] = once(value);
+  out.histograms = process.histograms;
+  for (const auto& [key, values] : rank_counters) {
+    out.counters[key] = reduce_over_ranks(values);
+  }
+  for (const auto& [key, values] : rank_gauges) {
+    out.gauges[key] = reduce_over_ranks(values);
+  }
   return out;
 }
 

@@ -1,25 +1,18 @@
 #pragma once
-// Cross-rank metric reduction: turns each rank's local MetricsSnapshot
-// into one ReducedSnapshot per step - sum/min/max/mean for every counter
-// and gauge, plus the rank holding the min and max so stragglers are
-// identified by name, not hunted through per-rank dumps, plus a
-// count-weighted merge of every histogram summary (the per-tenant SLO
-// latency distributions ride here). This is the data plane the live
-// metrics endpoint, the step-series JSONL and the health monitor all
-// consume.
+// The per-step metrics row: one ReducedSnapshot built from one read of the
+// process-wide registry plus the few values that genuinely differ per rank.
 //
-// The reduction is collective and returns the identical ReducedSnapshot
-// on every rank (serialize local -> gather to rank 0 -> merge -> broadcast
-// the merged document), so downstream decisions taken from it - notably
-// the health monitor's abort verdict - are rank-symmetric by construction.
-// Keys are reduced over the ranks that carry them (`count` records how
-// many did): a gauge only rank 0 sets still appears, with count == 1.
-//
-// The communicator is a template parameter rather than a concrete
-// comm::Communicator so obs stays below comm in the layering (comm links
-// obs for its instrumentation); any type with rank()/size()/gather/
-// broadcast/allreduce_max works, which also keeps the merge logic unit-
-// testable without spinning up rank threads.
+// Rank threads share one process and so one obs::registry(): every
+// counter, gauge and histogram in it is already the process total. A row
+// carries each of them once, as read (count 1, min_rank = max_rank = 0).
+// Only per-rank keys - the driver's rank.steps and rank.step.wall_seconds -
+// are reduced over ranks: sum/min/max/mean plus the rank holding the min
+// and max, so stragglers are identified by name, not hunted through
+// per-rank dumps. The campaign driver gathers those values to rank 0 as
+// fixed-size blocks of doubles and builds the row there; rank 0 is its only
+// reader (the live endpoint, the step-series JSONL, the campaign result).
+// The campaign service renders its /metrics and /json from the same
+// builder over its single process.
 
 #include <cstdint>
 #include <map>
@@ -32,7 +25,7 @@ namespace psdns::obs {
 
 /// One metric reduced across ranks. min_rank/max_rank identify the
 /// extreme ranks (ties resolve to the lowest rank); count is the number
-/// of ranks that reported the key.
+/// of ranks that reported the key (1 for a process-wide metric).
 struct ReducedValue {
   double sum = 0.0;
   double min = 0.0;
@@ -43,13 +36,9 @@ struct ReducedValue {
   int count = 0;
 };
 
-/// The per-step cross-rank view: every counter and gauge of the union of
-/// all ranks' snapshots, reduced, plus every histogram's summary merged
-/// across ranks. count/sum/min/max merge exactly; the quantiles are the
-/// count-weighted mean of the per-rank quantiles - an approximation (rank
-/// summaries carry no raw samples), exact when one rank holds the data
-/// (the campaign-service case) and clamped to the merged [min, max]
-/// otherwise.
+/// The per-step view: every process-wide counter and gauge as a
+/// ReducedValue of one sample, every per-rank key reduced over the ranks,
+/// and every histogram summary as the registry holds it.
 struct ReducedSnapshot {
   std::int64_t step = -1;
   double time = 0.0;
@@ -81,51 +70,15 @@ struct ReducedSnapshot {
   const HistogramSummary* histogram(const std::string& name) const;
 };
 
-/// Serializes one rank's local snapshot for the gather leg.
-std::string serialize_snapshot(const MetricsSnapshot& local);
+/// Per-rank values by key: values[r] is rank r's value.
+using RankValues = std::map<std::string, std::vector<double>>;
 
-/// Merges the per-rank serialized snapshots (index = rank) into the
-/// reduced view. Pure function - the collective wrapper below and the
-/// unit tests share it.
-ReducedSnapshot merge_snapshots(const std::vector<std::string>& per_rank);
-
-/// Collective reduction over `comm` (all of rank()/size()/gather/
-/// broadcast/allreduce_max in comm::Communicator's shapes). Every rank
-/// receives the same ReducedSnapshot; step/time are stamped by the
-/// caller afterwards.
-template <class Comm>
-ReducedSnapshot reduce_metrics(Comm& comm, const MetricsSnapshot& local) {
-  std::string blob = serialize_snapshot(local);
-  // Pad every rank's blob to the group max so gather can move fixed-size
-  // blocks; true lengths travel alongside.
-  std::uint64_t len = blob.size();
-  const std::uint64_t max_len = comm.allreduce_max(len);
-  blob.resize(max_len, ' ');
-  const int nranks = comm.size();
-  std::vector<char> gathered;
-  std::vector<std::uint64_t> lens(static_cast<std::size_t>(nranks), 0);
-  if (comm.rank() == 0) {
-    gathered.resize(max_len * static_cast<std::uint64_t>(nranks));
-  }
-  comm.gather(blob.data(), comm.rank() == 0 ? gathered.data() : nullptr,
-              max_len, 0);
-  comm.gather(&len, comm.rank() == 0 ? lens.data() : nullptr, 1, 0);
-
-  std::string reduced_blob;
-  if (comm.rank() == 0) {
-    std::vector<std::string> per_rank(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      per_rank[static_cast<std::size_t>(r)].assign(
-          gathered.data() + static_cast<std::uint64_t>(r) * max_len,
-          lens[static_cast<std::size_t>(r)]);
-    }
-    reduced_blob = merge_snapshots(per_rank).to_json();
-  }
-  std::uint64_t reduced_len = reduced_blob.size();
-  comm.broadcast(&reduced_len, 1, 0);
-  reduced_blob.resize(reduced_len, ' ');
-  comm.broadcast(reduced_blob.data(), reduced_len, 0);
-  return ReducedSnapshot::parse(reduced_blob);
-}
+/// The one builder of a ReducedSnapshot: `process` (one read of the
+/// process-wide registry) appears once, and each per-rank key is reduced
+/// over its values. `ranks` is the group size recorded in the row;
+/// step/time are stamped by the caller.
+ReducedSnapshot build_reduced(const MetricsSnapshot& process, int ranks = 1,
+                              const RankValues& rank_counters = {},
+                              const RankValues& rank_gauges = {});
 
 }  // namespace psdns::obs

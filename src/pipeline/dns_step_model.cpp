@@ -235,15 +235,15 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
         }
       }
       const auto [bytes, rate, latency, chi] = a2a_flow(nv_in, hi - lo);
-      // With GPU-Direct the injected data additionally crosses NVLink; the
-      // rate is still NIC-bound, which is why the paper saw no benefit.
-      const std::vector<sim::LinkId> mpi_path =
-          cfg.gpu_direct ? std::vector<sim::LinkId>{nic, bus}
-                         : std::vector<sim::LinkId>{nic, bus};
+      // The exchange crosses the NIC and the host bus with or without
+      // GPU-Direct: the model carries GPU-Direct only as
+      // gpu_direct_rate_factor on the rate (a2a_flow) and puts no NVLink
+      // link on the path, since the rate stays NIC-bound - which is why
+      // the paper saw no benefit.
       group_op[static_cast<std::size_t>(gi)] = dag.add_flow_op(
           std::string(tag) + ".a2a g" + std::to_string(gi),
           cfg.async ? ctx.mpi : ctx.gpus.front().compute_stream(),
-          obs::SpanKind::Comm, bytes, mpi_path, rate, deps, latency,
+          obs::SpanKind::Comm, bytes, {nic, bus}, rate, deps, latency,
           kMpiClass, chi);
     }
 

@@ -75,6 +75,12 @@ std::string job_trace_json(obs::SpanId root) {
   return obs::to_chrome_trace(job);
 }
 
+/// The service is one process: its exposition is the campaign row's
+/// builder over one read of the registry (count == 1 everywhere).
+obs::ReducedSnapshot snapshot() {
+  return obs::build_reduced(obs::registry().snapshot());
+}
+
 }  // namespace
 
 Service::Service(ServiceConfig config)
@@ -112,12 +118,7 @@ void Service::wait_shutdown() {
 }
 
 std::string Service::metrics_text() const {
-  // The service is one process, so the cross-rank reducer runs over a
-  // single snapshot: same exposition pipeline, count == 1 everywhere.
-  const obs::MetricsSnapshot local = obs::registry().snapshot();
-  const obs::ReducedSnapshot reduced =
-      obs::merge_snapshots({obs::serialize_snapshot(local)});
-  return obs::to_prometheus(reduced, obs::HealthReport{});
+  return obs::to_prometheus(snapshot(), obs::HealthReport{});
 }
 
 net::HttpResponse Service::handle(const net::HttpRequest& request) {
@@ -158,11 +159,8 @@ net::HttpResponse Service::handle(const net::HttpRequest& request) {
                              {}};
   }
   if (request.path == "/json" && request.method == "GET") {
-    const obs::MetricsSnapshot local = obs::registry().snapshot();
-    const obs::ReducedSnapshot reduced =
-        obs::merge_snapshots({obs::serialize_snapshot(local)});
     return net::HttpResponse::json(
-        obs::to_exposition_json(reduced, obs::HealthReport{}));
+        obs::to_exposition_json(snapshot(), obs::HealthReport{}));
   }
   if (request.path == "/health" && request.method == "GET") {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -33,22 +33,6 @@ TEST(Copy, Memcpy2dRejectsShortPitch) {
   EXPECT_THROW(memcpy2d(a.data(), 2, b.data(), 5, 3, 2), util::Error);
 }
 
-TEST(Copy, GatherScatterRoundTrip) {
-  std::vector<double> src{10, 11, 12, 13, 14, 15};
-  const std::vector<std::size_t> index{4, 2, 0, 5};
-  std::vector<double> packed(index.size());
-  gather(packed.data(), src.data(), index);
-  EXPECT_EQ(packed, (std::vector<double>{14, 12, 10, 15}));
-
-  std::vector<double> back(src.size(), 0.0);
-  scatter(back.data(), packed.data(), index);
-  EXPECT_EQ(back[4], 14.0);
-  EXPECT_EQ(back[2], 12.0);
-  EXPECT_EQ(back[0], 10.0);
-  EXPECT_EQ(back[5], 15.0);
-  EXPECT_EQ(back[1], 0.0);
-}
-
 // --- cost model (Fig. 7 / Fig. 8 shapes) ---
 
 TEST(CostModel, NvlinkShareIs50GBs) {

@@ -19,6 +19,7 @@
 #include "io/series.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_export.hpp"
+#include "resilience/crc32c.hpp"
 #include "resilience/fault.hpp"
 #include "util/file.hpp"
 
@@ -562,6 +563,42 @@ TEST(Checkpoint, InjectedSilentCorruptionCaughtByVerify) {
   }
   EXPECT_EQ(thrown_code([&] { verify_checkpoint(file.path); }),
             CheckpointErrc::CrcMismatch);
+}
+
+TEST(Checkpoint, BitFlipDrillCorruptsAModeTheSolverKeeps) {
+  // The drill must model corruption that matters: once field 0's CRC is
+  // rewritten to match the flipped payload, the file verifies, and loading
+  // it must change the solver state. A flip in a mode that restore
+  // truncates would leave the state bitwise equal to the saved one.
+  const FileGuard file(temp_path("psdns_ckp_flip_kept.bin"));
+  const dns::SolverConfig cfg = small_config();
+  const std::size_t field_bytes =
+      (cfg.n / 2 + 1) * cfg.n * cfg.n * sizeof(dns::Complex);
+  comm::run_ranks(1, [&](comm::Communicator& comm) {
+    dns::SpectralEngine a(comm, cfg);
+    a.init_isotropic(5, 3.0, 0.5);
+    {
+      resilience::ScopedPlan plan("io.ckpt.write@0=bit_flip");
+      save_checkpoint(file.path, a);
+    }
+    std::string bytes = file_bytes(file.path);
+    ASSERT_GE(bytes.size(), kHeaderBytes + field_bytes + sizeof(std::uint32_t));
+    const std::uint32_t crc =
+        resilience::crc32c(bytes.data() + kHeaderBytes, field_bytes);
+    std::memcpy(bytes.data() + kHeaderBytes + field_bytes, &crc, sizeof crc);
+    std::ofstream(file.path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_EQ(verify_checkpoint(file.path).step, 0);
+
+    dns::SpectralEngine b(comm, cfg);
+    load_checkpoint(file.path, b);
+    std::size_t differing = 0;
+    for (int c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < a.modes().local_modes(); ++i) {
+        if (b.uhat(c)[i] != a.uhat(c)[i]) ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 1u) << "the flipped byte did not reach the state";
+  });
 }
 
 TEST(Checkpoint, BitFlipDrillThatFailsMidFieldLeavesTheStateClean) {

@@ -1,4 +1,4 @@
-// Tests for the live telemetry plane: cross-rank metric reduction, the
+// Tests for the live telemetry plane: the per-step metrics row, the
 // step-series ring/JSONL, the health monitor's invariants, the Prometheus/
 // JSON exposition, the rank-0 HTTP endpoint, and the full campaign
 // integration - including the acceptance drill where a silent bit flip is
@@ -53,19 +53,14 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-// --- merge_snapshots / ReducedSnapshot ---
+// --- build_reduced / ReducedSnapshot ---
 
 TEST(ReduceTest, MergesCountersAndGaugesAcrossRanks) {
-  MetricsSnapshot r0;
-  r0.counters["steps"] = 10;
-  r0.gauges["wall"] = 2.0;
-  r0.gauges["only_rank0"] = 7.0;
-  MetricsSnapshot r1;
-  r1.counters["steps"] = 14;
-  r1.gauges["wall"] = 6.0;
-
+  MetricsSnapshot process;
+  process.gauges["only_rank0"] = 7.0;
   const ReducedSnapshot merged =
-      merge_snapshots({serialize_snapshot(r0), serialize_snapshot(r1)});
+      build_reduced(process, 2, {{"steps", {10.0, 14.0}}},
+                    {{"wall", {2.0, 6.0}}});
   ASSERT_EQ(merged.ranks, 2);
 
   const ReducedValue* steps = merged.counter("steps");
@@ -83,7 +78,7 @@ TEST(ReduceTest, MergesCountersAndGaugesAcrossRanks) {
   EXPECT_DOUBLE_EQ(wall->mean, 4.0);
   EXPECT_EQ(wall->max_rank, 1);
 
-  // A key only one rank carries still appears, reduced over that rank.
+  // A process-wide key appears once, as rank 0 read it.
   const ReducedValue* solo = merged.gauge("only_rank0");
   ASSERT_NE(solo, nullptr);
   EXPECT_EQ(solo->count, 1);
@@ -92,38 +87,31 @@ TEST(ReduceTest, MergesCountersAndGaugesAcrossRanks) {
   EXPECT_DOUBLE_EQ(solo->mean, 7.0);
 }
 
-TEST(ReduceTest, MergesHistogramsCountWeighted) {
-  MetricsSnapshot r0, r1, r2;
-  r0.histograms["svc.tenant.alice.queue_wait_seconds"] =
-      HistogramSummary{1, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0};
-  r1.histograms["svc.tenant.alice.queue_wait_seconds"] =
-      HistogramSummary{3, 12.0, 1.0, 6.0, 4.0, 6.0, 6.0};
-  r2.gauges["unrelated"] = 1.0;  // a rank with no histograms still merges
-
-  const ReducedSnapshot merged = merge_snapshots(
-      {serialize_snapshot(r0), serialize_snapshot(r1),
-       serialize_snapshot(r2)});
-  const HistogramSummary* h =
-      merged.histogram("svc.tenant.alice.queue_wait_seconds");
-  ASSERT_NE(h, nullptr);
-  // count/sum/min/max merge exactly; the quantiles are the count-weighted
-  // mean of the per-rank quantiles (1:3 weighting here).
-  EXPECT_EQ(h->count, 4);
-  EXPECT_DOUBLE_EQ(h->sum, 14.0);
-  EXPECT_DOUBLE_EQ(h->min, 1.0);
-  EXPECT_DOUBLE_EQ(h->max, 6.0);
-  EXPECT_DOUBLE_EQ(h->p50, 0.25 * 2.0 + 0.75 * 4.0);
-  EXPECT_DOUBLE_EQ(h->p95, 0.25 * 2.0 + 0.75 * 6.0);
-  EXPECT_DOUBLE_EQ(h->p99, 0.25 * 2.0 + 0.75 * 6.0);
-  EXPECT_EQ(merged.histogram("missing"), nullptr);
+TEST(ReduceTest, ProcessMetricsAppearOnceWhateverTheRankCount) {
+  MetricsSnapshot process;
+  process.counters["comm.alltoall.calls"] = 38;
+  process.gauges["driver.dt"] = 0.01;
+  const ReducedSnapshot snap = build_reduced(process, 4);
+  EXPECT_EQ(snap.ranks, 4);
+  const ReducedValue* calls = snap.counter("comm.alltoall.calls");
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(calls->count, 1);
+  EXPECT_DOUBLE_EQ(calls->sum, 38.0);
+  EXPECT_DOUBLE_EQ(calls->min, 38.0);
+  EXPECT_DOUBLE_EQ(calls->max, 38.0);
+  EXPECT_DOUBLE_EQ(calls->mean, 38.0);
+  const ReducedValue* dt = snap.gauge("driver.dt");
+  ASSERT_NE(dt, nullptr);
+  EXPECT_EQ(dt->count, 1);
+  EXPECT_DOUBLE_EQ(dt->sum, 0.01);
 }
 
 TEST(ReduceTest, SingleRankHistogramPassesThroughExactly) {
-  // The campaign-service case: one process holds all the samples, so the
-  // "approximate" merge must be the identity.
+  // The process registry holds every sample, so the row carries its
+  // summary unchanged.
   MetricsSnapshot local;
   local.histograms["lat"] = HistogramSummary{7, 3.5, 0.1, 1.0, 0.4, 0.9, 1.0};
-  const ReducedSnapshot merged = merge_snapshots({serialize_snapshot(local)});
+  const ReducedSnapshot merged = build_reduced(local);
   const HistogramSummary* h = merged.histogram("lat");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 7);
@@ -133,12 +121,13 @@ TEST(ReduceTest, SingleRankHistogramPassesThroughExactly) {
   EXPECT_DOUBLE_EQ(h->p50, 0.4);
   EXPECT_DOUBLE_EQ(h->p95, 0.9);
   EXPECT_DOUBLE_EQ(h->p99, 1.0);
+  EXPECT_EQ(merged.histogram("missing"), nullptr);
 }
 
 TEST(ReduceTest, HistogramsSurviveJsonRoundTrip) {
   MetricsSnapshot local;
   local.histograms["lat"] = HistogramSummary{5, 2.5, 0.1, 0.9, 0.5, 0.8, 0.9};
-  ReducedSnapshot snap = merge_snapshots({serialize_snapshot(local)});
+  ReducedSnapshot snap = build_reduced(local);
   snap.step = 9;
   const std::string json = snap.to_json();
   const ReducedSnapshot back = ReducedSnapshot::parse(json);
@@ -155,12 +144,8 @@ TEST(ReduceTest, HistogramsSurviveJsonRoundTrip) {
 }
 
 TEST(ReduceTest, TiesResolveToLowestRank) {
-  MetricsSnapshot a, b, c;
-  a.gauges["g"] = 5.0;
-  b.gauges["g"] = 5.0;
-  c.gauges["g"] = 5.0;
-  const ReducedSnapshot merged = merge_snapshots(
-      {serialize_snapshot(a), serialize_snapshot(b), serialize_snapshot(c)});
+  const ReducedSnapshot merged =
+      build_reduced(MetricsSnapshot{}, 3, {}, {{"g", {5.0, 5.0, 5.0}}});
   const ReducedValue* g = merged.gauge("g");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->min_rank, 0);
@@ -171,7 +156,7 @@ TEST(ReduceTest, JsonRoundTripsExactly) {
   MetricsSnapshot r0;
   r0.counters["c"] = 3;
   r0.gauges["g"] = 1.25;
-  ReducedSnapshot snap = merge_snapshots({serialize_snapshot(r0)});
+  ReducedSnapshot snap = build_reduced(r0);
   snap.step = 42;
   snap.time = 0.5;
   snap.health_verdict = "degraded";
@@ -192,39 +177,12 @@ TEST(ReduceTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(ReducedSnapshot::parse("[1,2]"), util::Error);
 }
 
-TEST(ReduceTest, CollectiveReductionIsIdenticalOnEveryRank) {
-  constexpr int kRanks = 4;
-  std::mutex mu;
-  std::vector<std::string> per_rank_json(kRanks);
-  comm::run_ranks(kRanks, [&](comm::Communicator& comm) {
-    MetricsSnapshot local;
-    local.gauges["probe.value"] = static_cast<double>(comm.rank());
-    local.counters["probe.calls"] = 10 + comm.rank();
-    const ReducedSnapshot reduced = reduce_metrics(comm, local);
-    std::lock_guard<std::mutex> lock(mu);
-    per_rank_json[static_cast<std::size_t>(comm.rank())] = reduced.to_json();
-  });
-  for (int r = 1; r < kRanks; ++r) {
-    EXPECT_EQ(per_rank_json[static_cast<std::size_t>(r)], per_rank_json[0])
-        << "rank " << r << " reduced to a different snapshot";
-  }
-  const ReducedSnapshot reduced = ReducedSnapshot::parse(per_rank_json[0]);
-  EXPECT_EQ(reduced.ranks, kRanks);
-  const ReducedValue* v = reduced.gauge("probe.value");
-  ASSERT_NE(v, nullptr);
-  EXPECT_DOUBLE_EQ(v->sum, 6.0);
-  EXPECT_DOUBLE_EQ(v->mean, 1.5);
-  EXPECT_EQ(v->min_rank, 0);
-  EXPECT_EQ(v->max_rank, kRanks - 1);
-  EXPECT_EQ(v->count, kRanks);
-}
-
 // --- SeriesRing / JSONL ---
 
 ReducedSnapshot snapshot_for_step(std::int64_t step) {
   MetricsSnapshot local;
   local.gauges["g"] = static_cast<double>(step) * 0.5;
-  ReducedSnapshot snap = merge_snapshots({serialize_snapshot(local)});
+  ReducedSnapshot snap = build_reduced(local);
   snap.step = step;
   snap.time = static_cast<double>(step) * 0.01;
   return snap;
@@ -408,7 +366,7 @@ TEST(ExpositionTest, HistogramsRenderAsPrometheusSummaries) {
   MetricsSnapshot local;
   local.histograms["svc.tenant.alice.queue_wait_seconds"] =
       HistogramSummary{4, 2.0, 0.1, 0.9, 0.5, 0.8, 0.9};
-  const ReducedSnapshot snap = merge_snapshots({serialize_snapshot(local)});
+  const ReducedSnapshot snap = build_reduced(local);
   const std::string text = to_prometheus(snap, HealthReport{});
   const std::string name = "psdns_svc_tenant_alice_queue_wait_seconds";
   EXPECT_NE(text.find("# TYPE " + name + " summary"), std::string::npos);
@@ -469,13 +427,13 @@ TEST(MetricsServerTest, ServesAllRoutesOnEphemeralPort) {
 
 TEST(MetricsServerTest, FromEnvHonorsVariable) {
   ::unsetenv("PSDNS_METRICS_PORT");
-  EXPECT_EQ(MetricsServer::from_env(), nullptr);
+  EXPECT_EQ(metrics_port_from_env(-1), -1);
   ::setenv("PSDNS_METRICS_PORT", "0", 1);
-  const auto server = MetricsServer::from_env();
-  ASSERT_NE(server, nullptr);
-  EXPECT_GT(server->port(), 0);
+  ASSERT_EQ(metrics_port_from_env(-1), 0);
+  const MetricsServer server(MetricsServer::Options{metrics_port_from_env(-1)});
+  EXPECT_GT(server.port(), 0);
   ::setenv("PSDNS_METRICS_PORT", "not-a-port", 1);
-  EXPECT_THROW(MetricsServer::from_env(), util::Error);
+  EXPECT_THROW(metrics_port_from_env(-1), util::Error);
   ::unsetenv("PSDNS_METRICS_PORT");
 }
 
@@ -569,6 +527,73 @@ TEST(TelemetryCampaignTest, LiveEndpointServesReducedMetricsWhileStepping) {
   std::filesystem::remove(series_path);
 }
 
+TEST(TelemetryCampaignTest, RowCarriesEachProcessMetricOnce) {
+  // Rank threads share one registry, so a row carries every process-wide
+  // metric once, with its registry value, and reduces only the per-rank
+  // keys over the ranks. The registry accumulates over the tests of this
+  // process, so step counts are compared as deltas.
+  const std::string series_path = tmp("psdns_telemetry_once.jsonl");
+  std::filesystem::remove(series_path);
+  driver::CampaignConfig cfg = drill_base_config();
+  cfg.max_steps = 4;
+  cfg.telemetry_path = series_path;
+
+  const std::int64_t steps_before = registry().counter("driver.steps");
+  const std::int64_t spans_before = registry().histogram("driver.step").count;
+  MetricsSnapshot at_last_step;
+  driver::CampaignResult result;
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    // The observer runs on rank 0 after the step's last collective, while
+    // the other ranks wait for the row to be read: the registry it sees
+    // is the one the last row is built from.
+    const auto observer = [&](std::int64_t step, double,
+                              const dns::Diagnostics&) {
+      if (step == cfg.max_steps) at_last_step = registry().snapshot();
+    };
+    auto r = driver::run_campaign(comm, cfg, observer);
+    if (comm.rank() == 0) result = std::move(r);
+  });
+  std::filesystem::remove(series_path);
+
+  ASSERT_EQ(result.telemetry.size(), 4u);
+  const ReducedSnapshot& last = result.telemetry.back();
+  EXPECT_EQ(last.ranks, 2);
+  const ReducedValue* steps = last.counter("driver.steps");
+  ASSERT_NE(steps, nullptr);
+  EXPECT_EQ(steps->count, 1);
+  EXPECT_DOUBLE_EQ(steps->sum, static_cast<double>(steps_before + 4));
+  const HistogramSummary* spans = last.histogram("driver.step");
+  ASSERT_NE(spans, nullptr);
+  EXPECT_EQ(spans->count - spans_before, 2 * 4);  // one per rank and step
+
+  ASSERT_GT(at_last_step.counters.count("comm.alltoall.calls"), 0u);
+  for (const auto& [key, value] : at_last_step.counters) {
+    const ReducedValue* v = last.counter(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_DOUBLE_EQ(v->sum, static_cast<double>(value)) << key;
+  }
+  for (const auto* section : {&last.counters, &last.gauges}) {
+    for (const auto& [key, v] : *section) {
+      if (key.rfind("rank.", 0) != 0) {
+        EXPECT_EQ(v.count, 1) << key;
+      }
+    }
+  }
+
+  // The per-rank keys still reduce over both ranks.
+  const ReducedValue* rank_steps = last.counter("rank.steps");
+  ASSERT_NE(rank_steps, nullptr);
+  EXPECT_DOUBLE_EQ(rank_steps->sum, 8.0);
+  EXPECT_EQ(rank_steps->count, 2);
+  EXPECT_EQ(rank_steps->min_rank, 0);  // a tie resolves to the lowest rank
+  EXPECT_EQ(rank_steps->max_rank, 0);
+  const ReducedValue* wall = last.gauge("rank.step.wall_seconds");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->count, 2);
+  EXPECT_GE(wall->min_rank, 0);
+  EXPECT_LE(wall->max_rank, 1);
+}
+
 /// What a bit-flip drill run left behind: each rank's HealthAbort step and
 /// event codes, and from the telemetry series the step at which
 /// fault.injected first moved, the first abort row and the last row.
@@ -586,8 +611,8 @@ BitFlipDrill run_bit_flip_drill(const driver::CampaignConfig& cfg,
                                 const std::string& plan_text) {
   BitFlipDrill out;
   std::mutex mu;
-  // Every rank snapshots the one process-wide registry, so a row's max
-  // over ranks is the global count; earlier tests may have moved it.
+  // A row carries the process-wide count once; earlier tests may have
+  // moved it.
   const auto injected_before =
       static_cast<double>(registry().counter("fault.injected"));
   {
@@ -611,7 +636,7 @@ BitFlipDrill run_bit_flip_drill(const driver::CampaignConfig& cfg,
   if (rows.empty()) return out;
   for (const auto& row : rows) {
     const ReducedValue* injected = row.counter("fault.injected");
-    const double now = injected != nullptr ? injected->max : 0.0;
+    const double now = injected != nullptr ? injected->sum : 0.0;
     if (out.inject_step < 0 && now > injected_before) {
       out.inject_step = row.step;
     }

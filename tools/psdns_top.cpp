@@ -23,7 +23,8 @@
 // one ReducedSnapshot JSON object per row. Exit codes are unchanged.
 //
 // Exit codes: 0 healthy/degraded, 2 when the latest verdict is abort,
-// 1 on usage or fetch errors (lets CI scripts gate on campaign health).
+// 1 on usage or fetch errors, or when a one-shot scrape finds no row
+// published yet (lets CI scripts retry, then gate on campaign health).
 
 #include <chrono>
 #include <cstdio>
@@ -266,6 +267,11 @@ int run_live(const Options& opt) {
       return 1;
     }
     const JsonValue doc = psdns::obs::json_parse(body);
+    if (find(doc, "snapshot") == nullptr && opt.watch_seconds <= 0.0) {
+      std::fprintf(stderr, "%s:%d has published no row yet\n",
+                   opt.host.c_str(), opt.port);
+      return 1;
+    }
     fetched_any = true;
     last_verdict = verdict_of(doc);
     if (opt.json) {
